@@ -83,8 +83,6 @@ from .quasinorms import (
     WindowReport,
     axis_quasinorm,
     default_quadrature,
-    difference_quasinorm_B,
-    difference_quasinorm_F,
     gagliardo_seminorm,
     hypothesis_window,
     lp_band_quasinorm,

@@ -171,6 +171,40 @@ def _apply_config(opts: dict, path: str) -> None:
             opts[key] = cfg[key]
 
 
+def _option(opts: dict, key: str, default, convert, requirement: str, valid=None):
+    """opts[key] converted and range checked, or default when it is unset.
+
+    Zero and other falsy values are kept, and any value that fails to
+    convert or to satisfy valid raises ConfigParseError.
+    """
+    raw = opts.get(key)
+    if raw is None:
+        return default
+    try:
+        value = convert(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigParseError(f"{key} must be {requirement}, got {raw!r}") from exc
+    if valid is not None and not valid(value):
+        raise ConfigParseError(f"{key} must be {requirement}, got {raw!r}")
+    return value
+
+
+def _integer(raw) -> int:
+    """int(raw) for integers and integral strings or floats, else ValueError."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(raw)
+
+
+def _boolean(raw) -> bool:
+    """JSON booleans and the strings true/false; bool() would read "false" as True."""
+    if isinstance(raw, bool):
+        return raw
+    if isinstance(raw, str) and raw.lower() in ("true", "false"):
+        return raw.lower() == "true"
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
 def _build_grid(opts: dict) -> GridSpec:
     try:
         return GridSpec(
@@ -194,7 +228,7 @@ def _build_space(opts: dict) -> SpaceParams:
             L=int(opts["L"]),
             r=float(opts["r"]),
             scale=str(opts["space"]),
-            homogeneous=bool(opts.get("homogeneous", True)),
+            homogeneous=_option(opts, "homogeneous", True, _boolean, "true or false"),
         )
     except (LplabError, TypeError, ValueError) as exc:
         raise ConfigParseError(f"invalid space parameters: {exc}") from exc
@@ -204,6 +238,8 @@ def _build_quad(opts: dict, grid: GridSpec) -> QuadratureSpec | None:
     overrides = {}
     for key, opt in _QUAD_KEYS.items():
         val = opts.get(opt)
+        if key == "allow_subgrid":
+            val = _option(opts, opt, None, _boolean, "true or false")
         if val is not None:
             overrides[key] = val
     if not overrides:
@@ -470,10 +506,14 @@ def _cmd_verify_equivalence(opts: dict) -> int:
         _CHARACTERIZATION_ALIASES.get(parts[1], parts[1]),
     )
     theorem = str(opts.get("theorem") or "T2i")
+    # a spread is max/min of the ratios, never below 1
+    spread_limit = _option(opts, "spread_limit", 50.0, float, "a number >= 1",
+                           lambda v: v >= 1.0)
+    drift_limit = _option(opts, "drift_limit", 0.05, float, "a number >= 0",
+                          lambda v: v >= 0.0)
     rep = equivalence_experiment(
         corpus, pair, space, grid, theorem, quad,
-        spread_limit=float(opts.get("spread_limit") or 50.0),
-        drift_limit=float(opts.get("drift_limit") or 0.05),
+        spread_limit=spread_limit, drift_limit=drift_limit,
     )
     art = _Artifacts(opts, "verify_equivalence")
     for entry in rep.per_function:
@@ -533,10 +573,12 @@ def _cmd_verify_ppn(opts: dict) -> int:
 def _cmd_verify_kernel_decay(opts: dict) -> int:
     grid = _build_grid(opts)
     space = _build_space(opts)
-    order = int(opts.get("order") or space.L)
-    target = int(opts.get("target_exponent") or 4)
+    order = _option(opts, "order", space.L, _integer, "an integer >= 1", lambda v: v >= 1)
+    target = _option(opts, "target_exponent", 4, _integer, "an integer >= 1",
+                     lambda v: v >= 1)
     tau_list = _parse_floats(opts.get("tau_list"), (1.0, 1.5, 2.0))
-    directions = int(opts.get("directions") or 8)
+    directions = _option(opts, "directions", 8, _integer, "an integer >= 1",
+                         lambda v: v >= 1)
     if grid.dim < 2:
         raise ConfigParseError("kernel decay probe needs a grid of dimension >= 2")
     art = _Artifacts(opts, "verify_kernel_decay")
@@ -580,7 +622,7 @@ def _cmd_verify_divergence(opts: dict) -> int:
     space = _build_space(opts)
     quad = _build_quad(opts, grid)
     field = _input_field(opts, grid)
-    levels = int(opts.get("levels") or 4)
+    levels = _option(opts, "levels", 4, _integer, "an integer >= 1", lambda v: v >= 1)
     rep = divergence_probe(field, space, refinement_levels=levels, quad=quad)
     art = _Artifacts(opts, "verify_divergence")
     fid = os.path.basename(opts.get("in_path") or opts.get("function") or "field")
@@ -601,8 +643,11 @@ def _cmd_verify_slice_support(opts: dict) -> int:
     grid = _build_grid(opts)
     space = _build_space(opts)
     system = build_band_system(grid)
-    j = int(opts.get("band") or (system.j_min + system.j_max) // 2)
-    axis = int(opts.get("axis") or 1)
+    j = _option(opts, "band", (system.j_min + system.j_max) // 2, _integer,
+                f"a band index in [{system.j_min}, {system.j_max}]",
+                lambda v: system.j_min <= v <= system.j_max)
+    axis = _option(opts, "axis", 1, _integer, f"an axis in 1..{grid.dim}",
+                   lambda v: 1 <= v <= grid.dim)
     path = opts.get("in_path")
     if path:
         field = load_field(path, grid)

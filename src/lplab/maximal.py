@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .differences import iterated_difference
+from .differences import StepEngine, finite_magnitude, iterated_difference
 from .errors import (
     DimensionTooLow,
     GridMismatch,
@@ -27,7 +27,7 @@ from .errors import (
     QuadratureTooCoarse,
     ShapeMismatch,
 )
-from .fields import GridSpec, SampledField, SpectralField, to_sampled, to_spectral
+from .fields import GridSpec, SampledField
 
 _GATHER_BUDGET = 4_194_304  # elements per gather chunk
 _TABLE_LIMIT = 1 << 25  # cache full gather tables up to this many entries
@@ -210,24 +210,18 @@ def annulus_radii(radial_count: int = DEFAULT_ANNULUS_RADII) -> np.ndarray:
 
 
 def _mean_difference_magnitude(
-    field: SampledField,
+    engine: StepEngine,
     points: np.ndarray,
     weights: np.ndarray,
     t: float,
     order: int,
 ) -> np.ndarray:
     """|sum_m w_m diff(f, t z_m, L)|, built as one averaged spectral symbol."""
-    grid = field.grid
-    spec = to_spectral(field)
-    lattice = [kk.astype(np.float64) for kk in grid.frequency_lattice()]
+    grid = engine.grid
     symbol = np.zeros(grid.shape, dtype=complex)
     for z, w in zip(points, weights):
-        phase = np.zeros(grid.shape)
-        for a in range(grid.dim):
-            phase = phase + lattice[a] * (t * z[a] / grid.box)
-        symbol = symbol + w * (np.exp(2j * np.pi * phase) - 1.0) ** order
-    data = to_sampled(SpectralField(grid, spec.coeffs * symbol)).data
-    return np.abs(data)
+        symbol += w * engine.symbol(tuple(t * z[a] for a in range(grid.dim)), order)
+    return finite_magnitude(engine.apply(symbol))
 
 
 def sphere_mean_max(
@@ -236,18 +230,21 @@ def sphere_mean_max(
     r: float,
     order: int,
     sphere_count: int | None = None,
+    *,
+    engine: StepEngine | None = None,
 ) -> SampledField:
     """Weighted sup of the spherical mean of the t-scaled difference.
 
     The base field is |average over unit directions z of diff(f, t z, L)|
-    and the sup weight is (1 + |y|/t)^(-dim/r).
+    and the sup weight is (1 + |y|/t)^(-dim/r).  engine, built from field,
+    lets calls at several scales share one forward transform.
     """
     grid = field.grid
     if grid.dim < 2:
         raise DimensionTooLow("sphere means need dim >= 2")
     nodes = unit_sphere_nodes(grid.dim, sphere_count)
     weights = np.full(nodes.shape[0], 1.0 / nodes.shape[0])
-    mag = _mean_difference_magnitude(field, nodes, weights, t, order)
+    mag = _mean_difference_magnitude(engine or StepEngine(field), nodes, weights, t, order)
     out = weighted_offset_sup(mag, grid, 1.0 / t, grid.dim / r)
     return SampledField(grid, out.astype(complex))
 
@@ -259,11 +256,17 @@ def annulus_mean_max(
     order: int,
     sphere_count: int | None = None,
     radial_count: int = DEFAULT_ANNULUS_RADII,
+    *,
+    engine: StepEngine | None = None,
 ) -> SampledField:
-    """Weighted sup of the shell-volume mean of the t-scaled difference."""
+    """Weighted sup of the shell-volume mean of the t-scaled difference.
+
+    engine, built from field, lets calls at several scales share one
+    forward transform.
+    """
     grid = field.grid
     points, weights = annulus_nodes(grid.dim, sphere_count, radial_count)
-    mag = _mean_difference_magnitude(field, points, weights, t, order)
+    mag = _mean_difference_magnitude(engine or StepEngine(field), points, weights, t, order)
     out = weighted_offset_sup(mag, grid, 1.0 / t, grid.dim / r)
     return SampledField(grid, out.astype(complex))
 

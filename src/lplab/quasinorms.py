@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BandDecomposition, build_band_system, decompose
-from .differences import axis_difference, iterated_difference
+from .differences import StepEngine
 from .errors import (
     BandRangeEmpty,
     ConfigParseError,
@@ -523,16 +523,6 @@ def lp_band_quasinorm(decomp: BandDecomposition, params: SpaceParams) -> Quasino
     )
 
 
-def _polar_steps(grid: GridSpec, quad: QuadratureSpec):
-    """Yield (step_vector, shell index, combined weight) over the polar grid."""
-    rho, rho_w = radial_ladder(quad, quad.radial_nodes_per_octave)
-    theta, theta_w = sphere_quadrature(grid.dim, quad.sphere_nodes)
-    for rr, rw in zip(rho, rho_w):
-        k = shell_index(rr)
-        for th, tw in zip(theta, theta_w):
-            yield tuple(rr * th), k, rw * tw, rr
-
-
 def _refined(quad: QuadratureSpec) -> QuadratureSpec:
     """The same quadrature extended four octaves below h_min."""
     return QuadratureSpec(
@@ -547,30 +537,63 @@ def _refined(quad: QuadratureSpec) -> QuadratureSpec:
     )
 
 
-def _difference_core(
+SHARED_NODE_RTOL = 1e-12
+
+
+def _merged_ladders(quad: QuadratureSpec, per_octave: int):
+    """Yield (base node, refined node) pairs over the union of both ladders.
+
+    Each node is (length, weight) or None where the length is absent from
+    that ladder.  Lengths ascend, and a length on both ladders to 1e-12
+    relative is yielded once: with h_min = h_max 2^(-i/m) the refined ladder
+    contains every base node, otherwise the two share only h_max.
+    """
+    base = list(zip(*radial_ladder(quad, per_octave)))
+    fine = list(zip(*radial_ladder(_refined(quad), per_octave)))
+    i = j = 0
+    while i < len(base) or j < len(fine):
+        b = base[i] if i < len(base) else None
+        f = fine[j] if j < len(fine) else None
+        if b is not None and f is not None and abs(b[0] - f[0]) <= SHARED_NODE_RTOL * b[0]:
+            i, j = i + 1, j + 1
+            yield b, f
+        elif f is None or (b is not None and b[0] < f[0]):
+            i += 1
+            yield b, None
+        else:
+            j += 1
+            yield None, f
+
+
+def _step_quasinorm(
     field: SampledField,
     params: SpaceParams,
     quad: QuadratureSpec,
+    per_octave: int,
+    directions: np.ndarray,
+    direction_weights: np.ndarray,
     step_magnitudes,
 ) -> QuasinormResult:
-    """Shared polar-quadrature aggregation for step-difference quasinorms.
+    """Aggregate |h|^(-s) |Delta_h f| over step lengths times directions.
 
-    The value comes from the requested quadrature; a second pass on the
-    refined quadrature (steps acting on the trigonometric interpolant, so
-    sub-spacing lengths are exact) measures the divergence growth rate.
+    The value comes from the requested quadrature; the refined quadrature
+    (steps acting on the trigonometric interpolant, so sub-spacing lengths
+    are exact) measures the divergence growth rate.  One sweep over the
+    union of both length ladders feeds both aggregators, each with its own
+    lengths and weights, so a step shared by the ladders is evaluated once.
     """
     grid = field.grid
     quad.validate_for(grid)
-
-    def run(active: QuadratureSpec) -> tuple[float, dict[int, float]]:
-        agg = _ScaleAggregator(grid, params)
-        for step, k, w, rr in _polar_steps(grid, active):
-            mag = step_magnitudes(step)
-            agg.add(k, (rr ** -params.s) * mag, weight=w)
-        return agg.finish()
-
-    value, masses = run(quad)
-    refined_value, _ = run(_refined(quad))
+    aggs = (_ScaleAggregator(grid, params), _ScaleAggregator(grid, params))
+    for nodes in _merged_ladders(quad, per_octave):
+        length = (nodes[0] or nodes[1])[0]
+        for z, zw in zip(directions, direction_weights):
+            mag = step_magnitudes(tuple(length * z))
+            for agg, node in zip(aggs, nodes):
+                if node is not None:
+                    rr, rw = node
+                    agg.add(shell_index(rr), (rr ** -params.s) * mag, weight=rw * zw)
+    (value, masses), (refined_value, _) = (agg.finish() for agg in aggs)
     report = _tail_report(masses, params.q)
     report["refinement_growth"] = refined_value / value if value > 0.0 else 1.0
     return QuasinormResult(
@@ -582,29 +605,20 @@ def _difference_core(
     )
 
 
-def difference_quasinorm_F(
-    field: SampledField, params: SpaceParams, quad: QuadratureSpec
+def _difference_core(
+    field: SampledField,
+    params: SpaceParams,
+    quad: QuadratureSpec,
+    step_magnitudes,
 ) -> QuasinormResult:
-    """L^p over x of the polar step aggregate of |h|^(-s) Delta^L_h f."""
-    if params.scale != "F":
-        raise InvalidExponent("difference_quasinorm_F needs scale F")
-    L = params.L
-    return _difference_core(
-        field, params, quad,
-        lambda step: np.abs(iterated_difference(field, step, L).data),
-    )
+    """Polar-quadrature aggregate of |h|^(-s) |Delta_h f|.
 
-
-def difference_quasinorm_B(
-    field: SampledField, params: SpaceParams, quad: QuadratureSpec
-) -> QuasinormResult:
-    """Polar step aggregate of |h|^(-s) ||Delta^L_h f||_p."""
-    if params.scale != "B":
-        raise InvalidExponent("difference_quasinorm_B needs scale B")
-    L = params.L
-    return _difference_core(
-        field, params, quad,
-        lambda step: np.abs(iterated_difference(field, step, L).data),
+    F scale: L^p over x of the polar step aggregate; B scale: the polar
+    step aggregate of L^p norms.
+    """
+    theta, theta_w = sphere_quadrature(field.grid.dim, quad.sphere_nodes)
+    return _step_quasinorm(
+        field, params, quad, quad.radial_nodes_per_octave, theta, theta_w, step_magnitudes
     )
 
 
@@ -640,26 +654,12 @@ def axis_quasinorm(
     grid = field.grid
     if not (1 <= axis <= grid.dim):
         raise InvalidAxis(f"axis {axis} outside 1..{grid.dim}")
-    quad.validate_for(grid)
-
-    def run(active: QuadratureSpec) -> tuple[float, dict[int, float]]:
-        ts, ws = radial_ladder(active, active.t_nodes_per_octave)
-        agg = _ScaleAggregator(grid, params)
-        for tt, w in zip(ts, ws):
-            mag = np.abs(axis_difference(field, tt, axis - 1, params.L).data)
-            agg.add(shell_index(tt), (tt ** -params.s) * mag, weight=w)
-        return agg.finish()
-
-    value, masses = run(quad)
-    refined_value, _ = run(_refined(quad))
-    report = _tail_report(masses, params.q)
-    report["refinement_growth"] = refined_value / value if value > 0.0 else 1.0
-    return QuasinormResult(
-        value=value,
-        per_scale=_shares(value, masses, params.q),
-        truncation_report=report,
-        params_echo=params,
-        flag=_flag_for(report),
+    engine = StepEngine(field)
+    unit = np.zeros((1, grid.dim))
+    unit[0, axis - 1] = 1.0
+    return _step_quasinorm(
+        field, params, quad, quad.t_nodes_per_octave, unit, np.ones(1),
+        lambda step: engine.magnitude(step, params.L),
     )
 
 
@@ -667,7 +667,7 @@ MAXIMAL_VARIANTS = ("S", "S_SUP", "V", "V_SUP", "D_SUP")
 
 
 def _point_sup_field(
-    field: SampledField,
+    engine: StepEngine,
     h_len: float,
     r: float,
     order: int,
@@ -678,12 +678,11 @@ def _point_sup_field(
     The sup weight depends only on |h|, so the direction maximum commutes
     with the offset sup and one weighted sup covers all directions.
     """
-    grid = field.grid
+    grid = engine.grid
     direction_max = np.zeros(grid.shape)
     for z in directions:
         step = tuple(h_len * z[a] for a in range(grid.dim))
-        mag = np.abs(iterated_difference(field, step, order).data)
-        np.maximum(direction_max, mag, out=direction_max)
+        np.maximum(direction_max, engine.magnitude(step, order), out=direction_max)
     return weighted_offset_sup(direction_max, grid, 1.0 / h_len, grid.dim / r)
 
 
@@ -742,12 +741,13 @@ def maximal_quasinorm_set(
             needed_shell.add(exact_index(k))
         if "V_SUP" in variants:
             needed_shell.update(sup_indices(k))
+    engine = StepEngine(field)
     sphere_fields = {
-        i: sphere_mean_max(field, scale_of(i), r, L, sphere_count).data.real
+        i: sphere_mean_max(field, scale_of(i), r, L, sphere_count, engine=engine).data.real
         for i in sorted(needed_sphere)
     }
     shell_fields = {
-        i: annulus_mean_max(field, scale_of(i), r, L, sphere_count).data.real
+        i: annulus_mean_max(field, scale_of(i), r, L, sphere_count, engine=engine).data.real
         for i in sorted(needed_shell)
     }
     point_fields: dict[tuple[int, int], np.ndarray] = {}
@@ -757,7 +757,7 @@ def maximal_quasinorm_set(
         for m in range(k_lo, j_max + quad.tau_octaves):
             for ridx, rho in enumerate(radii):
                 point_fields[(m, ridx)] = _point_sup_field(
-                    field, rho * 2.0**-m, r, L, directions
+                    engine, rho * 2.0**-m, r, L, directions
                 )
 
     results: dict[str, QuasinormResult] = {}
@@ -822,9 +822,10 @@ def quasinorm(
     if quad is None:
         quad = default_quadrature(grid)
     if characterization == "diff":
-        if params.scale == "F":
-            return difference_quasinorm_F(field, params, quad)
-        return difference_quasinorm_B(field, params, quad)
+        engine = StepEngine(field)
+        return _difference_core(
+            field, params, quad, lambda step: engine.magnitude(step, params.L)
+        )
     if characterization == "gagliardo":
         if params.L != 1:
             raise InvalidExponent("gagliardo characterization is order 1")

@@ -323,3 +323,79 @@ class TestMaximalCommand:
             "--function", "gauss_mid", "--variants", "S,BOGUS",
         )
         assert code == 2
+
+
+class TestExplicitZeros:
+    """Explicit zeros and false strings are honoured or rejected, never
+    silently replaced by a default."""
+
+    def test_zero_divergence_levels_rejected(self, tmp_path, capsys):
+        code, out = run(
+            tmp_path, "verify", "divergence", "--grid-dim", "1", "--grid-n", "64",
+            "--function", "gauss_mid", "--levels", "0",
+        )
+        assert code == 2
+        assert "levels" in capsys.readouterr().err
+        assert not (out / "verify_divergence.csv").exists()
+
+    def test_divergence_levels_honoured(self, tmp_path):
+        code, out = run(
+            tmp_path, "verify", "divergence", "--grid-dim", "1", "--grid-n", "64",
+            "--function", "gauss_mid", "--levels", "1",
+        )
+        assert code == 0
+        assert len(read_rows(out, "verify_divergence")) == 2
+
+    def test_zero_spread_limit_rejected(self, tmp_path, capsys):
+        code, out = run(
+            tmp_path, "verify", "equivalence", "--grid-dim", "1",
+            "--grid-n", "256", "--pair", "lp,diff", "--theorem", "T2i",
+            "--s", "0.5", "--spread-limit", "0",
+        )
+        assert code == 2
+        assert "spread_limit" in capsys.readouterr().err
+        assert not (out / "verify_equivalence_summary.json").exists()
+
+    def test_zero_axis_rejected(self, tmp_path, capsys):
+        code, out = run(
+            tmp_path, "verify", "slice-support", "--grid-dim", "2",
+            "--grid-n", "64", "--axis", "0",
+        )
+        assert code == 2
+        assert "axis" in capsys.readouterr().err
+        assert not (out / "verify_slice_support.csv").exists()
+
+    def test_band_zero_kept_where_valid(self, tmp_path):
+        # a box-2 grid resolves bands from 0 up
+        code, out = run(
+            tmp_path, "verify", "slice-support", "--grid-dim", "2",
+            "--grid-n", "64", "--grid-box", "2", "--band", "0",
+        )
+        assert code == 0
+        assert read_summary(out, "verify_slice_support")["band"] == 0
+
+    def test_band_outside_range_rejected(self, tmp_path):
+        code, _ = run(
+            tmp_path, "verify", "slice-support", "--grid-dim", "2",
+            "--grid-n", "64", "--band", "0",
+        )
+        assert code == 2
+
+    def test_false_string_homogeneous_reads_false(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"space": {"homogeneous": "false"}}))
+        code, out = run(
+            tmp_path, "norm", "--grid-dim", "1", "--grid-n", "256",
+            "--function", "band_mid", "--config", str(cfg),
+        )
+        assert code == 0
+        assert read_summary(out, "norm")["params"]["homogeneous"] is False
+
+    def test_non_boolean_homogeneous_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"space": {"homogeneous": "no"}}))
+        code, _ = run(
+            tmp_path, "norm", "--grid-dim", "1", "--grid-n", "256",
+            "--function", "band_mid", "--config", str(cfg),
+        )
+        assert code == 2

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lplab.differences import (
+    StepEngine,
     axis_difference,
     difference_coefficients,
     iterated_difference,
 )
-from lplab.errors import InvalidAxis, InvalidExponent, MisalignedStep
+from lplab.errors import InvalidAxis, InvalidExponent, MisalignedStep, ShapeMismatch
 from lplab.fields import GridSpec, SampledField, translate
 
 from conftest import random_complex_field
@@ -138,3 +139,53 @@ class TestAnalyticActions:
         f = SampledField(grid2d, np.full(grid2d.shape, 3.7))
         df = iterated_difference(f, (0.01, 0.02), 1)
         assert np.max(np.abs(df.data)) <= 1e-12
+
+
+def full_grid_difference(field, step, order):
+    """The step symbol as one full-grid complex exponential of k.h / B."""
+    grid = field.grid
+    phase = sum(
+        kk.astype(np.float64) * (h / grid.box)
+        for kk, h in zip(grid.frequency_lattice(), step)
+    )
+    symbol = (np.exp(2j * np.pi * phase) - 1.0) ** order
+    return np.fft.ifftn(np.fft.fftn(field.data) * symbol)
+
+
+class TestStepEngine:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_matches_full_grid_symbol(self, grid1d, grid2d, order):
+        # separable 1-D phase factors against the full-grid exponential,
+        # for steps on and off the lattice and below the grid spacing
+        cases = [
+            (random_complex_field(grid1d, seed=40), [(0.013772,), (-0.3 * grid1d.spacing,),
+                                                     (0.01 * grid1d.spacing,), (0.25,)]),
+            (random_complex_field(grid2d, seed=41), [(0.1, 0.03), (0.0, 0.25),
+                                                     (0.3 * grid2d.spacing, -0.7 * grid2d.spacing),
+                                                     (-0.05 * grid2d.spacing, 0.0)]),
+        ]
+        for f, steps in cases:
+            for step in steps:
+                want = full_grid_difference(f, step, order)
+                got = iterated_difference(f, step, order).data
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_engine_steps_match_one_shot_differences(self, grid2d):
+        f = random_complex_field(grid2d, seed=42)
+        engine = StepEngine(f)
+        for step, order in (((0.02, -0.01), 1), ((0.0, 0.05), 2), ((0.07, 0.07), 3)):
+            one_shot = iterated_difference(f, step, order).data
+            assert np.array_equal(engine.difference(step, order).data, one_shot)
+            assert np.array_equal(engine.magnitude(step, order), np.abs(one_shot))
+        assert (engine.forward_ffts, engine.steps) == (1, 6)
+
+    def test_zero_step_annihilates(self, grid2d):
+        engine = StepEngine(random_complex_field(grid2d, seed=43))
+        assert not np.any(engine.magnitude((0.0, 0.0), 2))
+
+    def test_rejects_bad_step_and_order(self, grid2d):
+        engine = StepEngine(random_complex_field(grid2d, seed=44))
+        with pytest.raises(ShapeMismatch):
+            engine.magnitude((0.1,), 1)
+        with pytest.raises(InvalidExponent):
+            engine.magnitude((0.1, 0.0), 0)

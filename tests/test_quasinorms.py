@@ -30,6 +30,8 @@ from lplab.fields import (
     sample_family,
     translate,
 )
+from lplab import quasinorms
+from lplab.differences import StepEngine
 from lplab.maximal import peetre_max
 from lplab.quasinorms import (
     CHARACTERIZATION_IDS,
@@ -39,8 +41,6 @@ from lplab.quasinorms import (
     QuasinormResult,
     SpaceParams,
     default_quadrature,
-    difference_quasinorm_B,
-    difference_quasinorm_F,
     gagliardo_seminorm,
     hypothesis_window,
     lp_band_quasinorm,
@@ -360,24 +360,16 @@ class TestDifferenceQuasinorms:
         f = gaussian(grid1d)
         quad = default_quadrature(grid1d)
         params = SpaceParams(s=0.5, p=2, q=2, L=1)
-        a = difference_quasinorm_F(f, params, quad)
+        a = quasinorm(f, "diff", params, quad)
         b = gagliardo_seminorm(f, 0.5, 2, 2, quad)
         assert a.value == pytest.approx(b.value, rel=1e-10)
-
-    def test_scale_tag_checked(self, grid1d):
-        f = gaussian(grid1d)
-        quad = default_quadrature(grid1d)
-        with pytest.raises(InvalidExponent):
-            difference_quasinorm_F(f, SpaceParams(s=0.5, p=2, q=2, scale="B"), quad)
-        with pytest.raises(InvalidExponent):
-            difference_quasinorm_B(f, SpaceParams(s=0.5, p=2, q=2, scale="F"), quad)
 
     def test_orders_agree_when_p_equals_q(self, grid1d):
         f = random_complex_field(grid1d, seed=6)
         quad = default_quadrature(grid1d)
-        vf = difference_quasinorm_F(f, SpaceParams(s=0.5, p=2, q=2), quad).value
-        vb = difference_quasinorm_B(
-            f, SpaceParams(s=0.5, p=2, q=2, scale="B"), quad
+        vf = quasinorm(f, "diff", SpaceParams(s=0.5, p=2, q=2), quad).value
+        vb = quasinorm(
+            f, "diff", SpaceParams(s=0.5, p=2, q=2, scale="B"), quad
         ).value
         assert vf == pytest.approx(vb, rel=1e-10)
 
@@ -385,9 +377,9 @@ class TestDifferenceQuasinorms:
         f = random_complex_field(grid1d, seed=7)
         quad = default_quadrature(grid1d)
         params = SpaceParams(s=0.5, p=2, q=2)
-        base = difference_quasinorm_F(f, params, quad).value
-        moved = difference_quasinorm_F(
-            translate(f, (17 * grid1d.spacing,)), params, quad
+        base = quasinorm(f, "diff", params, quad).value
+        moved = quasinorm(
+            translate(f, (17 * grid1d.spacing,)), "diff", params, quad
         ).value
         assert moved == pytest.approx(base, rel=1e-12)
 
@@ -395,9 +387,9 @@ class TestDifferenceQuasinorms:
         f = gaussian(grid1d)
         quad = default_quadrature(grid1d)
         params = SpaceParams(s=0.5, p=2, q=2)
-        base = difference_quasinorm_F(f, params, quad).value
-        moved = difference_quasinorm_F(
-            translate(f, (0.3456789 * grid1d.box,)), params, quad
+        base = quasinorm(f, "diff", params, quad).value
+        moved = quasinorm(
+            translate(f, (0.3456789 * grid1d.box,)), "diff", params, quad
         ).value
         assert moved == pytest.approx(base, rel=1e-8)
 
@@ -405,19 +397,19 @@ class TestDifferenceQuasinorms:
         f = random_complex_field(grid1d, seed=8)
         quad = default_quadrature(grid1d)
         params = SpaceParams(s=0.5, p=2, q=2)
-        base = difference_quasinorm_F(f, params, quad).value
-        scaled = difference_quasinorm_F(
-            SampledField(grid1d, 3.7 * f.data), params, quad
+        base = quasinorm(f, "diff", params, quad).value
+        scaled = quasinorm(
+            SampledField(grid1d, 3.7 * f.data), "diff", params, quad
         ).value
         assert scaled == pytest.approx(3.7 * base, rel=1e-10)
 
     def test_dilation_covariance(self, grid1d):
         f = gaussian(grid1d)
         params = SpaceParams(s=0.75, p=2, q=2, L=1)
-        base = difference_quasinorm_F(f, params, default_quadrature(grid1d)).value
+        base = quasinorm(f, "diff", params, default_quadrature(grid1d)).value
         moved = rescaled_box(f, 1)
-        dil = difference_quasinorm_F(
-            moved, params, default_quadrature(moved.grid)
+        dil = quasinorm(
+            moved, "diff", params, default_quadrature(moved.grid)
         ).value
         expect = 2.0 ** (params.s - grid1d.dim / params.p)
         # the spec tolerance is 5%; the discrete problem is self-similar
@@ -427,7 +419,7 @@ class TestDifferenceQuasinorms:
     def test_smooth_field_above_order_flags_divergent(self, grid1d):
         f = gaussian(grid1d)
         quad = default_quadrature(grid1d)
-        res = difference_quasinorm_F(f, SpaceParams(s=1.5, p=2, q=2, L=1), quad)
+        res = quasinorm(f, "diff", SpaceParams(s=1.5, p=2, q=2, L=1), quad)
         assert res.flag == "DIVERGENT"
         growth = res.truncation_report["refinement_growth"]
         assert 3.5 < growth < 4.7  # rate 2^(s-L) per octave over 4 octaves
@@ -435,28 +427,28 @@ class TestDifferenceQuasinorms:
     def test_below_order_growth_settles(self, grid1d):
         f = gaussian(grid1d)
         quad = default_quadrature(grid1d)
-        res = difference_quasinorm_F(f, SpaceParams(s=0.5, p=2, q=2, L=1), quad)
+        res = quasinorm(f, "diff", SpaceParams(s=0.5, p=2, q=2, L=1), quad)
         assert res.flag != "DIVERGENT"
         assert res.truncation_report["refinement_growth"] < 1.05
 
     def test_logarithmic_edge_not_flagged(self, grid1d):
         f = gaussian(grid1d)
         quad = default_quadrature(grid1d)
-        res = difference_quasinorm_F(f, SpaceParams(s=1.0, p=2, q=2, L=1), quad)
+        res = quasinorm(f, "diff", SpaceParams(s=1.0, p=2, q=2, L=1), quad)
         assert res.flag != "DIVERGENT"
         assert 1.2 < res.truncation_report["refinement_growth"] < 1.6
 
     def test_higher_order_restores_convergence(self, grid1d):
         f = gaussian(grid1d)
         quad = default_quadrature(grid1d)
-        res = difference_quasinorm_F(f, SpaceParams(s=1.5, p=2, q=2, L=2), quad)
+        res = quasinorm(f, "diff", SpaceParams(s=1.5, p=2, q=2, L=2), quad)
         assert res.flag != "DIVERGENT"
 
     def test_per_scale_reconstructs_value(self, grid1d):
         f = gaussian(grid1d)
         quad = default_quadrature(grid1d)
         for q in (1.0, 2.0, math.inf):
-            res = difference_quasinorm_F(f, SpaceParams(s=0.5, p=2, q=q), quad)
+            res = quasinorm(f, "diff", SpaceParams(s=0.5, p=2, q=q), quad)
             assert reconstructed_value(res) == pytest.approx(res.value, rel=1e-10)
 
     @given(c=st.floats(min_value=0.1, max_value=10.0))
@@ -466,11 +458,78 @@ class TestDifferenceQuasinorms:
         f = random_complex_field(grid, seed=11)
         quad = default_quadrature(grid)
         params = SpaceParams(s=0.5, p=2, q=2)
-        base = difference_quasinorm_F(f, params, quad).value
-        scaled = difference_quasinorm_F(
-            SampledField(grid, c * f.data), params, quad
+        base = quasinorm(f, "diff", params, quad).value
+        scaled = quasinorm(
+            SampledField(grid, c * f.data), "diff", params, quad
         ).value
         assert scaled == pytest.approx(c * base, rel=1e-10)
+
+
+@pytest.fixture
+def recorded_engines(monkeypatch):
+    """Every StepEngine the quasinorm layer builds, in order."""
+    engines = []
+
+    class RecordingEngine(StepEngine):
+        def __init__(self, field):
+            super().__init__(field)
+            engines.append(self)
+
+    monkeypatch.setattr(quasinorms, "StepEngine", RecordingEngine)
+    return engines
+
+
+class TestStepEngineSweep:
+    @pytest.mark.parametrize("grid", [GridSpec(1, 256), GridSpec(2, 64, 0.5)],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("h_min", [None, 0.01], ids=["dyadic", "h_min=0.01"])
+    @pytest.mark.parametrize("s", [0.5, 1.5])
+    def test_engine_matches_translate_oracle(self, grid, h_min, s):
+        # the translate-and-subtract form evaluates every step independently
+        f = gaussian(grid)
+        quad = default_quadrature(grid) if h_min is None else default_quadrature(grid, h_min=h_min)
+        res = quasinorm(f, "diff", SpaceParams(s=s, p=2, q=2, L=1), quad)
+        oracle = gagliardo_seminorm(f, s, 2, 2, quad)
+        assert res.value == pytest.approx(oracle.value, rel=1e-12)
+        assert res.truncation_report["refinement_growth"] == pytest.approx(
+            oracle.truncation_report["refinement_growth"], rel=1e-12
+        )
+        assert res.flag == oracle.flag
+
+    def test_default_2d_work_counts(self, recorded_engines):
+        # 21 base lengths lie on the 37-length refined ladder, so the sweep
+        # makes 37 x 32 steps instead of (21 + 37) x 32 = 1856
+        grid = GridSpec(2, 128)
+        quasinorm(random_complex_field(grid, seed=50), "diff", SpaceParams(s=0.5, p=2, q=2))
+        assert [(e.forward_ffts, e.steps) for e in recorded_engines] == [(1, 1184)]
+
+    def test_non_dyadic_ladders_share_only_h_max(self, recorded_engines, grid1d):
+        quad = default_quadrature(grid1d, h_min=0.01)
+        base, _ = radial_ladder(quad, quad.radial_nodes_per_octave)
+        fine, _ = radial_ladder(quasinorms._refined(quad), quad.radial_nodes_per_octave)
+        quasinorm(gaussian(grid1d), "diff", SpaceParams(s=0.5, p=2, q=2), quad)
+        assert recorded_engines[0].steps == 2 * (len(base) + len(fine) - 1)
+
+    @pytest.mark.parametrize("h_min", [None, 0.01], ids=["dyadic", "h_min=0.01"])
+    @pytest.mark.parametrize("cid", ["diff", "axis"])
+    def test_growth_matches_separate_runs(self, grid1d, h_min, cid):
+        # the joint sweep's refined aggregate equals a run on the refined
+        # quadrature alone
+        quad = default_quadrature(grid1d) if h_min is None else default_quadrature(grid1d, h_min=h_min)
+        params = SpaceParams(s=1.5, p=2, q=2, L=1)
+        f = gaussian(grid1d)
+        res = quasinorm(f, cid, params, quad)
+        refined = quasinorm(f, cid, params, quasinorms._refined(quad))
+        assert res.truncation_report["refinement_growth"] == pytest.approx(
+            refined.value / res.value, rel=1e-12
+        )
+
+    def test_one_engine_per_field(self, recorded_engines, light_quad_params):
+        params, make = light_quad_params
+        grid = GridSpec(2, 32)
+        f = random_complex_field(grid, seed=51)
+        maximal_quasinorm_set(f, params, MAXIMAL_VARIANTS, make(grid))
+        assert [e.forward_ffts for e in recorded_engines] == [1]
 
 
 class TestGagliardoOracle:
@@ -523,7 +582,7 @@ class TestAxisQuasinorm:
         f = gaussian(grid1d)
         quad = default_quadrature(grid1d)
         params = SpaceParams(s=0.5, p=2, q=2)
-        full = difference_quasinorm_F(f, params, quad).value
+        full = quasinorm(f, "diff", params, quad).value
         one = axis_quasinorm(f, params, 1, quad).value
         assert full / one == pytest.approx(2.0**0.5, rel=1e-10)
 
