@@ -64,10 +64,8 @@ from .differences import (
     iterated_difference,
 )
 from .maximal import (
-    MaximalSpec,
     annulus_mean_max,
     hardy_littlewood_max,
-    maximal_field,
     peetre_max,
     point_difference_max,
     sphere_mean_max,

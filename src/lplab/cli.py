@@ -189,6 +189,25 @@ def _option(opts: dict, key: str, default, convert, requirement: str, valid=None
     return value
 
 
+def _names(opts: dict, key: str, default: str) -> list[str]:
+    """opts[key] as names from a comma list or a JSON list of strings.
+
+    default applies only when the key is unset; a value that names
+    nothing raises ConfigParseError rather than falling back.
+    """
+    raw = opts.get(key)
+    if raw is None:
+        raw = default
+    if isinstance(raw, str):
+        raw = raw.split(",")
+    if not isinstance(raw, list) or not all(isinstance(v, str) for v in raw):
+        raise ConfigParseError(f"{key} must be a comma list or a list of strings, got {raw!r}")
+    names = [v.strip() for v in raw if v.strip()]
+    if not names:
+        raise ConfigParseError(f"{key} must name at least one entry, got {opts.get(key)!r}")
+    return names
+
+
 def _integer(raw) -> int:
     """int(raw) for integers and integral strings or floats, else ValueError."""
     if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
@@ -412,8 +431,7 @@ def _cmd_maximal(opts: dict) -> int:
     space = _build_space(opts)
     quad = _build_quad(opts, grid)
     field = _input_field(opts, grid)
-    raw = opts.get("variants") or "S,V"
-    variants = tuple(v.strip() for v in str(raw).split(",") if v.strip())
+    variants = tuple(_names(opts, "variants", "S,V"))
     unknown = set(variants) - set(MAXIMAL_VARIANTS)
     if unknown:
         raise ConfigParseError(f"unknown maximal variants: {sorted(unknown)}")
@@ -494,18 +512,14 @@ def _cmd_verify_equivalence(opts: dict) -> int:
     space = _build_space(opts)
     quad = _build_quad(opts, grid)
     corpus = _build_corpus(opts, grid)
-    raw_pair = opts.get("pair") or "lp,diff"
-    if isinstance(raw_pair, str):
-        parts = [v.strip() for v in raw_pair.split(",") if v.strip()]
-    else:
-        parts = [str(v) for v in raw_pair]
+    parts = _names(opts, "pair", "lp,diff")
     if len(parts) != 2:
         raise ConfigParseError(f"pair needs exactly two characterizations, got {parts}")
     pair = (
         _CHARACTERIZATION_ALIASES.get(parts[0], parts[0]),
         _CHARACTERIZATION_ALIASES.get(parts[1], parts[1]),
     )
-    theorem = str(opts.get("theorem") or "T2i")
+    theorem = _option(opts, "theorem", "T2i", str.strip, "a theorem id", bool)
     # a spread is max/min of the ratios, never below 1
     spread_limit = _option(opts, "spread_limit", 50.0, float, "a number >= 1",
                            lambda v: v >= 1.0)

@@ -6,96 +6,95 @@ zero-offset term.  The weighted supremum
 
     g(x) = max_z u(x - z) * (1 + scale |z|)^(-exponent)
 
-is evaluated exactly; offsets are visited in decreasing weight order and the
-scan stops once the best remaining weight cannot beat the current floor
-anywhere, which keeps fast-decaying weights cheap without changing results.
+is evaluated exactly, as the max over the same float products as a scan of
+every offset.  The grid is tiled into blocks of 4 points per axis (the
+whole axis when it is shorter).  A (target block, source block) pair is
+evaluated only when the largest u in the source block times the largest
+weight between the two blocks can beat the smallest value reached so far
+in the target block, and the scan ends once no pair can.  Its work grows
+with the surviving pairs, not with the square of the point count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .differences import StepEngine, finite_magnitude, iterated_difference
 from .errors import (
     DimensionTooLow,
-    GridMismatch,
     InvalidExponent,
     QuadratureTooCoarse,
     ShapeMismatch,
 )
 from .fields import GridSpec, SampledField
 
-_GATHER_BUDGET = 4_194_304  # elements per gather chunk
-_TABLE_LIMIT = 1 << 25  # cache full gather tables up to this many entries
+_BLOCK = 4  # block edge of the pruned supremum, in samples per axis
 
 DEFAULT_SPHERE_COUNT = {1: 2, 2: 64, 3: 256}
 DEFAULT_ANNULUS_RADII = 8
 
 
-@dataclass(frozen=True)
-class MaximalSpec:
-    """Variant selector for :func:`maximal_field`.
+def _block_pruned_sup(
+    u: np.ndarray, grid: GridSpec, scale: float, exponent: float
+) -> tuple[np.ndarray, int]:
+    """The weighted offset sup of u, and the number of block pairs evaluated.
 
-    variant: HL (ball means of |f|), PEETRE (weighted sup of |f|),
-    SPHERE_S / BALL_V (weighted sup of a sphere / annulus mean of the
-    t-scaled difference), POINT_D (weighted sup of one fixed-step
-    difference, step = t * direction).
+    Target block T meets source block S = T - delta through the patch
+    P[delta][c_s, c_t] = w((delta b + c_t - c_s) mod n) of the weight
+    table w, so out[T b + c_t] = max over delta and c_s of
+    u[S b + c_s] P[delta][c_s, c_t].  Float products are monotone in each
+    nonnegative factor, so max(u on S) * max(P[delta]) bounds every product
+    of the pair; a pair is evaluated only while that bound exceeds the
+    current minimum of out on T, and the scan over delta, in decreasing
+    max(P[delta]) order, ends once max(u) * max(P[delta]) cannot beat the
+    minimum of out anywhere.  Every skipped product is at most a value
+    already reached, so the result is the same max over the same products
+    as the full scan.
     """
+    dim, n = grid.dim, grid.n
+    b = min(_BLOCK, n)
+    nb = n // b
+    weights = (1.0 + scale * grid.minimal_image_radii()) ** (-exponent)
+    # per axis: (delta, c_s, c_t) -> (delta b + c_t - c_s) mod n
+    axis_index = (
+        np.arange(nb)[:, None, None] * b - np.arange(b)[None, :, None] + np.arange(b)[None, None, :]
+    ) % n
+    index = []
+    for a in range(dim):
+        shape = [1] * (3 * dim)
+        shape[a], shape[dim + a], shape[2 * dim + a] = nb, b, b
+        index.append(axis_index.reshape(shape))
+    patches = weights[tuple(index)].reshape(nb**dim, b**dim, b**dim)
+    patch_max = patches.max(axis=(1, 2))
 
-    variant: str
-    t: float = 1.0
-    r: float = 1.0
-    order: int = 1
-    direction: tuple[float, ...] | None = None
-    sphere_count: int | None = None
-    radial_count: int = DEFAULT_ANNULUS_RADII
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("HL", "PEETRE", "SPHERE_S", "BALL_V", "POINT_D"):
-            raise InvalidExponent(f"unknown maximal variant {self.variant!r}")
-        if not (self.t > 0):
-            raise InvalidExponent(f"scale t must be positive, got {self.t}")
-        if not (self.r > 0):
-            raise InvalidExponent(f"exponent r must be positive, got {self.r}")
-        if self.order < 1:
-            raise InvalidExponent(f"difference order must be >= 1, got {self.order}")
-
-
-@lru_cache(maxsize=16)
-def _offset_tables(grid: GridSpec) -> tuple[tuple[np.ndarray, ...], np.ndarray, tuple[np.ndarray, ...]]:
-    """Lattice offsets sorted by minimal-image radius, plus point coords.
-
-    All index math fits int32 because grids are capped at 2^30 points.
-    """
-    radii = grid.minimal_image_radii().ravel(order="C")
-    order_idx = np.argsort(radii, kind="stable")
-    idx = np.unravel_index(order_idx, grid.shape)
-    offsets = tuple(a.astype(np.int32) for a in idx)
-    coords = np.indices(grid.shape).reshape(grid.dim, -1)
-    points = tuple(c.astype(np.int32) for c in coords)
-    return offsets, radii[order_idx], points
-
-
-def _gather_rows(grid: GridSpec, start: int, stop: int) -> np.ndarray:
-    """Flat indices of x - z for offsets[start:stop], one row per offset."""
-    offsets, _, points = _offset_tables(grid)
-    n = grid.n
-    flat = np.zeros((stop - start, grid.num_points), dtype=np.int32)
-    for a in range(grid.dim):
-        comp = (points[a][None, :] - offsets[a][start:stop, None]) % n
-        flat *= n
-        flat += comp
-    return flat
-
-
-@lru_cache(maxsize=2)
-def _full_gather_table(grid: GridSpec) -> np.ndarray:
-    """The complete (num_points, num_points) gather table, small grids only."""
-    return _gather_rows(grid, 0, grid.num_points)
+    # blocks[c, T]: in-block position c and block T, both in C order; the
+    # position axis leads so that reductions over it run across rows
+    split = (nb, b) * dim
+    to_blocks = tuple(range(1, 2 * dim, 2)) + tuple(range(0, 2 * dim, 2))
+    blocks = u.reshape(split).transpose(to_blocks).reshape(b**dim, nb**dim)
+    block_max = blocks.max(axis=0)
+    u_max = float(block_max.max())
+    coords = np.indices((nb,) * dim).reshape(dim, -1)
+    out = np.zeros(blocks.shape)
+    floor = np.zeros(nb**dim)
+    pairs = 0
+    for delta in np.argsort(-patch_max, kind="stable"):
+        w = patch_max[delta]
+        if w * u_max <= floor.min():
+            break
+        source = np.ravel_multi_index((coords - coords[:, delta, None]) % nb, (nb,) * dim)
+        live = (block_max[source] * w > floor).nonzero()[0]
+        if live.size == 0:
+            continue
+        products = blocks[:, None, source[live]] * patches[delta][:, :, None]
+        best = np.maximum(out[:, live], products.max(axis=0))
+        out[:, live] = best
+        floor[live] = best.min(axis=0)
+        pairs += live.size
+    shaped = out.reshape((b,) * dim + (nb,) * dim).transpose(np.argsort(to_blocks))
+    return shaped.reshape(grid.shape), pairs
 
 
 def weighted_offset_sup(
@@ -109,27 +108,8 @@ def weighted_offset_sup(
         raise ShapeMismatch("magnitude array does not match the grid")
     if scale < 0 or exponent < 0:
         raise InvalidExponent("weight scale and exponent must be nonnegative")
-    u = np.ascontiguousarray(field_magnitudes, dtype=np.float64).ravel(order="C")
-    u_max = float(u.max(initial=0.0))
-    out = np.zeros(grid.num_points)
-    if u_max == 0.0:
-        return out.reshape(grid.shape)
-    _, radii, _ = _offset_tables(grid)
-    weights = (1.0 + scale * radii) ** (-exponent)
-    total = radii.size
-    chunk = max(1, min(total, _GATHER_BUDGET // max(1, grid.num_points)))
-    table = None
-    if total * grid.num_points <= _TABLE_LIMIT:
-        table = _full_gather_table(grid)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        flat = table[start:stop] if table is not None else _gather_rows(grid, start, stop)
-        gathered = u[flat]
-        gathered *= weights[start:stop, None]
-        np.maximum(out, gathered.max(axis=0), out=out)
-        if stop < total and weights[stop] * u_max <= float(out.min()):
-            break
-    return out.reshape(grid.shape)
+    u = np.asarray(field_magnitudes, dtype=np.float64)
+    return _block_pruned_sup(u, grid, scale, exponent)[0]
 
 
 def peetre_max(field: SampledField, t: float, r: float) -> SampledField:
@@ -283,23 +263,3 @@ def point_difference_max(
     out = weighted_offset_sup(mag, grid, 1.0 / h_len, grid.dim / r)
     return SampledField(grid, out.astype(complex))
 
-
-def maximal_field(field: SampledField, spec: MaximalSpec) -> SampledField:
-    """Dispatch a MaximalSpec to the matching maximal construction."""
-    if spec.variant == "HL":
-        return hardy_littlewood_max(field)
-    if spec.variant == "PEETRE":
-        return peetre_max(field, spec.t, spec.r)
-    if spec.variant == "SPHERE_S":
-        return sphere_mean_max(field, spec.t, spec.r, spec.order, spec.sphere_count)
-    if spec.variant == "BALL_V":
-        return annulus_mean_max(
-            field, spec.t, spec.r, spec.order, spec.sphere_count, spec.radial_count
-        )
-    direction = spec.direction
-    if direction is None:
-        direction = tuple(1.0 if a == 0 else 0.0 for a in range(field.grid.dim))
-    if len(direction) != field.grid.dim:
-        raise GridMismatch("direction dimensionality does not match the field")
-    step = tuple(spec.t * c for c in direction)
-    return point_difference_max(field, step, spec.r, spec.order)

@@ -325,6 +325,39 @@ class TestMaximalCommand:
         assert code == 2
 
 
+class TestNameLists:
+    """variants, pair and theorem from a config: JSON lists are read as
+    lists, and empty values are rejected instead of replaced by a default."""
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (("maximal", "--grid-dim", "2", "--grid-n", "32"), {"variants": ""}),
+            (("maximal", "--grid-dim", "2", "--grid-n", "32"), {"variants": []}),
+            (("verify", "equivalence", "--grid-dim", "1", "--grid-n", "256"), {"pair": ""}),
+            (("verify", "equivalence", "--grid-dim", "1", "--grid-n", "256"), {"theorem": ""}),
+        ],
+        ids=["empty-variants", "empty-variants-list", "empty-pair", "empty-theorem"],
+    )
+    def test_empty_value_rejected(self, tmp_path, capsys, argv, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out = run(tmp_path, *argv, "--function", "gauss_mid", "--config", str(cfg))
+        assert code == 2
+        assert next(iter(config)) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_variants_json_list_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"variants": ["S", "V"], "quad": {"sphere_nodes": 8}}))
+        code, out = run(
+            tmp_path, "maximal", "--grid-dim", "2", "--grid-n", "32",
+            "--function", "gauss_mid", "--config", str(cfg),
+        )
+        assert code == 0
+        assert [r.split(",")[1] for r in read_rows(out, "maximal")] == ["max:S", "max:V"]
+
+
 class TestExplicitZeros:
     """Explicit zeros and false strings are honoured or rejected, never
     silently replaced by a default."""

@@ -7,37 +7,43 @@ from lplab.bands import band_project, build_band_system
 from lplab.differences import iterated_difference
 from lplab.errors import (
     DimensionTooLow,
-    GridMismatch,
     InvalidExponent,
     QuadratureTooCoarse,
     ShapeMismatch,
 )
-from lplab.fields import GridSpec, SampledField
+from lplab import maximal
+from lplab.fields import GridSpec, SampledField, sample_family
 from lplab.maximal import (
-    MaximalSpec,
+    _block_pruned_sup,
     annulus_mean_max,
     annulus_nodes,
     annulus_radii,
     hardy_littlewood_max,
-    maximal_field,
     peetre_max,
     point_difference_max,
     sphere_mean_max,
     unit_sphere_nodes,
     weighted_offset_sup,
 )
+from lplab.quasinorms import SpaceParams, default_quadrature, maximal_quasinorm_set
+from lplab.verify import default_corpus
 
 from conftest import random_complex_field
 
 
 def brute_weighted_sup(mag, grid, scale, exponent):
-    """Literal max over all offsets via rolls."""
+    """Literal max over all offsets via rolls.
+
+    The weights are one array power, as in the code under test: a scalar
+    ** per offset can differ from it in the last bit (168 offsets of the
+    3-D n=16, scale 3, exponent 1.5 grid), and the sup must be the max
+    over the same float products.
+    """
     out = np.zeros(grid.shape)
-    radii = grid.minimal_image_radii()
+    weights = (1.0 + scale * grid.minimal_image_radii()) ** (-exponent)
     for z in np.ndindex(*grid.shape):
-        w = (1.0 + scale * radii[z]) ** (-exponent)
         shifted = np.roll(mag, shift=z, axis=tuple(range(grid.dim)))
-        np.maximum(out, w * shifted, out=out)
+        np.maximum(out, weights[z] * shifted, out=out)
     return out
 
 
@@ -76,13 +82,71 @@ class TestWeightedSup:
         assert np.array_equal(fast, brute_weighted_sup(mag, grid, 1.0, 2.0))
 
     def test_early_exit_path_is_exact(self):
-        # Steep weights end the offset scan after the first chunk; the
-        # result must still agree with the literal sup.
+        # Steep weights end the block scan after the first few offsets;
+        # the result must still agree with the literal sup.
         grid = GridSpec(2, 64, 1.0)
         rng = np.random.default_rng(9)
         mag = np.abs(rng.standard_normal(grid.shape)) + 0.5
         fast = weighted_offset_sup(mag, grid, 10.0, 40.0)
         assert np.array_equal(fast, brute_weighted_sup(mag, grid, 10.0, 40.0))
+
+    @pytest.mark.parametrize(
+        "dim, n, box, scale, exponent, density",
+        [
+            (3, 8, 1.0, 3.0, 1.5, 1.0),
+            (3, 16, 1.0, 3.0, 1.5, 1.0),
+            (1, 2, 1.0, 3.0, 1.5, 1.0),  # grids smaller than one block
+            (2, 4, 1.0, 2.0, 1.0, 1.0),
+            (2, 16, 1.0, 0.0, 2.0, 1.0),  # every weight is 1
+            (2, 16, 1.0, 5.0, 0.0, 1.0),
+            (2, 32, 3.0, 2.0, 1.0, 1.0),
+            (3, 8, 2.5, 1.0, 3.0, 1.0),
+            (2, 32, 1.0, 4.0, 2.0, 0.05),  # mostly zero: many equal bounds
+        ],
+    )
+    def test_matches_array_oracle(self, dim, n, box, scale, exponent, density):
+        grid = GridSpec(dim, n, box)
+        rng = np.random.default_rng(dim * 1000 + n)
+        mag = np.abs(rng.standard_normal(grid.shape)) * (rng.random(grid.shape) < density)
+        fast = weighted_offset_sup(mag, grid, scale, exponent)
+        assert np.array_equal(fast, brute_weighted_sup(mag, grid, scale, exponent))
+
+    @pytest.mark.parametrize("n, members", [(32, tuple(range(12))), (64, (1, 4, 7, 10))])
+    def test_corpus_scale_ladders_match_array_oracle(self, monkeypatch, n, members):
+        # every sup of the S and V ladders on corpus members, as the
+        # pipeline calls it on sphere and shell mean fields
+        grid = GridSpec(2, n, 1.0)
+        calls = []
+
+        def recording(mag, grid, scale, exponent):
+            out = weighted_offset_sup(mag, grid, scale, exponent)
+            calls.append((mag, scale, exponent, out))
+            return out
+
+        monkeypatch.setattr(maximal, "weighted_offset_sup", recording)
+        corpus = default_corpus(grid)
+        for i in members:
+            field = sample_family(corpus[i], grid)
+            maximal_quasinorm_set(field, SpaceParams(s=0.5, p=2.0, q=2.0), ("S", "V"),
+                                  default_quadrature(grid))
+        assert len(calls) == len(members) * 2 * (2 if n == 32 else 3)
+        for mag, scale, exponent, out in calls:
+            assert np.array_equal(out, brute_weighted_sup(mag, grid, scale, exponent))
+
+    def test_pruned_scan_counts_block_pairs(self):
+        # The field decays away from the origin, so the sup stays small
+        # there and the scan cannot end early on the global minimum: only
+        # the per-block bounds keep the count low (about 8 % of the NB^2
+        # pairs; a scan without them evaluates over 99 %).
+        grid = GridSpec(2, 64, 1.0)
+        rng = np.random.default_rng(64)
+        envelope = np.exp(-((grid.minimal_image_radii() / 0.2) ** 2))
+        mag = np.abs(rng.standard_normal(grid.shape)) * envelope
+        out, pairs = _block_pruned_sup(mag, grid, 8.0, 2.0)
+        again, pairs_again = _block_pruned_sup(mag, grid, 8.0, 2.0)
+        assert pairs == pairs_again
+        assert np.array_equal(out, again)
+        assert 0 < pairs < (64 // 4) ** 4 / 4
 
     def test_zero_field_gives_zero(self):
         grid = GridSpec(1, 64, 1.0)
@@ -102,6 +166,17 @@ class TestWeightedSup:
         mag = np.abs(rng.standard_normal(grid.shape))
         rolled = weighted_offset_sup(np.roll(mag, 5), grid, 4.0, 1.0)
         assert np.array_equal(rolled, np.roll(weighted_offset_sup(mag, grid, 4.0, 1.0), 5))
+
+    def test_translation_equivariance_2d(self):
+        # the shift is not a multiple of the block edge, so every point
+        # lands at another position inside its block
+        grid = GridSpec(2, 32, 1.0)
+        rng = np.random.default_rng(12)
+        mag = np.abs(rng.standard_normal(grid.shape))
+        shift, axes = (5, 3), (0, 1)
+        rolled = weighted_offset_sup(np.roll(mag, shift, axis=axes), grid, 4.0, 1.0)
+        expected = np.roll(weighted_offset_sup(mag, grid, 4.0, 1.0), shift, axis=axes)
+        assert np.array_equal(rolled, expected)
 
     def test_shape_mismatch_rejected(self):
         grid = GridSpec(1, 64, 1.0)
@@ -322,40 +397,3 @@ class TestMeanDifferenceMax:
             np.maximum(worst, d, out=worst)
         assert np.all(v <= worst + 1e-12)
 
-
-class TestDispatcher:
-    def test_spec_validation(self):
-        with pytest.raises(InvalidExponent):
-            MaximalSpec("BOGUS")
-        with pytest.raises(InvalidExponent):
-            MaximalSpec("HL", t=0.0)
-        with pytest.raises(InvalidExponent):
-            MaximalSpec("PEETRE", r=-1.0)
-        with pytest.raises(InvalidExponent):
-            MaximalSpec("POINT_D", order=0)
-
-    def test_dispatch_matches_direct_calls(self, grid1d):
-        f = random_complex_field(grid1d, seed=30)
-        hl = maximal_field(f, MaximalSpec("HL"))
-        assert np.array_equal(hl.data, hardy_littlewood_max(f).data)
-        p = maximal_field(f, MaximalSpec("PEETRE", t=4.0, r=1.5))
-        assert np.array_equal(p.data, peetre_max(f, 4.0, 1.5).data)
-        d = maximal_field(f, MaximalSpec("POINT_D", t=0.05, r=2.0, order=2))
-        direct = point_difference_max(f, (0.05,), 2.0, 2)
-        assert np.array_equal(d.data, direct.data)
-
-    def test_dispatch_sphere_and_annulus(self, grid2d):
-        f = random_complex_field(grid2d, seed=31)
-        s = maximal_field(f, MaximalSpec("SPHERE_S", t=0.1, r=2.0, sphere_count=8))
-        direct = sphere_mean_max(f, 0.1, 2.0, 1, sphere_count=8)
-        assert np.array_equal(s.data, direct.data)
-        v = maximal_field(
-            f, MaximalSpec("BALL_V", t=0.1, r=2.0, sphere_count=8, radial_count=2)
-        )
-        direct = annulus_mean_max(f, 0.1, 2.0, 1, sphere_count=8, radial_count=2)
-        assert np.array_equal(v.data, direct.data)
-
-    def test_direction_dimension_checked(self, grid2d):
-        f = random_complex_field(grid2d)
-        with pytest.raises(GridMismatch):
-            maximal_field(f, MaximalSpec("POINT_D", t=0.1, direction=(1.0,)))
