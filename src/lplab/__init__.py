@@ -58,8 +58,6 @@ from .bands import (
     reconstruct,
 )
 from .differences import (
-    DifferenceSpec,
-    axis_difference,
     difference_coefficients,
     iterated_difference,
 )

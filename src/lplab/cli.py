@@ -2,8 +2,7 @@
 
 Subcommands: bands, diff, maximal, norm, corpus, and verify
 {scaling, equivalence, ppn, kernel-decay, divergence, slice-support}.
-`--config file.json` overrides every flag; LPLAB_THREADS caps worker
-parallelism (orchestration itself is single-threaded).  Field files are
+`--config file.json` overrides every flag.  Field files are
 raw float64 binary: either one value per sample (real data) or
 interleaved real/imaginary pairs.  Every run emits a CSV table with the
 fixed header (function_id, characterization, s, p, q, L, value, flag)
@@ -76,18 +75,6 @@ def _jsonable(obj):
 
 def _dump_json(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
-
-
-def thread_cap() -> int:
-    """Worker cap from LPLAB_THREADS (>= 1); orchestration stays serial."""
-    raw = os.environ.get("LPLAB_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigParseError(f"LPLAB_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigParseError(f"LPLAB_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +290,8 @@ def _input_field(opts: dict, grid: GridSpec) -> SampledField:
 
 
 def _characterization(opts: dict) -> str:
-    cid = str(opts.get("characterization") or "lp")
+    cid = _option(opts, "characterization", "lp", str, "a characterization id",
+                  lambda value: value.strip() != "")
     return _CHARACTERIZATION_ALIASES.get(cid, cid)
 
 
@@ -318,7 +306,7 @@ class _Artifacts:
         self.out_dir = str(opts.get("out_dir") or "lplab-artifacts")
         self.name = name
         self.rows: list[str] = []
-        self.summary: dict = {"command": name, "threads_cap": thread_cap()}
+        self.summary: dict = {"command": name}
 
     def add_row(self, function_id: str, characterization: str,
                 params: SpaceParams, value: float, flag: str) -> None:
@@ -743,7 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lplab",
         description="Smoothness-space quasinorms of sampled fields and "
                     "their verification experiments.",
-        epilog="LPLAB_THREADS caps worker parallelism for all commands.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -802,7 +789,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if opts.get("config"):
             _apply_config(opts, opts["config"])
-        thread_cap()
         if args.command == "verify":
             handler = _VERIFY_HANDLERS[opts["experiment"]]
         else:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .differences import StepEngine, finite_magnitude, iterated_difference
+from .differences import StepEngine
 from .errors import (
     DimensionTooLow,
     InvalidExponent,
@@ -189,21 +189,6 @@ def annulus_radii(radial_count: int = DEFAULT_ANNULUS_RADII) -> np.ndarray:
     return 2.0 ** ((np.arange(radial_count) + 0.5) / radial_count)
 
 
-def _mean_difference_magnitude(
-    engine: StepEngine,
-    points: np.ndarray,
-    weights: np.ndarray,
-    t: float,
-    order: int,
-) -> np.ndarray:
-    """|sum_m w_m diff(f, t z_m, L)|, built as one averaged spectral symbol."""
-    grid = engine.grid
-    symbol = np.zeros(grid.shape, dtype=complex)
-    for z, w in zip(points, weights):
-        symbol += w * engine.symbol(tuple(t * z[a] for a in range(grid.dim)), order)
-    return finite_magnitude(engine.apply(symbol))
-
-
 def sphere_mean_max(
     field: SampledField,
     t: float,
@@ -224,7 +209,7 @@ def sphere_mean_max(
         raise DimensionTooLow("sphere means need dim >= 2")
     nodes = unit_sphere_nodes(grid.dim, sphere_count)
     weights = np.full(nodes.shape[0], 1.0 / nodes.shape[0])
-    mag = _mean_difference_magnitude(engine or StepEngine(field), nodes, weights, t, order)
+    mag = (engine or StepEngine(field)).mean_magnitude(t * nodes, weights, order)
     out = weighted_offset_sup(mag, grid, 1.0 / t, grid.dim / r)
     return SampledField(grid, out.astype(complex))
 
@@ -246,7 +231,7 @@ def annulus_mean_max(
     """
     grid = field.grid
     points, weights = annulus_nodes(grid.dim, sphere_count, radial_count)
-    mag = _mean_difference_magnitude(engine or StepEngine(field), points, weights, t, order)
+    mag = (engine or StepEngine(field)).mean_magnitude(t * points, weights, order)
     out = weighted_offset_sup(mag, grid, 1.0 / t, grid.dim / r)
     return SampledField(grid, out.astype(complex))
 
@@ -259,7 +244,7 @@ def point_difference_max(
     h_len = math.sqrt(sum(c * c for c in step))
     if h_len == 0.0:
         raise InvalidExponent("point difference needs a nonzero step")
-    mag = np.abs(iterated_difference(field, step, order).data)
+    mag = StepEngine(field).magnitude(step, order)
     out = weighted_offset_sup(mag, grid, 1.0 / h_len, grid.dim / r)
     return SampledField(grid, out.astype(complex))
 

@@ -540,29 +540,63 @@ def _refined(quad: QuadratureSpec) -> QuadratureSpec:
 SHARED_NODE_RTOL = 1e-12
 
 
-def _merged_ladders(quad: QuadratureSpec, per_octave: int):
-    """Yield (base node, refined node) pairs over the union of both ladders.
+def _merged_ladders(ladders: list[list[tuple[float, float]]]):
+    """Yield one node per ladder over the union of the ladders' lengths.
 
-    Each node is (length, weight) or None where the length is absent from
-    that ladder.  Lengths ascend, and a length on both ladders to 1e-12
-    relative is yielded once: with h_min = h_max 2^(-i/m) the refined ladder
-    contains every base node, otherwise the two share only h_max.
+    Each ladder is a list of (length, weight) nodes in ascending length;
+    each yielded tuple holds every ladder's node at the current length, or
+    None where the length is absent from that ladder.  Lengths equal to
+    1e-12 relative are yielded once: with h_min = h_max 2^(-i/m) the
+    ladders of halved h_min contain every node of the shorter ones,
+    otherwise they share only h_max.
     """
-    base = list(zip(*radial_ladder(quad, per_octave)))
-    fine = list(zip(*radial_ladder(_refined(quad), per_octave)))
-    i = j = 0
-    while i < len(base) or j < len(fine):
-        b = base[i] if i < len(base) else None
-        f = fine[j] if j < len(fine) else None
-        if b is not None and f is not None and abs(b[0] - f[0]) <= SHARED_NODE_RTOL * b[0]:
-            i, j = i + 1, j + 1
-            yield b, f
-        elif f is None or (b is not None and b[0] < f[0]):
-            i += 1
-            yield b, None
-        else:
-            j += 1
-            yield None, f
+    heads = [0] * len(ladders)
+    while True:
+        live = [ladder[i][0] for ladder, i in zip(ladders, heads) if i < len(ladder)]
+        if not live:
+            return
+        shortest = min(live)
+        row = []
+        for j, ladder in enumerate(ladders):
+            i = heads[j]
+            if i < len(ladder) and ladder[i][0] - shortest <= SHARED_NODE_RTOL * shortest:
+                heads[j] += 1
+                row.append(ladder[i])
+            else:
+                row.append(None)
+        yield tuple(row)
+
+
+def _step_sweep(
+    field: SampledField,
+    params: SpaceParams,
+    quads: list[QuadratureSpec],
+    per_octave: int,
+    directions: np.ndarray,
+    direction_weights: np.ndarray,
+    step_magnitudes,
+) -> list[tuple[float, dict[int, float]]]:
+    """Aggregate |h|^(-s) |Delta_h f| over step lengths times directions,
+    once per quadrature, and return each aggregate's (value, masses).
+
+    One sweep over the union of the quadratures' length ladders feeds one
+    aggregator per quadrature, each with its own lengths and weights, so a
+    step shared by several ladders is evaluated once.
+    """
+    grid = field.grid
+    for quad in quads:
+        quad.validate_for(grid)
+    ladders = [list(zip(*radial_ladder(quad, per_octave))) for quad in quads]
+    aggs = [_ScaleAggregator(grid, params) for _ in quads]
+    for nodes in _merged_ladders(ladders):
+        length = next(node for node in nodes if node is not None)[0]
+        for z, zw in zip(directions, direction_weights):
+            mag = step_magnitudes(tuple(length * z))
+            for agg, node in zip(aggs, nodes):
+                if node is not None:
+                    rr, rw = node
+                    agg.add(shell_index(rr), (rr ** -params.s) * mag, weight=rw * zw)
+    return [agg.finish() for agg in aggs]
 
 
 def _step_quasinorm(
@@ -578,22 +612,13 @@ def _step_quasinorm(
 
     The value comes from the requested quadrature; the refined quadrature
     (steps acting on the trigonometric interpolant, so sub-spacing lengths
-    are exact) measures the divergence growth rate.  One sweep over the
-    union of both length ladders feeds both aggregators, each with its own
-    lengths and weights, so a step shared by the ladders is evaluated once.
+    are exact) measures the divergence growth rate.  Both come from one
+    sweep.
     """
-    grid = field.grid
-    quad.validate_for(grid)
-    aggs = (_ScaleAggregator(grid, params), _ScaleAggregator(grid, params))
-    for nodes in _merged_ladders(quad, per_octave):
-        length = (nodes[0] or nodes[1])[0]
-        for z, zw in zip(directions, direction_weights):
-            mag = step_magnitudes(tuple(length * z))
-            for agg, node in zip(aggs, nodes):
-                if node is not None:
-                    rr, rw = node
-                    agg.add(shell_index(rr), (rr ** -params.s) * mag, weight=rw * zw)
-    (value, masses), (refined_value, _) = (agg.finish() for agg in aggs)
+    (value, masses), (refined_value, _) = _step_sweep(
+        field, params, [quad, _refined(quad)], per_octave,
+        directions, direction_weights, step_magnitudes,
+    )
     report = _tail_report(masses, params.q)
     report["refinement_growth"] = refined_value / value if value > 0.0 else 1.0
     return QuasinormResult(
@@ -603,6 +628,24 @@ def _step_quasinorm(
         params_echo=params,
         flag=_flag_for(report),
     )
+
+
+def difference_values(
+    field: SampledField, params: SpaceParams, quads: list[QuadratureSpec]
+) -> list[float]:
+    """The `diff` quasinorm value on each quadrature, from one step sweep.
+
+    The quadratures share the node counts of the first.  Only the values
+    come out: no refinement growth, flags or per-scale shares, so no
+    refined ladder is stepped.
+    """
+    engine = StepEngine(field)
+    theta, theta_w = sphere_quadrature(field.grid.dim, quads[0].sphere_nodes)
+    results = _step_sweep(
+        field, params, quads, quads[0].radial_nodes_per_octave, theta, theta_w,
+        lambda step: engine.magnitude(step, params.L),
+    )
+    return [value for value, _ in results]
 
 
 def _difference_core(

@@ -45,6 +45,7 @@ from .quasinorms import (
     SpaceParams,
     WindowReport,
     default_quadrature,
+    difference_values,
     hypothesis_window,
     quasinorm,
 )
@@ -642,9 +643,8 @@ def divergence_probe(
     """
     grid = field.grid
     base = quad if quad is not None else default_quadrature(grid)
-    values: list[float] = []
-    for level in range(refinement_levels + 1):
-        active = QuadratureSpec(
+    levels = [
+        QuadratureSpec(
             h_min=base.h_min / 2.0**level,
             h_max=base.h_max,
             radial_nodes_per_octave=base.radial_nodes_per_octave,
@@ -654,7 +654,9 @@ def divergence_probe(
             tau_octaves=base.tau_octaves,
             allow_subgrid=True,
         )
-        values.append(quasinorm(field, "diff", params, active).value)
+        for level in range(refinement_levels + 1)
+    ]
+    values = difference_values(field, params, levels)
     if max(values) == 0.0:
         return DivergenceReport(params, tuple(values), (), "CONVERGENT-ZERO")
     growth = tuple(

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from lplab import quasinorms
+from lplab.differences import StepEngine
 from lplab.fields import GridSpec, SampledField
 
 
@@ -23,3 +25,17 @@ def random_complex_field(grid: GridSpec, seed: int = 0) -> SampledField:
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     return SampledField(grid, data)
+
+
+@pytest.fixture
+def recorded_engines(monkeypatch):
+    """Every StepEngine the quasinorm layer builds, in order."""
+    engines = []
+
+    class RecordingEngine(StepEngine):
+        def __init__(self, field):
+            super().__init__(field)
+            engines.append(self)
+
+    monkeypatch.setattr(quasinorms, "StepEngine", RecordingEngine)
+    return engines

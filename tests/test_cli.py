@@ -145,29 +145,6 @@ class TestExitCodes:
             summary = json.load(fh)
         assert summary["error"]["type"] == "DimensionTooLow"
 
-    def test_thread_cap_must_be_positive_integer(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LPLAB_THREADS", "zero")
-        code, _ = run(
-            tmp_path, "norm", "--grid-dim", "1", "--grid-n", "256",
-            "--function", "gauss_mid",
-        )
-        assert code == 2
-        monkeypatch.setenv("LPLAB_THREADS", "0")
-        code, _ = run(
-            tmp_path, "norm", "--grid-dim", "1", "--grid-n", "256",
-            "--function", "gauss_mid",
-        )
-        assert code == 2
-
-    def test_thread_cap_recorded(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LPLAB_THREADS", "4")
-        code, out = run(
-            tmp_path, "norm", "--grid-dim", "1", "--grid-n", "256",
-            "--function", "band_mid",
-        )
-        assert code == 0
-        assert read_summary(out, "norm")["threads_cap"] == 4
-
 
 class TestEquivalenceCommand:
     def test_corpus_rows_and_spread(self, tmp_path):
@@ -326,8 +303,9 @@ class TestMaximalCommand:
 
 
 class TestNameLists:
-    """variants, pair and theorem from a config: JSON lists are read as
-    lists, and empty values are rejected instead of replaced by a default."""
+    """variants, pair, theorem and characterization from a config: JSON
+    lists are read as lists, and empty values are rejected instead of
+    replaced by a default."""
 
     @pytest.mark.parametrize(
         "argv, config",
@@ -336,8 +314,10 @@ class TestNameLists:
             (("maximal", "--grid-dim", "2", "--grid-n", "32"), {"variants": []}),
             (("verify", "equivalence", "--grid-dim", "1", "--grid-n", "256"), {"pair": ""}),
             (("verify", "equivalence", "--grid-dim", "1", "--grid-n", "256"), {"theorem": ""}),
+            (("norm", "--grid-dim", "1", "--grid-n", "64"), {"characterization": ""}),
         ],
-        ids=["empty-variants", "empty-variants-list", "empty-pair", "empty-theorem"],
+        ids=["empty-variants", "empty-variants-list", "empty-pair", "empty-theorem",
+             "empty-characterization"],
     )
     def test_empty_value_rejected(self, tmp_path, capsys, argv, config):
         cfg = tmp_path / "cfg.json"

@@ -6,14 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lplab.differences import (
-    StepEngine,
-    axis_difference,
-    difference_coefficients,
-    iterated_difference,
-)
-from lplab.errors import InvalidAxis, InvalidExponent, MisalignedStep, ShapeMismatch
+from lplab.differences import StepEngine, difference_coefficients, iterated_difference
+from lplab.errors import InvalidExponent, MisalignedStep, ShapeMismatch
 from lplab.fields import GridSpec, SampledField, translate
+from lplab.maximal import annulus_nodes, unit_sphere_nodes
 
 from conftest import random_complex_field
 
@@ -79,17 +75,6 @@ class TestPaths:
         with pytest.raises(MisalignedStep):
             iterated_difference(f, (1.5 * grid1d.spacing,), 1, method="shift")
 
-    def test_invalid_axis(self, grid1d):
-        f = random_complex_field(grid1d)
-        with pytest.raises(InvalidAxis):
-            axis_difference(f, 0.1, 1, 1)
-
-    def test_axis_difference_is_axis_step(self, grid2d):
-        f = random_complex_field(grid2d, seed=35)
-        a = axis_difference(f, 0.05, 1, 2)
-        b = iterated_difference(f, (0.0, 0.05), 2)
-        assert np.array_equal(a.data, b.data)
-
 
 class TestAnalyticActions:
     def test_pure_mode_magnitude(self):
@@ -141,15 +126,17 @@ class TestAnalyticActions:
         assert np.max(np.abs(df.data)) <= 1e-12
 
 
-def full_grid_difference(field, step, order):
+def full_grid_symbol(grid, step, order):
     """The step symbol as one full-grid complex exponential of k.h / B."""
-    grid = field.grid
     phase = sum(
         kk.astype(np.float64) * (h / grid.box)
         for kk, h in zip(grid.frequency_lattice(), step)
     )
-    symbol = (np.exp(2j * np.pi * phase) - 1.0) ** order
-    return np.fft.ifftn(np.fft.fftn(field.data) * symbol)
+    return (np.exp(2j * np.pi * phase) - 1.0) ** order
+
+
+def full_grid_difference(field, step, order):
+    return np.fft.ifftn(np.fft.fftn(field.data) * full_grid_symbol(field.grid, step, order))
 
 
 class TestStepEngine:
@@ -189,3 +176,84 @@ class TestStepEngine:
             engine.magnitude((0.1,), 1)
         with pytest.raises(InvalidExponent):
             engine.magnitude((0.1, 0.0), 0)
+
+
+def real_field(grid: GridSpec, kind: str) -> SampledField:
+    """White noise (strong Nyquist planes) or a centred Gaussian, both real."""
+    if kind == "noise":
+        data = np.random.default_rng(45).standard_normal(grid.shape)
+    else:
+        r2 = sum((x - grid.box / 2) ** 2 for x in np.meshgrid(
+            *[grid.axis_coordinates()] * grid.dim, indexing="ij", sparse=True))
+        data = np.exp(-r2 / (2 * (0.08 * grid.box) ** 2))
+    return SampledField(grid, data.astype(complex))
+
+
+def rounding_floor(field):
+    """1e-14 of the field's peak: against a long-double DFT, the full-grid
+    oracle itself is off by up to 1.2e-15 of the peak at 1-D n=8192, which
+    exceeds 1e-13 of a third-order sub-spacing Gaussian difference."""
+    return 1e-14 * np.max(np.abs(field.data))
+
+
+class TestRealInputEngine:
+    # the smallest real-layout grids: 8192 samples or more
+    GRIDS = {1: GridSpec(1, 8192), 2: GridSpec(2, 128), 3: GridSpec(3, 32)}
+
+    def steps(self, grid):
+        """Lattice, off-lattice and sub-spacing steps, and an axis step."""
+        dx = grid.spacing
+        lattice = [(3 - a) * dx for a in range(grid.dim)]
+        off = [(0.013772 + 0.1 * a) * (-1) ** a for a in range(grid.dim)]
+        sub = [0.3 * dx, -0.05 * dx, 0.7 * dx][: grid.dim]
+        axis = [0.0] * (grid.dim - 1) + [0.25]
+        return [tuple(lattice), tuple(off), tuple(sub), tuple(axis)]
+
+    @pytest.mark.parametrize("kind", ["noise", "gaussian"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_steps_match_full_grid_symbol(self, dim, order, kind):
+        f = real_field(self.GRIDS[dim], kind)
+        engine = StepEngine(f)
+        assert engine.real
+        for step in self.steps(f.grid):
+            want = full_grid_difference(f, step, order)
+            tol = 1e-13 * np.max(np.abs(want)) + rounding_floor(f)
+            assert np.max(np.abs(engine.difference(step, order).data - want)) <= tol
+            assert np.max(np.abs(engine.magnitude(step, order) - np.abs(want))) <= tol
+
+    @pytest.mark.parametrize("kind", ["noise", "gaussian"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_means_match_full_grid_symbol(self, dim, order, kind):
+        # the sphere and annulus means of the maximal fields, at scales
+        # whose nodes fall on, off and below the lattice
+        f = real_field(self.GRIDS[dim], kind)
+        engine = StepEngine(f)
+        spectrum = np.fft.fftn(f.data)
+        sphere = unit_sphere_nodes(dim, 8)
+        means = [(sphere, np.full(len(sphere), 1.0 / len(sphere))),
+                 annulus_nodes(dim, 16, 3)]  # 48 nodes: more than one chunk
+        for points, weights in means:
+            for t in (f.grid.spacing, 0.6 * f.grid.spacing, 0.11):
+                symbol = sum(w * full_grid_symbol(f.grid, tuple(t * z), order)
+                             for z, w in zip(points, weights))
+                want = np.fft.ifftn(spectrum * symbol)
+                got = engine.mean_magnitude(t * points, weights, order)
+                tol = 1e-13 * np.max(np.abs(want)) + rounding_floor(f)
+                assert np.max(np.abs(got - np.abs(want))) <= tol
+
+    def test_layout_choice(self):
+        # one nonzero imaginary sample, or fewer than 8192 samples, keeps
+        # the complex layout
+        data = real_field(self.GRIDS[2], "noise").data.copy()
+        assert StepEngine(SampledField(self.GRIDS[2], data)).real
+        assert not StepEngine(real_field(GridSpec(2, 64), "noise")).real
+        data[5, 7] += 1e-9j
+        f = SampledField(self.GRIDS[2], data)
+        engine = StepEngine(f)
+        assert not engine.real
+        step = (0.3 * f.grid.spacing, 0.02)
+        want = full_grid_difference(f, step, 2)
+        assert np.max(np.abs(engine.difference(step, 2).data - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(engine.magnitude(step, 2), np.abs(engine.difference(step, 2).data))

@@ -31,7 +31,6 @@ from lplab.fields import (
     translate,
 )
 from lplab import quasinorms
-from lplab.differences import StepEngine
 from lplab.maximal import peetre_max
 from lplab.quasinorms import (
     CHARACTERIZATION_IDS,
@@ -465,20 +464,6 @@ class TestDifferenceQuasinorms:
         assert scaled == pytest.approx(c * base, rel=1e-10)
 
 
-@pytest.fixture
-def recorded_engines(monkeypatch):
-    """Every StepEngine the quasinorm layer builds, in order."""
-    engines = []
-
-    class RecordingEngine(StepEngine):
-        def __init__(self, field):
-            super().__init__(field)
-            engines.append(self)
-
-    monkeypatch.setattr(quasinorms, "StepEngine", RecordingEngine)
-    return engines
-
-
 class TestStepEngineSweep:
     @pytest.mark.parametrize("grid", [GridSpec(1, 256), GridSpec(2, 64, 0.5)],
                              ids=["1d", "2d"])
@@ -498,10 +483,14 @@ class TestStepEngineSweep:
 
     def test_default_2d_work_counts(self, recorded_engines):
         # 21 base lengths lie on the 37-length refined ladder, so the sweep
-        # makes 37 x 32 steps instead of (21 + 37) x 32 = 1856
+        # makes 37 x 32 steps instead of (21 + 37) x 32 = 1856, for complex
+        # and real fields alike
         grid = GridSpec(2, 128)
-        quasinorm(random_complex_field(grid, seed=50), "diff", SpaceParams(s=0.5, p=2, q=2))
-        assert [(e.forward_ffts, e.steps) for e in recorded_engines] == [(1, 1184)]
+        params = SpaceParams(s=0.5, p=2, q=2)
+        quasinorm(random_complex_field(grid, seed=50), "diff", params)
+        quasinorm(gaussian(grid), "diff", params)
+        assert [(e.forward_ffts, e.steps) for e in recorded_engines] == [(1, 1184)] * 2
+        assert [e.real for e in recorded_engines] == [False, True]
 
     def test_non_dyadic_ladders_share_only_h_max(self, recorded_engines, grid1d):
         quad = default_quadrature(grid1d, h_min=0.01)

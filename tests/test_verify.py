@@ -1,5 +1,6 @@
 """Experiment-harness behavior: frozen oracle values and error contracts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from lplab.errors import (
     UnresolvableSpec,
 )
 from lplab.fields import GridSpec, SampledField, TestFunctionSpec, sample_family
-from lplab.quasinorms import QuadratureSpec, SpaceParams, default_quadrature
+from lplab.quasinorms import QuadratureSpec, SpaceParams, default_quadrature, quasinorm
 from lplab.verify import (
     band_limited_profile,
     default_corpus,
@@ -419,6 +420,19 @@ class TestDivergenceProbe:
         rep = divergence_probe(smooth_field, SpaceParams(s=2.0, p=2, q=2, L=1))
         vals = rep.values
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("s, L", [(0.5, 1), (1.0, 1), (2.0, 1), (1.0, 2)])
+    def test_one_sweep_matches_level_runs(self, smooth_field, recorded_engines, s, L):
+        # one engine steps the deepest level's 41 lengths x 2 directions;
+        # every shallower ladder is a subset, and no refined ladder is needed
+        params = SpaceParams(s=s, p=2, q=2, L=L)
+        rep = divergence_probe(smooth_field, params)
+        assert [(e.forward_ffts, e.steps) for e in recorded_engines] == [(1, 82)]
+        base = default_quadrature(smooth_field.grid)
+        for level, value in enumerate(rep.values):
+            quad = dataclasses.replace(base, h_min=base.h_min / 2**level, allow_subgrid=True)
+            separate = quasinorm(smooth_field, "diff", params, quad).value
+            assert value == pytest.approx(separate, rel=1e-12)
 
 
 class TestSliceSupportCheck:
