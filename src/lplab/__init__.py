@@ -65,7 +65,6 @@ from .maximal import (
     annulus_mean_max,
     hardy_littlewood_max,
     peetre_max,
-    point_difference_max,
     sphere_mean_max,
     unit_sphere_nodes,
 )

@@ -456,16 +456,6 @@ def sample_family(spec: TestFunctionSpec, grid: GridSpec) -> SampledField:
     return SampledField(grid, out.astype(COMPLEX))
 
 
-def materialized_weierstrass_terms(spec: TestFunctionSpec, grid: GridSpec) -> int:
-    """Number of lacunary terms that actually fit under the grid Nyquist."""
-    kept = 0
-    for k in range(spec.terms):
-        if spec.ratio_b**k > grid.n // 2 - 1:
-            break
-        kept += 1
-    return kept
-
-
 # ---------------------------------------------------------------------------
 # Field file format: one JSON header line, then little-endian float64
 # (re, im) pairs in lexicographic (C) index order.

@@ -234,17 +234,3 @@ def annulus_mean_max(
     mag = (engine or StepEngine(field)).mean_magnitude(t * points, weights, order)
     out = weighted_offset_sup(mag, grid, 1.0 / t, grid.dim / r)
     return SampledField(grid, out.astype(complex))
-
-
-def point_difference_max(
-    field: SampledField, step: tuple[float, ...], r: float, order: int
-) -> SampledField:
-    """Weighted sup of one fixed-step difference, weight (1 + |y|/|h|)^(-dim/r)."""
-    grid = field.grid
-    h_len = math.sqrt(sum(c * c for c in step))
-    if h_len == 0.0:
-        raise InvalidExponent("point difference needs a nonzero step")
-    mag = StepEngine(field).magnitude(step, order)
-    out = weighted_offset_sup(mag, grid, 1.0 / h_len, grid.dim / r)
-    return SampledField(grid, out.astype(complex))
-

@@ -30,6 +30,7 @@ from .errors import (
     EmptyDecomposition,
     InvalidAxis,
     InvalidExponent,
+    NonFiniteSample,
     QuadratureTooCoarse,
     UnknownTheoremId,
 )
@@ -432,6 +433,11 @@ def _lp_of_array(values: np.ndarray, grid: GridSpec, p: float) -> float:
     return float((stable_sum(values**p) * grid.cell_volume) ** (1.0 / p))
 
 
+def _check_finite(*values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteSample("quasinorm aggregate overflows: the samples are too large")
+
+
 class _ScaleAggregator:
     """Accumulates weighted scale contributions in both aggregation orders.
 
@@ -439,6 +445,7 @@ class _ScaleAggregator:
     factor) tagged with a shell/band index k and a quadrature weight w; for
     the F scale the aggregate is ||(sum w g^q)^(1/q)||_p, for the B scale
     (sum w ||g||_p^q)^(1/q), with maxima replacing sums when q = inf.
+    Where only the norms ||g||_p enter, feed them with `add_norm`.
     """
 
     def __init__(self, grid: GridSpec, params: SpaceParams):
@@ -459,17 +466,28 @@ class _ScaleAggregator:
                 slot = self.fields.setdefault(k, np.zeros(self.grid.shape))
                 slot += g
         else:
-            norm = _lp_of_array(magnitudes, self.grid, p)
-            if q == math.inf:
-                self.scalars[k] = max(self.scalars.get(k, 0.0), norm)
-            else:
-                self.scalars[k] = self.scalars.get(k, 0.0) + weight * norm**q
+            self.add_norm(k, _lp_of_array(magnitudes, self.grid, p), weight)
+
+    def add_norm(self, k: int, norm: float, weight: float = 1.0) -> None:
+        """Feed ||g||_p of one magnitude array g instead of g itself.
+
+        These are the B-scale sums; at p = q = 2 they are the F-scale ones
+        too, since ||(sum w g^2)^(1/2)||_2^2 = sum w ||g||_2^2.
+        """
+        if self.params.q == math.inf:
+            self.scalars[k] = max(self.scalars.get(k, 0.0), norm)
+        else:
+            self.scalars[k] = self.scalars.get(k, 0.0) + weight * norm**self.params.q
 
     def finish(self) -> tuple[float, dict[int, float]]:
+        """(value, per-scale masses); NonFiniteSample if any overflowed."""
+        value, masses = self._totals()
+        _check_finite(value, *masses.values())
+        return value, masses
+
+    def _totals(self) -> tuple[float, dict[int, float]]:
         p, q = self.params.p, self.params.q
-        if self.params.scale == "F":
-            if not self.fields:
-                return 0.0, {}
+        if self.fields:
             if q == math.inf:
                 pooled = np.zeros(self.grid.shape)
                 for g in self.fields.values():
@@ -511,6 +529,7 @@ def lp_band_quasinorm(decomp: BandDecomposition, params: SpaceParams) -> Quasino
     value, masses = agg.finish()
     if not decomp.homogeneous and decomp.lowpass is not None:
         value += lp_norm(decomp.lowpass, params.p)
+        _check_finite(value)
     report = {"low_tail": 0.0, "high_tail": 0.0,
               "mass_total": (max(masses.values()) if params.q == math.inf
                              else sum(masses.values())) if masses else 0.0}
@@ -567,6 +586,12 @@ def _merged_ladders(ladders: list[list[tuple[float, float]]]):
         yield tuple(row)
 
 
+def _norms_suffice(params: SpaceParams) -> bool:
+    """Whether the step aggregate needs only each step's L^2 norm: p = 2 on
+    the B scale, or p = q = 2 on the F scale, whose sums are the B ones."""
+    return params.p == 2.0 and (params.scale == "B" or params.q == 2.0)
+
+
 def _step_sweep(
     field: SampledField,
     params: SpaceParams,
@@ -575,21 +600,36 @@ def _step_sweep(
     directions: np.ndarray,
     direction_weights: np.ndarray,
     step_magnitudes,
+    step_norms=None,
 ) -> list[tuple[float, dict[int, float]]]:
     """Aggregate |h|^(-s) |Delta_h f| over step lengths times directions,
     once per quadrature, and return each aggregate's (value, masses).
 
     One sweep over the union of the quadratures' length ladders feeds one
     aggregator per quadrature, each with its own lengths and weights, so a
-    step shared by several ladders is evaluated once.
+    step shared by several ladders is evaluated once.  step_magnitudes
+    maps one step to |Delta_h f| on the grid; step_norms, if given, maps a
+    (steps, dim) array to the L^2 norms and serves every step in one call
+    where those norms suffice.
     """
     grid = field.grid
     for quad in quads:
         quad.validate_for(grid)
     ladders = [list(zip(*radial_ladder(quad, per_octave))) for quad in quads]
     aggs = [_ScaleAggregator(grid, params) for _ in quads]
-    for nodes in _merged_ladders(ladders):
-        length = next(node for node in nodes if node is not None)[0]
+    rows = list(_merged_ladders(ladders))
+    lengths = [next(node for node in nodes if node is not None)[0] for nodes in rows]
+    if step_norms is not None and _norms_suffice(params):
+        steps = np.array(lengths)[:, None, None] * directions
+        norms = step_norms(steps.reshape(-1, grid.dim)).reshape(len(rows), len(directions))
+        for nodes, row in zip(rows, norms.tolist()):
+            for agg, node in zip(aggs, nodes):
+                if node is not None:
+                    rr, rw = node
+                    for norm, zw in zip(row, direction_weights):
+                        agg.add_norm(shell_index(rr), (rr ** -params.s) * norm, weight=rw * zw)
+        return [agg.finish() for agg in aggs]
+    for nodes, length in zip(rows, lengths):
         for z, zw in zip(directions, direction_weights):
             mag = step_magnitudes(tuple(length * z))
             for agg, node in zip(aggs, nodes):
@@ -607,6 +647,7 @@ def _step_quasinorm(
     directions: np.ndarray,
     direction_weights: np.ndarray,
     step_magnitudes,
+    step_norms=None,
 ) -> QuasinormResult:
     """Aggregate |h|^(-s) |Delta_h f| over step lengths times directions.
 
@@ -617,7 +658,7 @@ def _step_quasinorm(
     """
     (value, masses), (refined_value, _) = _step_sweep(
         field, params, [quad, _refined(quad)], per_octave,
-        directions, direction_weights, step_magnitudes,
+        directions, direction_weights, step_magnitudes, step_norms,
     )
     report = _tail_report(masses, params.q)
     report["refinement_growth"] = refined_value / value if value > 0.0 else 1.0
@@ -630,6 +671,13 @@ def _step_quasinorm(
     )
 
 
+def _engine_steps(field: SampledField, order: int):
+    """The step magnitude and step norm maps of one StepEngine of field."""
+    engine = StepEngine(field)
+    return (lambda step: engine.magnitude(step, order),
+            lambda steps: engine.norms(steps, order))
+
+
 def difference_values(
     field: SampledField, params: SpaceParams, quads: list[QuadratureSpec]
 ) -> list[float]:
@@ -639,11 +687,10 @@ def difference_values(
     come out: no refinement growth, flags or per-scale shares, so no
     refined ladder is stepped.
     """
-    engine = StepEngine(field)
     theta, theta_w = sphere_quadrature(field.grid.dim, quads[0].sphere_nodes)
     results = _step_sweep(
         field, params, quads, quads[0].radial_nodes_per_octave, theta, theta_w,
-        lambda step: engine.magnitude(step, params.L),
+        *_engine_steps(field, params.L),
     )
     return [value for value, _ in results]
 
@@ -653,6 +700,7 @@ def _difference_core(
     params: SpaceParams,
     quad: QuadratureSpec,
     step_magnitudes,
+    step_norms=None,
 ) -> QuasinormResult:
     """Polar-quadrature aggregate of |h|^(-s) |Delta_h f|.
 
@@ -661,7 +709,8 @@ def _difference_core(
     """
     theta, theta_w = sphere_quadrature(field.grid.dim, quad.sphere_nodes)
     return _step_quasinorm(
-        field, params, quad, quad.radial_nodes_per_octave, theta, theta_w, step_magnitudes
+        field, params, quad, quad.radial_nodes_per_octave, theta, theta_w,
+        step_magnitudes, step_norms,
     )
 
 
@@ -697,12 +746,11 @@ def axis_quasinorm(
     grid = field.grid
     if not (1 <= axis <= grid.dim):
         raise InvalidAxis(f"axis {axis} outside 1..{grid.dim}")
-    engine = StepEngine(field)
     unit = np.zeros((1, grid.dim))
     unit[0, axis - 1] = 1.0
     return _step_quasinorm(
         field, params, quad, quad.t_nodes_per_octave, unit, np.ones(1),
-        lambda step: engine.magnitude(step, params.L),
+        *_engine_steps(field, params.L),
     )
 
 
@@ -865,10 +913,7 @@ def quasinorm(
     if quad is None:
         quad = default_quadrature(grid)
     if characterization == "diff":
-        engine = StepEngine(field)
-        return _difference_core(
-            field, params, quad, lambda step: engine.magnitude(step, params.L)
-        )
+        return _difference_core(field, params, quad, *_engine_steps(field, params.L))
     if characterization == "gagliardo":
         if params.L != 1:
             raise InvalidExponent("gagliardo characterization is order 1")

@@ -145,6 +145,21 @@ class TestExitCodes:
             summary = json.load(fh)
         assert summary["error"]["type"] == "DimensionTooLow"
 
+    @pytest.mark.parametrize("cid,q", [("diff", "2"), ("diff", "1"), ("lp", "2")])
+    def test_overflowing_aggregate_is_computation_error(self, tmp_path, capsys, cid, q):
+        # finite samples near 1e160 used to give `value inf`, flag OK, exit 0
+        path = tmp_path / "big.bin"
+        (1e160 * np.random.default_rng(8).standard_normal((32, 32))).tofile(path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out = run(
+                tmp_path, "norm", "--characterization", cid, "--grid-dim", "2",
+                "--grid-n", "32", "--q", q, "--in", str(path),
+            )
+        assert code == 1
+        assert not (out / "norm.csv").exists()
+        with open(out / "error_summary.json", "r", encoding="utf-8") as fh:
+            assert json.load(fh)["error"]["type"] == "NonFiniteSample"
+
 
 class TestEquivalenceCommand:
     def test_corpus_rows_and_spread(self, tmp_path):

@@ -11,7 +11,7 @@ from lplab.errors import InvalidExponent, MisalignedStep, ShapeMismatch
 from lplab.fields import GridSpec, SampledField, translate
 from lplab.maximal import annulus_nodes, unit_sphere_nodes
 
-from conftest import random_complex_field
+from conftest import field_of_kind, random_complex_field
 
 
 class TestCoefficients:
@@ -166,6 +166,12 @@ class TestStepEngine:
             assert np.array_equal(engine.magnitude(step, order), np.abs(one_shot))
         assert (engine.forward_ffts, engine.steps) == (1, 6)
 
+    def test_norms_match_magnitudes(self, grid1d, grid2d):
+        # the complex layout, in 1-D, 2-D and 3-D
+        for f in (random_complex_field(grid1d, seed=46), random_complex_field(grid2d, seed=47),
+                  random_complex_field(GridSpec(3, 16), seed=48)):
+            assert_norms_match_magnitudes(StepEngine(f), TestRealInputEngine.steps(f.grid))
+
     def test_zero_step_annihilates(self, grid2d):
         engine = StepEngine(random_complex_field(grid2d, seed=43))
         assert not np.any(engine.magnitude((0.0, 0.0), 2))
@@ -178,15 +184,14 @@ class TestStepEngine:
             engine.magnitude((0.1, 0.0), 0)
 
 
-def real_field(grid: GridSpec, kind: str) -> SampledField:
-    """White noise (strong Nyquist planes) or a centred Gaussian, both real."""
-    if kind == "noise":
-        data = np.random.default_rng(45).standard_normal(grid.shape)
-    else:
-        r2 = sum((x - grid.box / 2) ** 2 for x in np.meshgrid(
-            *[grid.axis_coordinates()] * grid.dim, indexing="ij", sparse=True))
-        data = np.exp(-r2 / (2 * (0.08 * grid.box) ** 2))
-    return SampledField(grid, data.astype(complex))
+def assert_norms_match_magnitudes(engine, steps):
+    """engine.norms against the L^2 norms of engine.magnitude, L = 1..3."""
+    for order in (1, 2, 3):
+        norms = engine.norms(steps, order)
+        for step, norm in zip(steps, norms):
+            mag = engine.magnitude(step, order)
+            assert norm == pytest.approx(np.sqrt(np.sum(mag**2) * engine.grid.cell_volume),
+                                         rel=1e-13)
 
 
 def rounding_floor(field):
@@ -200,7 +205,8 @@ class TestRealInputEngine:
     # the smallest real-layout grids: 8192 samples or more
     GRIDS = {1: GridSpec(1, 8192), 2: GridSpec(2, 128), 3: GridSpec(3, 32)}
 
-    def steps(self, grid):
+    @staticmethod
+    def steps(grid):
         """Lattice, off-lattice and sub-spacing steps, and an axis step."""
         dx = grid.spacing
         lattice = [(3 - a) * dx for a in range(grid.dim)]
@@ -213,7 +219,7 @@ class TestRealInputEngine:
     @pytest.mark.parametrize("order", [1, 2, 3])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_steps_match_full_grid_symbol(self, dim, order, kind):
-        f = real_field(self.GRIDS[dim], kind)
+        f = field_of_kind(self.GRIDS[dim], kind)
         engine = StepEngine(f)
         assert engine.real
         for step in self.steps(f.grid):
@@ -223,12 +229,20 @@ class TestRealInputEngine:
             assert np.max(np.abs(engine.magnitude(step, order) - np.abs(want))) <= tol
 
     @pytest.mark.parametrize("kind", ["noise", "gaussian"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_norms_match_magnitudes(self, dim, kind):
+        # the power spectrum mirrored from the stored half
+        engine = StepEngine(field_of_kind(self.GRIDS[dim], kind))
+        assert engine.real
+        assert_norms_match_magnitudes(engine, self.steps(engine.grid))
+
+    @pytest.mark.parametrize("kind", ["noise", "gaussian"])
     @pytest.mark.parametrize("order", [1, 2, 3])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_means_match_full_grid_symbol(self, dim, order, kind):
         # the sphere and annulus means of the maximal fields, at scales
         # whose nodes fall on, off and below the lattice
-        f = real_field(self.GRIDS[dim], kind)
+        f = field_of_kind(self.GRIDS[dim], kind)
         engine = StepEngine(f)
         spectrum = np.fft.fftn(f.data)
         sphere = unit_sphere_nodes(dim, 8)
@@ -246,9 +260,9 @@ class TestRealInputEngine:
     def test_layout_choice(self):
         # one nonzero imaginary sample, or fewer than 8192 samples, keeps
         # the complex layout
-        data = real_field(self.GRIDS[2], "noise").data.copy()
+        data = field_of_kind(self.GRIDS[2], "noise").data.copy()
         assert StepEngine(SampledField(self.GRIDS[2], data)).real
-        assert not StepEngine(real_field(GridSpec(2, 64), "noise")).real
+        assert not StepEngine(field_of_kind(GridSpec(2, 64), "noise")).real
         data[5, 7] += 1e-9j
         f = SampledField(self.GRIDS[2], data)
         engine = StepEngine(f)

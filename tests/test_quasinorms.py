@@ -19,6 +19,7 @@ from lplab.errors import (
     EmptyDecomposition,
     InvalidAxis,
     InvalidExponent,
+    NonFiniteSample,
     QuadratureTooCoarse,
     UnknownTheoremId,
 )
@@ -31,6 +32,7 @@ from lplab.fields import (
     translate,
 )
 from lplab import quasinorms
+from lplab.differences import StepEngine
 from lplab.maximal import peetre_max
 from lplab.quasinorms import (
     CHARACTERIZATION_IDS,
@@ -53,7 +55,7 @@ from lplab.quasinorms import (
     axis_quasinorm,
 )
 
-from conftest import random_complex_field
+from conftest import field_of_kind, random_complex_field
 
 
 def gaussian(grid: GridSpec, width_frac: float = 1 / 16) -> SampledField:
@@ -464,6 +466,18 @@ class TestDifferenceQuasinorms:
         assert scaled == pytest.approx(c * base, rel=1e-10)
 
 
+@pytest.fixture
+def inverse_ffts(monkeypatch):
+    """Counts of the inverse transforms called through numpy.fft, by name."""
+    counts = {}
+    for name in ("ifft", "ifftn", "irfft", "irfftn"):
+        def counted(*args, _name=name, _inner=getattr(np.fft, name), **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
 class TestStepEngineSweep:
     @pytest.mark.parametrize("grid", [GridSpec(1, 256), GridSpec(2, 64, 0.5)],
                              ids=["1d", "2d"])
@@ -481,16 +495,18 @@ class TestStepEngineSweep:
         )
         assert res.flag == oracle.flag
 
-    def test_default_2d_work_counts(self, recorded_engines):
+    def test_default_2d_work_counts(self, recorded_engines, inverse_ffts):
         # 21 base lengths lie on the 37-length refined ladder, so the sweep
         # makes 37 x 32 steps instead of (21 + 37) x 32 = 1856, for complex
-        # and real fields alike
+        # and real fields alike; at p = q = 2 the steps read the power
+        # spectrum, with no inverse transform on either scale
         grid = GridSpec(2, 128)
-        params = SpaceParams(s=0.5, p=2, q=2)
-        quasinorm(random_complex_field(grid, seed=50), "diff", params)
-        quasinorm(gaussian(grid), "diff", params)
-        assert [(e.forward_ffts, e.steps) for e in recorded_engines] == [(1, 1184)] * 2
-        assert [e.real for e in recorded_engines] == [False, True]
+        for f in (random_complex_field(grid, seed=50), gaussian(grid)):
+            for scale in ("F", "B"):
+                quasinorm(f, "diff", SpaceParams(s=0.5, p=2, q=2, scale=scale))
+        assert [(e.forward_ffts, e.steps) for e in recorded_engines] == [(1, 1184)] * 4
+        assert [e.real for e in recorded_engines] == [False, False, True, True]
+        assert inverse_ffts == {}
 
     def test_non_dyadic_ladders_share_only_h_max(self, recorded_engines, grid1d):
         quad = default_quadrature(grid1d, h_min=0.01)
@@ -519,6 +535,85 @@ class TestStepEngineSweep:
         f = random_complex_field(grid, seed=51)
         maximal_quasinorm_set(f, params, MAXIMAL_VARIANTS, make(grid))
         assert [e.forward_ffts for e in recorded_engines] == [1]
+
+
+class TestEnergyPath:
+    """Per-step L^2 norms from the power spectrum against the magnitude path."""
+
+    GRIDS = [GridSpec(1, 256), GridSpec(1, 8192), GridSpec(2, 32), GridSpec(2, 128),
+             GridSpec(3, 16)]
+    SCALES = [("F", 2.0), ("B", 1.0), ("B", 2.0), ("B", math.inf)]
+
+    @pytest.mark.parametrize("scale,q", SCALES, ids=["F2", "B1", "B2", "Binf"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["noise", "gaussian", "modulated"])
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.dim}d-{g.n}")
+    def test_matches_magnitude_path(self, grid, kind, order, scale, q):
+        # a light quadrature keeps the magnitude path cheap; the refined
+        # ladder reaches a sixteenth of the spacing
+        f = field_of_kind(grid, kind)
+        params = SpaceParams(s=0.5 + 0.4 * order, p=2, q=q, L=order, scale=scale)
+        quad = default_quadrature(grid, radial_nodes_per_octave=2, sphere_nodes=6)
+        theta, theta_w = quasinorms.sphere_quadrature(grid.dim, quad.sphere_nodes)
+        engine = StepEngine(f)
+        args = (f, params, quad, quad.radial_nodes_per_octave, theta, theta_w,
+                lambda step: engine.magnitude(step, order))
+        energy = quasinorms._step_quasinorm(*args, lambda steps: engine.norms(steps, order))
+        magnitude = quasinorms._step_quasinorm(*args)
+        assert energy.value == pytest.approx(magnitude.value, rel=1e-12)
+        assert energy.truncation_report["refinement_growth"] == pytest.approx(
+            magnitude.truncation_report["refinement_growth"], rel=1e-12)
+        assert [k for k, _ in energy.per_scale] == [k for k, _ in magnitude.per_scale]
+        for (_, a), (_, b) in zip(energy.per_scale, magnitude.per_scale):
+            assert a == pytest.approx(b, rel=1e-12)
+        assert energy.flag == magnitude.flag
+
+    @pytest.mark.parametrize("kind", ["noise", "modulated"])
+    def test_divergence_values_match_magnitude_path(self, grid1d, kind):
+        f = field_of_kind(grid1d, kind)
+        params = SpaceParams(s=1.5, p=2, q=2, L=2)
+        quads = [default_quadrature(grid1d, h_min=grid1d.spacing / 2**i, allow_subgrid=True)
+                 for i in range(3)]
+        engine = StepEngine(f)
+        theta, theta_w = quasinorms.sphere_quadrature(1)
+        magnitude = quasinorms._step_sweep(
+            f, params, quads, 4, theta, theta_w, lambda step: engine.magnitude(step, 2))
+        values = quasinorms.difference_values(f, params, quads)
+        assert values == pytest.approx([v for v, _ in magnitude], rel=1e-12)
+
+    @pytest.mark.parametrize("p,q,scale", [(2, 1, "F"), (1, 2, "B"), (2, math.inf, "F")])
+    @pytest.mark.parametrize("grid,inverse", [(GridSpec(1, 256), "ifftn"),
+                                              (GridSpec(2, 128), "irfftn")],
+                             ids=["complex", "real"])
+    def test_other_aggregates_keep_magnitudes(self, inverse_ffts, grid, inverse, p, q, scale):
+        quad = default_quadrature(grid, radial_nodes_per_octave=1, sphere_nodes=4)
+        quasinorm(gaussian(grid), "diff", SpaceParams(s=0.5, p=p, q=q, scale=scale), quad)
+        assert inverse_ffts.get(inverse, 0) > 0
+
+    def test_gagliardo_keeps_translate_form(self, recorded_engines, grid1d):
+        res = quasinorm(gaussian(grid1d), "gagliardo", SpaceParams(s=0.5, p=2, q=2))
+        assert recorded_engines == [] and res.value > 0.0
+
+
+class TestOverflow:
+    """A finite field whose aggregate overflows raises NonFiniteSample."""
+
+    @pytest.mark.parametrize("cid,q", [("lp", 2), ("diff", 2), ("diff", 1), ("gagliardo", 2),
+                                       ("axis", 2), ("max:V", 2)])
+    def test_huge_samples_raise(self, cid, q):
+        grid = GridSpec(2, 32)
+        data = 1e160 * np.random.default_rng(54).standard_normal(grid.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteSample):
+                quasinorm(SampledField(grid, data), cid, SpaceParams(s=0.5, p=2, q=q))
+
+    def test_inhomogeneous_lowpass_overflow_raises(self, grid1d):
+        # the bands stay finite; only the lowpass part's L^2 norm overflows
+        data = 1e160 + 1e-3 * np.cos(2 * np.pi * 40 * grid1d.axis_coordinates())
+        params = SpaceParams(s=0.5, p=2, q=2, homogeneous=False)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteSample):
+                quasinorm(SampledField(grid1d, data), "lp", params)
 
 
 class TestGagliardoOracle:
