@@ -8,7 +8,6 @@ between them.
 """
 
 from .errors import (
-    AliasingError,
     BandOutOfRange,
     BandRangeEmpty,
     ConfigParseError,
@@ -21,7 +20,6 @@ from .errors import (
     IoError,
     LplabError,
     MisalignedStep,
-    NonDivisibleSpectrum,
     NonFiniteSample,
     QuadratureTooCoarse,
     RangeTooNarrow,
@@ -36,7 +34,6 @@ from .fields import (
     SpectralField,
     TestFunctionSpec,
     derivative,
-    dyadic_dilate,
     lp_norm,
     read_field,
     resolvable_band_range,
@@ -54,7 +51,6 @@ from .bands import (
     build_band_system,
     decompose,
     dyadic_profile,
-    lowpass_project,
     reconstruct,
 )
 from .differences import (

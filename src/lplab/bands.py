@@ -121,14 +121,6 @@ def band_project(field: SampledField, system: DyadicBandSystem, j: int) -> Sampl
     return to_sampled(SpectralField(field.grid, spec.coeffs * system.band_multiplier(j)))
 
 
-def lowpass_project(field: SampledField, system: DyadicBandSystem) -> SampledField:
-    """Projection onto the lowpass complement below band j_min."""
-    if field.grid != system.grid:
-        raise GridMismatch("field and band system live on different grids")
-    spec = to_spectral(field)
-    return to_sampled(SpectralField(field.grid, spec.coeffs * system.lowpass_multiplier()))
-
-
 @dataclass(frozen=True, eq=False)
 class BandDecomposition:
     """Ordered band fields, optional lowpass, and the truncation diagnostic.
@@ -194,7 +186,10 @@ def decompose(
     grid = system.grid
     spec = to_spectral(field)
     radii = grid.frequency_radii()
-    power = np.abs(spec.coeffs) ** 2
+    # the fraction is scale-invariant, so square the coefficients over their
+    # largest component, where no square can overflow
+    peak = float(np.abs(spec.coeffs.view(np.float64)).max())
+    power = np.abs(spec.coeffs / peak if peak > 0.0 else spec.coeffs) ** 2
     nonzero = radii > 0.0
     lo_edge = 2.0 ** (system.j_min - 1)
     hi_edge = 2.0 ** (system.j_max + 1)

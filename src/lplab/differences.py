@@ -36,7 +36,18 @@ ALIGNMENT_TOL = 1e-9
 # time at 2-D 64^2 and 1.4x at 3-D 16^3, but 0.6-0.85x at 1-D 8192,
 # 2-D 128^2 and 3-D 32^3.
 _REAL_LAYOUT_MIN_POINTS = 8192
-_NODE_CHUNK = 32  # nodes of a weighted mean whose phase factors are held at once
+# Leading-plane points times nodes of a weighted mean held at once: 64 nodes
+# at 2-D n = 32, 2 at 3-D 32^3.  At 2-D n = 32, chunks of 2^13 (all 256
+# nodes of an annulus mean) raised the peak RSS of a `verify equivalence`
+# call from 38.0 MB (per-node symbols) to 40.5 MB, against 38.4 MB at 2^11.
+# On a 2-vCPU x86 VM, 2^13 made a 512-node L = 2 annulus mean faster at
+# 3-D 16^3 (5.5 against 9.5 ms) but slower at 2-D 128^2 (17 against 13 ms).
+_MEAN_CHUNK_POINTS = 1 << 11
+# Most multiply-adds of one real matrix product.  OpenBLAS splits a larger
+# dgemm over its threads, and on a 2-vCPU x86 VM with numpy 2.4 such a call
+# either kept a second core spinning or waited about 8 ms to wake it; at
+# most 10^6 it ran on the calling thread alone.
+_SERIAL_GEMM = 1_000_000
 # Grid points of step energies held at once by StepEngine.norms: 2^17 raised
 # the peak RSS of a 2-D 128^2, L = 2 `norm diff` call from 32.7 to 34.4 MB.
 _NORM_CHUNK_POINTS = 1 << 14
@@ -68,6 +79,26 @@ def _lattice_steps(grid: GridSpec, step: tuple[float, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """out += a @ b for complex C-ordered a and b, as real products.
+
+    Viewed as floats, a's columns pair (Re, Im) of each term; b becomes
+    the real matrix whose rows 2r and 2r + 1 are b_r and i b_r viewed as
+    floats, so one real product gives out's (Re, Im) pairs: the four real
+    products of a complex one in one call.  Row blocks keep each call
+    within _SERIAL_GEMM multiply-adds.
+    """
+    paired = np.empty((b.shape[0], 2, b.shape[1]), dtype=complex)
+    paired[:, 0] = b
+    np.multiply(b, 1j, out=paired[:, 1])
+    real_b = paired.view(np.float64).reshape(2 * b.shape[0], 2 * b.shape[1])
+    real_a, real_out = a.view(np.float64), out.view(np.float64)
+    most = max(1, _SERIAL_GEMM // real_b.size)
+    step = -(-a.shape[0] // -(-a.shape[0] // most))  # even blocks of at most `most` rows
+    for lo in range(0, a.shape[0], step):
+        real_out[lo : lo + step] += real_a[lo : lo + step] @ real_b
+
+
 def _power(base, order: int):
     """base^order by repeated multiplication."""
     out = base
@@ -82,8 +113,9 @@ class StepEngine:
     The engine transforms the field forward once.  A step symbol
     S(k) = (exp(2 pi i h.k / B) - 1)^L is the broadcast product of one 1-D
     phase factor exp(2 pi i k_a h_a / B) per axis with a nonzero step
-    component, so each step, or weighted sum of steps, costs one inverse
-    transform and no full-grid exponential.
+    component, so each step costs one inverse transform and no full-grid
+    exponential.  A weighted sum of steps also costs one inverse transform,
+    its symbol built as low-rank real matrix products (`_mean_symbol`).
 
     A field of at least _REAL_LAYOUT_MIN_POINTS samples, none with a
     nonzero imaginary part, keeps (`real` is True) the half spectrum X of
@@ -150,6 +182,7 @@ class StepEngine:
         """The L-fold difference with step h as a validated field."""
         return SampledField(self.grid, self._combine([step], None, order, modulus=False))
 
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
     def norms(self, steps, order: int) -> np.ndarray:
         """||diff(f, h_m, L)||_2 for each row h_m of steps, checked finite.
 
@@ -203,6 +236,7 @@ class StepEngine:
             raise NonFiniteSample("difference norms contain NaN or infinity")
         return out
 
+    @np.errstate(over="ignore")  # norms raises on the overflow
     def _power_spectrum(self) -> np.ndarray:
         """|X|^2 on the full grid in `fftn` order, built on first use.
 
@@ -231,6 +265,7 @@ class StepEngine:
         self.steps += len(steps)
         return steps
 
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
     def _combine(self, steps, weights, order: int, modulus: bool) -> np.ndarray:
         """sum_m w_m diff(f, h_m, L), or its modulus checked finite.
 
@@ -238,21 +273,13 @@ class StepEngine:
         """
         grid = self.grid
         steps = self._count(steps, order)
-        if weights is not None:
-            symbol = np.zeros(self._coeffs.shape, dtype=complex)
-        jump = 0.0
-        for lo in range(0, len(steps), _NODE_CHUNK):
-            part = steps[lo : lo + _NODE_CHUNK]
-            part_weights = None if weights is None else weights[lo : lo + _NODE_CHUNK]
+        if weights is None:
             # exp(2 pi i k h_a / B), indexed (node, axis, k)
-            factors = np.exp(2j * np.pi * (self._k * (part[:, :, None] / grid.box)))
-            if weights is None:
-                symbol = self._symbol(part[0], factors[0], order)
-            else:
-                for step, factor, w in zip(part, factors, part_weights):
-                    symbol += w * self._symbol(step, factor, order)
-            if self.real:
-                jump = jump + self._plane_jump(factors, part_weights, order)
+            factors = np.exp(2j * np.pi * (self._k * (steps[:1, :, None] / grid.box)))
+            symbol = self._symbol(steps[0], factors[0], order)
+            jump = self._plane_jump(factors, None, order) if self.real else None
+        else:
+            symbol, jump = self._mean_symbol(steps, np.asarray(weights, dtype=np.float64), order)
         spectrum = self._coeffs * symbol
         if self.real:
             twisted = self._nyquist_planes(spectrum, jump)
@@ -271,6 +298,66 @@ class StepEngine:
         if not np.isfinite(mag).all():
             raise NonFiniteSample("difference samples contain NaN or infinity")
         return mag
+
+    def _mean_symbol(self, steps: np.ndarray, weights: np.ndarray, order: int):
+        """sum_m w_m S_m on the stored spectrum, and in the real layout its
+        jump on the Nyquist planes (else None).
+
+        Split the phase as phi = phi' phi_d, phi' the product over the axes
+        before the last.  Then phi - 1 = (phi' - 1) phi_d + (phi_d - 1), so
+
+            S = sum_j C(L, j) (phi' - 1)^j phi_d^j (phi_d - 1)^(L - j),
+
+        L + 1 products of a function on the leading plane and one on the
+        last axis.  The j = 0 terms of all nodes add up to one row over the
+        last axis.  The others are the columns of A, C(L, j) w_m
+        (phi'_m - 1)^j, and the rows of B, phi_d^j (phi_d - 1)^(L - j), of
+        one product A B per node chunk.  phi' - 1 comes from the same split
+        applied axis by axis, and each phi_a - 1 = -2 sin^2(theta_a / 2)
+        + i sin(theta_a), so no factor loses digits to cancellation at
+        small steps, as expanding (phi - 1)^L in powers of phi would.
+        """
+        grid = self.grid
+        last = self._coeffs.shape[-1]
+        plane = self._coeffs.size // last
+        binomials = [math.comb(order, j) for j in range(order + 1)]
+        row = np.zeros(last, dtype=complex)  # the j = 0 terms
+        total = np.zeros((plane, last), dtype=complex)
+        jump = 0.0 if self.real else None
+        chunk = max(1, _MEAN_CHUNK_POINTS // plane)
+        for lo in range(0, len(steps), chunk):
+            part, w = steps[lo : lo + chunk], weights[lo : lo + chunk]
+            # pi k h_a / B, indexed (axis, k, node)
+            half = np.pi * (self._k[:, None] * (part.T[:, None, :] / grid.box))
+            sine = np.sin(half)
+            minus = -2.0 * sine * sine + 1j * np.sin(2.0 * half)  # phi_a - 1
+            phase = minus + 1.0
+            # (phi_d - 1)^i for i = 0 .. L on the last axis, indexed (node, k)
+            # over the stored half
+            minus_d = [1.0, minus[-1, :last].T]
+            for _ in range(order - 1):
+                minus_d.append(minus_d[-1] * minus_d[1])
+            row += np.einsum("m,mk->k", w, minus_d[order])  # no BLAS: zgemv threads
+            if grid.dim > 1:
+                lead = minus[0]  # phi' - 1, indexed (flattened plane, node)
+                for a in range(1, grid.dim - 1):
+                    lead = (lead[:, None] * phase[a] + minus[a]).reshape(-1, len(part))
+                phase_d = phase[-1, :last].T
+                cols = np.empty((plane, order, len(part)), dtype=complex)
+                rows = np.empty((order, len(part), last), dtype=complex)
+                lead_j, phase_j = lead, phase_d
+                for j in range(1, order + 1):
+                    if j > 1:
+                        lead_j = lead_j * lead
+                        phase_j = phase_j * phase_d
+                    np.multiply(lead_j, binomials[j] * w, out=cols[:, j - 1])
+                    np.multiply(phase_j, minus_d[order - j], out=rows[j - 1])
+                _add_product(total, cols.reshape(plane, -1), rows.reshape(-1, last))
+            if self.real:
+                factors = np.exp(2j * np.pi * (self._k * (part[:, :, None] / grid.box)))
+                jump = jump + self._plane_jump(factors, w, order)
+        total += row
+        return total.reshape(self._coeffs.shape), jump
 
     def _symbol(self, step: np.ndarray, factor: np.ndarray, order: int) -> np.ndarray | float:
         """One step's multiplier, broadcastable to the stored spectrum.

@@ -25,14 +25,6 @@ class InvalidExponent(LplabError):
     """An exponent (p, q, r, s, L) is outside its admissible range."""
 
 
-class AliasingError(LplabError):
-    """A dyadic dilation would move spectral content off the lattice."""
-
-
-class NonDivisibleSpectrum(LplabError):
-    """A contracting dilation needs frequencies divisible by the factor."""
-
-
 class RangeTooNarrow(LplabError):
     """The grid supports fewer than three dyadic bands."""
 

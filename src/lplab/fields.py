@@ -21,22 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AliasingError,
     InvalidExponent,
     IoError,
-    NonDivisibleSpectrum,
     NonFiniteSample,
     ShapeMismatch,
     UnresolvableSpec,
 )
 
 COMPLEX = np.complex128
-
-# Relative modulus below which a spectral coefficient counts as zero for
-# dilation support checks.  Smooth analytic profiles never underflow to an
-# exact float zero, so an exact-zero test would reject fields whose tails
-# sit hundreds of orders of magnitude below the working precision.
-DILATION_SUPPORT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -193,16 +185,20 @@ def stable_sum(values: np.ndarray) -> float:
 
     Chunks are reduced with numpy's deterministic pairwise sum and the chunk
     totals are combined exactly with math.fsum, so reruns on identical input
-    produce bit-identical results regardless of array size.
+    produce bit-identical results regardless of array size.  A sum beyond
+    the float range is inf: every caller sums nonnegative terms.
     """
     flat = np.ravel(np.asarray(values, dtype=np.float64), order="C")
     if flat.size == 0:
         return 0.0
     chunk = 4096
-    if flat.size <= chunk:
+    if flat.size > chunk:
+        with np.errstate(over="ignore"):
+            flat = np.add.reduceat(flat, np.arange(0, flat.size, chunk))
+    try:
         return float(math.fsum(flat.tolist()))
-    partial = np.add.reduceat(flat, np.arange(0, flat.size, chunk))
-    return float(math.fsum(partial.tolist()))
+    except OverflowError:
+        return math.inf
 
 
 def lp_norm(field: SampledField, p: float) -> float:
@@ -242,52 +238,6 @@ def derivative(field: SampledField, orders: tuple[int, ...]) -> SampledField:
         if orders[a]:
             mult = mult * (2j * np.pi * kk.astype(np.float64) / grid.box) ** orders[a]
     return to_sampled(SpectralField(grid, spec.coeffs * mult))
-
-
-def _support_mask(coeffs: np.ndarray) -> np.ndarray:
-    mags = np.abs(coeffs)
-    peak = float(mags.max())
-    if peak == 0.0:
-        return np.zeros(coeffs.shape, dtype=bool)
-    return mags > DILATION_SUPPORT_TOL * peak
-
-
-def dyadic_dilate(field: SampledField, m: int) -> SampledField:
-    """Exact dyadic dilation x -> f(2^m x) by remapping the spectrum.
-
-    For m > 0 the integer frequency k moves to 2^m k; any supported
-    coefficient whose target leaves the lattice raises AliasingError.  For
-    m < 0 every supported coefficient must sit on a 2^|m|-divisible
-    frequency, otherwise NonDivisibleSpectrum.  Support ignores relative
-    magnitudes below 1e-13 of the spectral peak.
-    """
-    if m == 0:
-        return SampledField(field.grid, field.data.copy())
-    grid = field.grid
-    spec = to_spectral(field)
-    mask = _support_mask(spec.coeffs)
-    ks = np.meshgrid(*([grid.frequency_integers()] * grid.dim), indexing="ij")
-    factor = 2 ** abs(m)
-    new_coeffs = np.zeros(grid.shape, dtype=COMPLEX)
-    half = grid.n // 2
-    if m > 0:
-        for a in range(grid.dim):
-            bad = mask & ((ks[a] * factor < -half) | (ks[a] * factor >= half))
-            if np.any(bad):
-                raise AliasingError(
-                    f"dilation by 2^{m} pushes supported frequencies off the lattice"
-                )
-        idx = tuple((ks[a][mask] * factor) % grid.n for a in range(grid.dim))
-        new_coeffs[idx] = spec.coeffs[mask]
-    else:
-        for a in range(grid.dim):
-            if np.any(mask & (ks[a] % factor != 0)):
-                raise NonDivisibleSpectrum(
-                    f"dilation by 2^{m} needs frequencies divisible by {factor}"
-                )
-        idx = tuple((ks[a][mask] // factor) % grid.n for a in range(grid.dim))
-        new_coeffs[idx] = spec.coeffs[mask]
-    return to_sampled(SpectralField(grid, new_coeffs))
 
 
 # ---------------------------------------------------------------------------

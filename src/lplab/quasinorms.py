@@ -426,6 +426,7 @@ def _flag_for(report: dict) -> str:
     return "OK"
 
 
+@np.errstate(over="ignore")  # finish raises NonFiniteSample
 def _lp_of_array(values: np.ndarray, grid: GridSpec, p: float) -> float:
     """L^p norm of a nonnegative sample array."""
     if p == math.inf:
@@ -454,6 +455,7 @@ class _ScaleAggregator:
         self.fields: dict[int, np.ndarray] = {}
         self.scalars: dict[int, float] = {}
 
+    @np.errstate(over="ignore")  # finish raises NonFiniteSample
     def add(self, k: int, magnitudes: np.ndarray, weight: float = 1.0) -> None:
         p, q = self.params.p, self.params.q
         if self.params.scale == "F":
@@ -477,7 +479,11 @@ class _ScaleAggregator:
         if self.params.q == math.inf:
             self.scalars[k] = max(self.scalars.get(k, 0.0), norm)
         else:
-            self.scalars[k] = self.scalars.get(k, 0.0) + weight * norm**self.params.q
+            try:
+                power = float(norm) ** self.params.q
+            except OverflowError:  # finish raises NonFiniteSample
+                power = math.inf
+            self.scalars[k] = self.scalars.get(k, 0.0) + weight * power
 
     def finish(self) -> tuple[float, dict[int, float]]:
         """(value, per-scale masses); NonFiniteSample if any overflowed."""

@@ -39,6 +39,32 @@ def field_of_kind(grid: GridSpec, kind: str) -> SampledField:
     return SampledField(grid, data)
 
 
+def full_grid_symbol(grid: GridSpec, step, order: int) -> np.ndarray:
+    """The step symbol as one full-grid complex exponential of k.h / B."""
+    phase = sum(
+        kk.astype(np.float64) * (h / grid.box)
+        for kk, h in zip(grid.frequency_lattice(), step)
+    )
+    return (np.exp(2j * np.pi * phase) - 1.0) ** order
+
+
+class FullGridMeans(StepEngine):
+    """A StepEngine whose weighted means add one full-grid symbol per node
+    and pay one complex inverse transform: the oracle of the low-rank
+    mean symbols."""
+
+    def __init__(self, field: SampledField):
+        super().__init__(field)
+        self._spectrum = np.fft.fftn(field.data)
+
+    def mean_magnitude(self, steps, weights, order):
+        steps = self._count(steps, order)
+        symbol = np.zeros(self.grid.shape, dtype=complex)
+        for step, w in zip(steps, weights):
+            symbol += w * full_grid_symbol(self.grid, step, order)
+        return np.abs(np.fft.ifftn(self._spectrum * symbol))
+
+
 @pytest.fixture
 def recorded_engines(monkeypatch):
     """Every StepEngine the quasinorm layer builds, in order."""

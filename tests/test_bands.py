@@ -11,7 +11,6 @@ from lplab.bands import (
     build_band_system,
     decompose,
     dyadic_profile,
-    lowpass_project,
     reconstruct,
 )
 from lplab.errors import (
@@ -218,6 +217,25 @@ class TestDecompose:
         dec = decompose(f, system, unresolved_tol=1.0)
         assert 0.0 < dec.truncated_energy < 1.0
 
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    def test_fraction_is_scale_invariant(self, homogeneous):
+        # squaring coefficients of samples near 1e160 used to overflow, so the
+        # check compared nan > tol, passed, and recorded a nan fraction
+        grid = GridSpec(dim=2, n=32)
+        system = build_band_system(grid)
+        noise = np.random.default_rng(31).standard_normal(grid.shape)
+        band = sample_family(FnSpec("random_band", band_index=2, seed=4), grid).data
+        for scale in (1.0, 1e160):
+            with pytest.raises(UnresolvedEnergy):
+                decompose(SampledField(grid, scale * noise), system, homogeneous)
+        fractions = [
+            decompose(SampledField(grid, scale * (band + 1e-3 * noise)), system, homogeneous,
+                      unresolved_tol=1e-3).truncated_energy
+            for scale in (1.0, 1e160)
+        ]
+        assert 0.0 < fractions[0] < 1e-3
+        assert fractions[1] == pytest.approx(fractions[0], rel=1e-12)
+
     def test_band_ordering_enforced(self, grid1d_big):
         system = build_band_system(grid1d_big)
         f = random_complex_field(grid1d_big)
@@ -241,5 +259,5 @@ class TestDecompose:
     def test_lowpass_projection_covers_dc(self, grid1d_big):
         system = build_band_system(grid1d_big)
         f = SampledField(grid1d_big, np.full(grid1d_big.shape, 2.5 + 0.0j))
-        low = lowpass_project(f, system)
+        low = decompose(f, system, homogeneous=False).lowpass
         assert np.max(np.abs(low.data - f.data)) <= 1e-12

@@ -3,13 +3,16 @@
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from lplab.cli import CSV_HEADER, load_field, main, save_field
 from lplab.errors import IoError
-from lplab.fields import GridSpec, SampledField
+from lplab.fields import GridSpec, SampledField, TestFunctionSpec, sample_family
 
 
 def run(tmp_path, *argv):
@@ -149,7 +152,13 @@ class TestExitCodes:
     def test_overflowing_aggregate_is_computation_error(self, tmp_path, capsys, cid, q):
         # finite samples near 1e160 used to give `value inf`, flag OK, exit 0
         path = tmp_path / "big.bin"
-        (1e160 * np.random.default_rng(8).standard_normal((32, 32))).tofile(path)
+        data = np.random.default_rng(8).standard_normal((32, 32))
+        if cid == "lp":
+            # white noise has energy outside the bands, which decompose
+            # rejects at any scale; a band field reaches the aggregate
+            band = TestFunctionSpec(family="random_band", band_index=2, seed=4)
+            data = sample_family(band, GridSpec(2, 32)).data.real
+        (1e160 * data).tofile(path)
         with np.errstate(over="ignore", invalid="ignore"):
             code, out = run(
                 tmp_path, "norm", "--characterization", cid, "--grid-dim", "2",
@@ -159,6 +168,36 @@ class TestExitCodes:
         assert not (out / "norm.csv").exists()
         with open(out / "error_summary.json", "r", encoding="utf-8") as fh:
             assert json.load(fh)["error"]["type"] == "NonFiniteSample"
+
+    @pytest.mark.parametrize("scale,n,argv", [
+        (1e160, 32, ("--characterization", "lp")),
+        (1e160, 32, ("--characterization", "diff")),
+        (1e160, 32, ("--characterization", "diff", "--q", "1")),
+        (1e160, 32, ("--characterization", "max:V")),
+        (1e160, 32, ("--characterization", "max:V", "--space", "B", "--p", "1", "--q", "2")),
+        (1e153, 32, ("--characterization", "diff", "--q", "1")),
+        (1e100, 32, ("--characterization", "diff", "--space", "B", "--q", "4")),
+        (1e160, 128, ("--characterization", "diff", "--q", "1")),
+    ], ids=["lp", "diff", "diff-q1", "max:V", "max:V-B-p1", "diff-q1-1e153", "diff-B-q4-1e100",
+            "diff-q1-n128"])
+    def test_overflow_prints_only_the_error_line(self, tmp_path, scale, n, argv):
+        # overflowing samples used to print numpy RuntimeWarnings, or raise a
+        # raw OverflowError from a float power or math.fsum, before or
+        # instead of the typed error
+        path = tmp_path / "big.bin"
+        (scale * np.random.default_rng(8).standard_normal((n, n))).tofile(path)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-m", "lplab.cli", "norm", *argv, "--grid-dim", "2",
+             "--grid-n", str(n), "--in", str(path), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("computation error: "), done.stderr
+        assert (tmp_path / "out" / "error_summary.json").exists()
 
 
 class TestEquivalenceCommand:

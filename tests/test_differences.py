@@ -11,7 +11,7 @@ from lplab.errors import InvalidExponent, MisalignedStep, ShapeMismatch
 from lplab.fields import GridSpec, SampledField, translate
 from lplab.maximal import annulus_nodes, unit_sphere_nodes
 
-from conftest import field_of_kind, random_complex_field
+from conftest import field_of_kind, full_grid_symbol, random_complex_field
 
 
 class TestCoefficients:
@@ -124,15 +124,6 @@ class TestAnalyticActions:
         f = SampledField(grid2d, np.full(grid2d.shape, 3.7))
         df = iterated_difference(f, (0.01, 0.02), 1)
         assert np.max(np.abs(df.data)) <= 1e-12
-
-
-def full_grid_symbol(grid, step, order):
-    """The step symbol as one full-grid complex exponential of k.h / B."""
-    phase = sum(
-        kk.astype(np.float64) * (h / grid.box)
-        for kk, h in zip(grid.frequency_lattice(), step)
-    )
-    return (np.exp(2j * np.pi * phase) - 1.0) ** order
 
 
 def full_grid_difference(field, step, order):
@@ -271,3 +262,55 @@ class TestRealInputEngine:
         want = full_grid_difference(f, step, 2)
         assert np.max(np.abs(engine.difference(step, 2).data - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.array_equal(engine.magnitude(step, 2), np.abs(engine.difference(step, 2).data))
+
+
+LONG_PI = np.arccos(np.longdouble(-1.0))
+QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])  # exp(2 pi i j / 4), exactly
+
+
+def long_double_mean_symbol(k, steps, weights, order, box):
+    """sum_m w_m (exp(i theta_m) - 1)^L, theta_m = 2 pi k.h_m / B, in long double."""
+    theta = 2 * LONG_PI * (np.asarray(steps, np.longdouble) * np.asarray(k, np.longdouble)).sum(axis=1)
+    terms = (np.exp(1j * (theta / np.longdouble(box))) - 1) ** order
+    return np.sum(np.asarray(weights, np.longdouble) * terms)
+
+
+class TestMeanSymbolAccuracy:
+    """Sphere and annulus means of one Fourier mode against long double.
+
+    The mode k with entries 0 or n/4 has samples exp(2 pi i k.x / B) in
+    {1, i, -1, -i}, or cosines in {1, 0, -1}, which the forward transforms
+    map to an exact delta.  So the mean field is exactly |S(k)| in the
+    complex layout and |Re(exp(2 pi i k.x / B) S(k))| in the real one, S the
+    mean symbol.  (At k = 1 the forward transform's roundoff, about 1e-16
+    of X(1) at every other frequency, enters times |S(k')| / |S(1)|, up to
+    (n/2)^(L+1), and would hide the symbol's own error.)  Expanding
+    (phi - 1)^L in powers of phi misses 1e-13 of |S| from spacing / 32 down,
+    and forming phi - 1 from the full phase misses it at spacing / 128.
+    """
+
+    GRIDS = [GridSpec(2, 32), GridSpec(3, 16), GridSpec(2, 128), GridSpec(3, 32)]
+
+    @pytest.mark.parametrize("direction", ["first", "last", "diagonal"])
+    @pytest.mark.parametrize("mean", ["sphere", "annulus"])
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.dim}d-n{g.n}")
+    def test_single_mode(self, grid, mean, direction):
+        axes = {"first": [0], "last": [grid.dim - 1], "diagonal": range(grid.dim)}[direction]
+        k = np.zeros(grid.dim)
+        k[list(axes)] = grid.n // 4
+        turns = sum(np.indices(grid.shape)[a] for a in axes) % 4
+        real = grid.num_points >= 8192
+        data = QUARTER_TURNS[turns].real if real else QUARTER_TURNS[turns]
+        engine = StepEngine(SampledField(grid, data))
+        assert engine.real == real
+        if mean == "sphere":
+            points = unit_sphere_nodes(grid.dim, 16)
+            weights = np.full(len(points), 1.0 / len(points))
+        else:
+            points, weights = annulus_nodes(grid.dim, 16)
+        for order in (1, 2, 3):
+            for t in (0.25, grid.spacing, grid.spacing / 32, grid.spacing / 128):
+                symbol = long_double_mean_symbol(k, t * points, weights, order, grid.box)
+                want = np.abs((QUARTER_TURNS[turns] * symbol).real if real else symbol)
+                got = engine.mean_magnitude(t * points, weights, order)
+                assert np.max(np.abs(got - want)) <= 1e-13 * abs(symbol), (order, t)

@@ -1,4 +1,4 @@
-"""Core field tests: transforms, norms, dilation, sampling, file format.
+"""Core field tests: transforms, norms, sampling, file format.
 
 The transform oracle is a literal O(N^2) DFT sum written against the
 integral convention, independent of numpy's FFT plumbing.
@@ -11,10 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lplab.errors import (
-    AliasingError,
     InvalidExponent,
     IoError,
-    NonDivisibleSpectrum,
     NonFiniteSample,
     ShapeMismatch,
     UnresolvableSpec,
@@ -25,7 +23,6 @@ from lplab.fields import (
     SpectralField,
     TestFunctionSpec as FnSpec,
     derivative,
-    dyadic_dilate,
     lp_norm,
     read_field,
     resolvable_band_range,
@@ -201,45 +198,6 @@ class TestTranslateDilate:
         shifted = translate(f, (7 * grid1d.spacing,))
         rolled = np.roll(f.data, -7)
         assert np.max(np.abs(shifted.data - rolled)) <= 1e-10 * np.max(np.abs(f.data))
-
-    def test_dilate_pure_mode(self):
-        grid = GridSpec(dim=1, n=64)
-        x = grid.axis_coordinates()
-        f = SampledField(grid, np.exp(2j * np.pi * 3 * x))
-        g = dyadic_dilate(f, 1)
-        coeffs = to_spectral(g).coeffs
-        k = grid.frequency_integers()
-        assert coeffs[k == 6][0] == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(coeffs[k != 6])) <= 1e-12
-
-    def test_dilate_is_sample_dilation(self):
-        grid = GridSpec(dim=1, n=128)
-        x = grid.axis_coordinates()
-        f = SampledField(grid, np.cos(2 * np.pi * 5 * x) + 0.3 * np.sin(2 * np.pi * 9 * x))
-        g = dyadic_dilate(f, 1)
-        want = np.cos(2 * np.pi * 5 * (2 * x)) + 0.3 * np.sin(2 * np.pi * 9 * (2 * x))
-        assert np.max(np.abs(g.data - want)) <= 1e-10
-
-    def test_contract_requires_divisible(self):
-        grid = GridSpec(dim=1, n=64)
-        x = grid.axis_coordinates()
-        f = SampledField(grid, np.exp(2j * np.pi * 3 * x))
-        with pytest.raises(NonDivisibleSpectrum):
-            dyadic_dilate(f, -1)
-
-    def test_expand_raises_aliasing(self):
-        grid = GridSpec(dim=1, n=64)
-        x = grid.axis_coordinates()
-        f = SampledField(grid, np.exp(2j * np.pi * 20 * x))
-        with pytest.raises(AliasingError):
-            dyadic_dilate(f, 1)
-
-    def test_dilate_roundtrip_exact(self):
-        # expand then contract recovers the field at transform roundoff
-        grid = GridSpec(dim=1, n=256)
-        f = sample_family(FnSpec("random_band", band_index=4, seed=3), grid)
-        back = dyadic_dilate(dyadic_dilate(f, 1), -1)
-        assert np.max(np.abs(back.data - f.data)) <= 1e-14 * np.max(np.abs(f.data))
 
     def test_derivative_pure_mode(self):
         grid = GridSpec(dim=1, n=64)

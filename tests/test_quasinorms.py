@@ -54,8 +54,10 @@ from lplab.quasinorms import (
     thresholds,
     axis_quasinorm,
 )
+from lplab.cli import main
+from lplab.verify import default_corpus
 
-from conftest import field_of_kind, random_complex_field
+from conftest import FullGridMeans, field_of_kind, random_complex_field
 
 
 def gaussian(grid: GridSpec, width_frac: float = 1 / 16) -> SampledField:
@@ -536,6 +538,39 @@ class TestStepEngineSweep:
         maximal_quasinorm_set(f, params, MAXIMAL_VARIANTS, make(grid))
         assert [e.forward_ffts for e in recorded_engines] == [1]
 
+    def test_benchmark_maximal_work_counts(self, tmp_path, recorded_engines, inverse_ffts):
+        # the `maximal` calls of the benchmark's maximal-2d workload, with the
+        # CLI defaults: S,V at 2-D n=64 (3 bands of a 32-node sphere and a
+        # 256-node annulus mean) and all five variants at n=32; every mean
+        # and every D_SUP step pays one complex inverse transform
+        inverse = []
+        for n, variants in ((64, "S,V"), (32, "S,V,S_SUP,V_SUP,D_SUP")):
+            path = tmp_path / f"plane{n}.bin"
+            gaussian(GridSpec(2, n), 1 / 8).data.real.tofile(path)
+            inverse_ffts.clear()
+            assert main(["maximal", "--variants", variants, "--grid-dim", "2", "--grid-n",
+                         str(n), "--in", str(path), "--out", str(tmp_path / f"out{n}")]) == 0
+            inverse.append(dict(inverse_ffts))
+        assert [(e.forward_ffts, e.steps) for e in recorded_engines] == [(1, 864), (1, 29184)]
+        assert not any(e.real for e in recorded_engines)
+        assert inverse == [{"ifftn": 6}, {"ifftn": 1728}]
+
+    def test_variants_match_full_grid_means(self, monkeypatch):
+        # the low-rank mean symbols against one full-grid symbol per node, on
+        # the 2-D n=32 corpus; D_SUP shares only the engine
+        params = SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5)
+        grid = GridSpec(2, 32)
+        quad = default_quadrature(grid, sphere_nodes=8, tau_nodes_per_octave=2, tau_octaves=2)
+        for spec in default_corpus(grid):
+            f = sample_family(spec, grid)
+            got = maximal_quasinorm_set(f, params, MAXIMAL_VARIANTS, quad)
+            with monkeypatch.context() as patch:
+                patch.setattr(quasinorms, "StepEngine", FullGridMeans)
+                want = maximal_quasinorm_set(f, params, MAXIMAL_VARIANTS, quad)
+            for variant in MAXIMAL_VARIANTS:
+                assert got[variant].value == pytest.approx(want[variant].value, rel=1e-12)
+                assert got[variant].flag == want[variant].flag
+
 
 class TestEnergyPath:
     """Per-step L^2 norms from the power spectrum against the magnitude path."""
@@ -603,6 +638,11 @@ class TestOverflow:
     def test_huge_samples_raise(self, cid, q):
         grid = GridSpec(2, 32)
         data = 1e160 * np.random.default_rng(54).standard_normal(grid.shape)
+        if cid == "lp":
+            # white noise has energy outside the bands, which decompose
+            # rejects at any scale; a band field reaches the aggregate
+            band = TestFunctionSpec(family="random_band", band_index=2, seed=4)
+            data = 1e160 * sample_family(band, grid).data.real
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteSample):
                 quasinorm(SampledField(grid, data), cid, SpaceParams(s=0.5, p=2, q=q))
