@@ -82,9 +82,10 @@ def _dump_json(obj) -> str:
 
 
 def load_field(path: str, grid: GridSpec) -> SampledField:
-    if not os.path.exists(path):
-        raise IoError(f"input field file not found: {path}")
-    raw = np.fromfile(path, dtype=np.float64)
+    try:
+        raw = np.fromfile(path, dtype=np.float64)
+    except OSError as exc:
+        raise IoError(f"cannot read field file {path}: {exc}") from exc
     n = grid.num_points
     if raw.size == 2 * n:
         data = raw.view(np.complex128).reshape(grid.shape)
@@ -99,7 +100,17 @@ def load_field(path: str, grid: GridSpec) -> SampledField:
 
 
 def save_field(path: str, field: SampledField) -> None:
-    field.data.astype(np.complex128).view(np.float64).tofile(path)
+    try:
+        field.data.astype(np.complex128).view(np.float64).tofile(path)
+    except OSError as exc:
+        raise IoError(f"cannot write field file {path}: {exc}") from exc
+
+
+def _make_dirs(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create directory {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -275,23 +286,33 @@ def _build_corpus(opts: dict, grid: GridSpec) -> tuple[TestFunctionSpec, ...]:
         raise ConfigParseError(f"invalid corpus entry: {exc}") from exc
 
 
-def _input_field(opts: dict, grid: GridSpec) -> SampledField:
-    """The field named by --in, else the named corpus member."""
-    path = opts.get("in_path")
-    if path:
-        return load_field(path, grid)
-    wanted = opts.get("function") or "band_mid"
+def _nonblank(value: str) -> bool:
+    return value.strip() != ""
+
+
+def _in_path(opts: dict) -> str | None:
+    """The --in file path, or None when it is unset; a blank one is an error."""
+    return _option(opts, "in_path", None, str, "a field file path", _nonblank)
+
+
+def _input_field(opts: dict, grid: GridSpec) -> tuple[str, SampledField]:
+    """The field named by --in, else the named corpus member (band_mid when
+    unnamed), with the function id of its rows."""
+    path = _in_path(opts)
+    if path is not None:
+        return os.path.basename(path), load_field(path, grid)
+    label = _option(opts, "function", None, str, "a corpus member label", _nonblank)
+    wanted = label or "band_mid"
     for spec in _build_corpus(opts, grid):
         if spec.function_id() == wanted:
-            return sample_family(spec, grid)
+            return label or "field", sample_family(spec, grid)
     raise ConfigParseError(
         f"no --in file and no corpus member labeled {wanted!r}"
     )
 
 
 def _characterization(opts: dict) -> str:
-    cid = _option(opts, "characterization", "lp", str, "a characterization id",
-                  lambda value: value.strip() != "")
+    cid = _option(opts, "characterization", "lp", str, "a characterization id", _nonblank)
     return _CHARACTERIZATION_ALIASES.get(cid, cid)
 
 
@@ -326,15 +347,18 @@ class _Artifacts:
         )
 
     def write(self) -> None:
-        os.makedirs(self.out_dir, exist_ok=True)
+        _make_dirs(self.out_dir)
         csv_path = os.path.join(self.out_dir, f"{self.name}.csv")
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for row in self.rows:
-                fh.write(row + "\n")
         json_path = os.path.join(self.out_dir, f"{self.name}_summary.json")
-        with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_dump_json(self.summary))
+        try:
+            with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(CSV_HEADER + "\n")
+                for row in self.rows:
+                    fh.write(row + "\n")
+            with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(_dump_json(self.summary))
+        except OSError as exc:
+            raise IoError(f"cannot write artifacts to {self.out_dir}: {exc}") from exc
 
 
 def _result_payload(result: QuasinormResult) -> dict:
@@ -368,11 +392,10 @@ def _worst_flag(*flags: str) -> str:
 def _cmd_bands(opts: dict) -> int:
     grid = _build_grid(opts)
     space = _build_space(opts)
-    field = _input_field(opts, grid)
+    fid, field = _input_field(opts, grid)
     art = _Artifacts(opts, "bands")
     system = build_band_system(grid)
     decomp = decompose(field, system, homogeneous=space.homogeneous)
-    fid = os.path.basename(opts.get("in_path") or opts.get("function") or "field")
     for j, part in decomp.bands:
         art.add_row(fid, f"band:{j}", space, lp_norm(part, 2.0), "OK")
     if decomp.lowpass is not None:
@@ -393,12 +416,11 @@ def _norm_like(opts: dict, name: str, cid: str) -> int:
     grid = _build_grid(opts)
     space = _build_space(opts)
     quad = _build_quad(opts, grid)
-    field = _input_field(opts, grid)
+    fid, field = _input_field(opts, grid)
     result = quasinorm(field, cid, space, quad)
     payload = _result_payload(result)
     print(_dump_json(payload), end="")
     art = _Artifacts(opts, name)
-    fid = os.path.basename(opts.get("in_path") or opts.get("function") or "field")
     art.add_row(fid, cid, space, result.value, result.flag)
     art.summary.update(payload)
     art.summary["params"] = _params_payload(space)
@@ -418,14 +440,13 @@ def _cmd_maximal(opts: dict) -> int:
     grid = _build_grid(opts)
     space = _build_space(opts)
     quad = _build_quad(opts, grid)
-    field = _input_field(opts, grid)
+    fid, field = _input_field(opts, grid)
     variants = tuple(_names(opts, "variants", "S,V"))
     unknown = set(variants) - set(MAXIMAL_VARIANTS)
     if unknown:
         raise ConfigParseError(f"unknown maximal variants: {sorted(unknown)}")
     results = maximal_quasinorm_set(field, space, variants, quad or default_quadrature(grid))
     art = _Artifacts(opts, "maximal")
-    fid = os.path.basename(opts.get("in_path") or opts.get("function") or "field")
     for variant in variants:
         res = results[variant]
         art.add_row(fid, f"max:{variant}", space, res.value, res.flag)
@@ -441,7 +462,7 @@ def _cmd_corpus(opts: dict) -> int:
     grid = _build_grid(opts)
     space = _build_space(opts)
     art = _Artifacts(opts, "corpus")
-    os.makedirs(art.out_dir, exist_ok=True)
+    _make_dirs(art.out_dir)
     manifest = []
     for spec in _build_corpus(opts, grid):
         field = sample_family(spec, grid)
@@ -458,26 +479,28 @@ def _cmd_corpus(opts: dict) -> int:
     return 0
 
 
-def _parse_floats(raw, fallback: tuple[float, ...]) -> tuple[float, ...]:
-    if raw is None:
-        return fallback
+def _floats(raw) -> tuple[float, ...]:
+    """A comma list or a JSON list of numbers as floats, else ValueError or TypeError."""
     if isinstance(raw, str):
-        parts = [piece for piece in raw.split(",") if piece.strip()]
-    else:
-        parts = list(raw)
-    return tuple(float(v) for v in parts)
+        raw = [piece for piece in raw.split(",") if piece.strip()]
+    return tuple(float(v) for v in raw)
+
+
+def _integers(raw) -> tuple[int, ...]:
+    """A comma list or a JSON list of integers, else ValueError or TypeError."""
+    return tuple(_integer(v) for v in _floats(raw))
 
 
 def _cmd_verify_scaling(opts: dict) -> int:
     grid = _build_grid(opts)
     space = _build_space(opts)
     quad = _build_quad(opts, grid)
-    field = _input_field(opts, grid)
+    fid, field = _input_field(opts, grid)
     cid = _characterization(opts)
-    m_values = [int(v) for v in _parse_floats(opts.get("m_values"), (-1, 0, 1))]
+    m_values = _option(opts, "m_values", (-1, 0, 1), _integers,
+                       "a nonempty list of integers", bool)
     rep = scaling_experiment(field, cid, space, m_values, quad)
     art = _Artifacts(opts, "verify_scaling")
-    fid = os.path.basename(opts.get("in_path") or opts.get("function") or "field")
     for m, ratio in zip(rep.m_values, rep.ratios):
         art.add_row(fid, f"{cid}@m={m}", space, ratio, "OK")
     art.summary.update(
@@ -546,13 +569,12 @@ def _cmd_verify_equivalence(opts: dict) -> int:
 def _cmd_verify_ppn(opts: dict) -> int:
     grid = _build_grid(opts)
     space = _build_space(opts)
-    t_list = _parse_floats(opts.get("t_list"), (8.0, 16.0, 32.0))
+    t_list = _option(opts, "t_list", (8.0, 16.0, 32.0), _floats,
+                     "a nonempty list of numbers", bool)
     raw_alpha = opts.get("alpha", 1)
-    alpha = (
-        tuple(int(v) for v in raw_alpha)
-        if isinstance(raw_alpha, (list, tuple))
-        else int(raw_alpha)
-    )
+    alpha = _option(opts, "alpha", 1,
+                    lambda raw: _integers(raw) if isinstance(raw, list) else _integer(raw),
+                    "an integer or a list of integers")
     u = band_limited_profile(grid, t_list[0])
     rep = ppn_probe(u, alpha, space.p, space.q, t_list)
     art = _Artifacts(opts, "verify_ppn")
@@ -578,7 +600,8 @@ def _cmd_verify_kernel_decay(opts: dict) -> int:
     order = _option(opts, "order", space.L, _integer, "an integer >= 1", lambda v: v >= 1)
     target = _option(opts, "target_exponent", 4, _integer, "an integer >= 1",
                      lambda v: v >= 1)
-    tau_list = _parse_floats(opts.get("tau_list"), (1.0, 1.5, 2.0))
+    tau_list = _option(opts, "tau_list", (1.0, 1.5, 2.0), _floats,
+                       "a nonempty list of numbers", bool)
     directions = _option(opts, "directions", 8, _integer, "an integer >= 1",
                          lambda v: v >= 1)
     if grid.dim < 2:
@@ -623,11 +646,10 @@ def _cmd_verify_divergence(opts: dict) -> int:
     grid = _build_grid(opts)
     space = _build_space(opts)
     quad = _build_quad(opts, grid)
-    field = _input_field(opts, grid)
+    fid, field = _input_field(opts, grid)
     levels = _option(opts, "levels", 4, _integer, "an integer >= 1", lambda v: v >= 1)
     rep = divergence_probe(field, space, refinement_levels=levels, quad=quad)
     art = _Artifacts(opts, "verify_divergence")
-    fid = os.path.basename(opts.get("in_path") or opts.get("function") or "field")
     for level, value in enumerate(rep.values):
         art.add_row(fid, f"diff@level={level}", space, value, "OK")
     art.summary.update(
@@ -650,8 +672,8 @@ def _cmd_verify_slice_support(opts: dict) -> int:
                 lambda v: system.j_min <= v <= system.j_max)
     axis = _option(opts, "axis", 1, _integer, f"an axis in 1..{grid.dim}",
                    lambda v: 1 <= v <= grid.dim)
-    path = opts.get("in_path")
-    if path:
+    path = _in_path(opts)
+    if path is not None:
         field = load_field(path, grid)
     else:
         raw = sample_family(

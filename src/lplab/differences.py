@@ -280,10 +280,8 @@ class StepEngine:
             jump = self._plane_jump(factors, None, order) if self.real else None
         else:
             symbol, jump = self._mean_symbol(steps, np.asarray(weights, dtype=np.float64), order)
-        spectrum = self._coeffs * symbol
         if self.real:
-            twisted = self._nyquist_planes(spectrum, jump)
-            real_part = np.fft.irfftn(spectrum)
+            real_part, twisted = self._real_samples(symbol, jump)
             if not modulus:
                 checker = (-1.0) ** np.indices(grid.shape).sum(axis=0)
                 return real_part + 1j * (checker * twisted)
@@ -291,13 +289,25 @@ class StepEngine:
             mag += np.multiply(twisted, twisted, out=twisted)
             np.sqrt(mag, out=mag)
         else:
-            samples = np.fft.ifftn(spectrum)
+            samples = np.fft.ifftn(self._coeffs * symbol)
             if not modulus:
                 return samples
             mag = np.abs(samples)
         if not np.isfinite(mag).all():
-            raise NonFiniteSample("difference samples contain NaN or infinity")
+            if self.real:
+                # the squares may overflow where the modulus does not; the
+                # slower hypot of recomputed parts does not
+                mag = np.hypot(*self._real_samples(symbol, jump))
+            if not np.isfinite(mag).all():
+                raise NonFiniteSample("difference samples contain NaN or infinity")
         return mag
+
+    def _real_samples(self, symbol, jump) -> tuple[np.ndarray, np.ndarray]:
+        """The real part of the samples of X S in the real layout, and their
+        imaginary part times (-1)^(x_1 + ... + x_d)."""
+        spectrum = self._coeffs * symbol
+        twisted = self._nyquist_planes(spectrum, jump)
+        return np.fft.irfftn(spectrum), twisted
 
     def _mean_symbol(self, steps: np.ndarray, weights: np.ndarray, order: int):
         """sum_m w_m S_m on the stored spectrum, and in the real layout its

@@ -14,7 +14,6 @@ the matching 1/B^dim normalization on the spectral side.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ import numpy as np
 
 from .errors import (
     InvalidExponent,
-    IoError,
     NonFiniteSample,
     ShapeMismatch,
     UnresolvableSpec,
@@ -136,9 +134,6 @@ class SampledField:
     def is_real(self, tol: float = 1e-12) -> bool:
         scale = float(np.max(np.abs(self.data))) or 1.0
         return float(np.max(np.abs(self.data.imag))) <= tol * scale
-
-    def real_part(self) -> "SampledField":
-        return SampledField(self.grid, self.data.real.astype(COMPLEX))
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,50 +400,3 @@ def sample_family(spec: TestFunctionSpec, grid: GridSpec) -> SampledField:
         raise UnresolvableSpec("no weierstrass term resolvable on this grid")
     return SampledField(grid, out.astype(COMPLEX))
 
-
-# ---------------------------------------------------------------------------
-# Field file format: one JSON header line, then little-endian float64
-# (re, im) pairs in lexicographic (C) index order.
-
-
-def write_field(path: str, field: SampledField) -> None:
-    header = json.dumps(
-        {"dim": field.grid.dim, "N": field.grid.n, "B": field.grid.box},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    flat = np.ravel(field.data, order="C")
-    inter = np.empty(2 * flat.size, dtype="<f8")
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header.encode("ascii") + b"\n")
-            fh.write(inter.tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write field file {path}: {exc}") from exc
-
-
-def read_field(path: str) -> SampledField:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read field file {path}: {exc}") from exc
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise IoError(f"field file {path} has no header line")
-    try:
-        header = json.loads(raw[:newline].decode("ascii"))
-        grid = GridSpec(dim=int(header["dim"]), n=int(header["N"]), box=float(header["B"]))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise IoError(f"field file {path} has a malformed header: {exc}") from exc
-    body = raw[newline + 1 :]
-    expected = 2 * grid.num_points * 8
-    if len(body) != expected:
-        raise IoError(
-            f"field file {path} body has {len(body)} bytes, expected {expected}"
-        )
-    inter = np.frombuffer(body, dtype="<f8")
-    data = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape, order="C")
-    return SampledField(grid, data)

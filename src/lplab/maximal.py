@@ -177,7 +177,7 @@ def annulus_nodes(
     if radial_count < 2:
         raise QuadratureTooCoarse(f"need at least 2 annulus radii, got {radial_count}")
     sphere = unit_sphere_nodes(dim, sphere_count)
-    radii = 2.0 ** ((np.arange(radial_count) + 0.5) / radial_count)
+    radii = annulus_radii(radial_count)
     radial_w = radii**dim  # volume density against d(log rho)
     points = (radii[:, None, None] * sphere[None, :, :]).reshape(-1, dim)
     weights = np.repeat(radial_w, sphere.shape[0])

@@ -16,6 +16,7 @@ reported value materially understates the untruncated aggregate).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -351,7 +352,7 @@ class QuasinormResult:
     per_scale: tuple[tuple[int, float], ...]
     truncation_report: dict
     params_echo: SpaceParams
-    flag: str = "OK"
+    flag: str
 
 
 def _shares(value: float, masses: dict[int, float], q: float) -> tuple[tuple[int, float], ...]:
@@ -424,6 +425,13 @@ def _flag_for(report: dict) -> str:
     if total > 0.0 and tails > TAIL_WARN_FRACTION * total:
         return "TRUNCATION-WARN"
     return "OK"
+
+
+def _result(value: float, masses: dict[int, float], params: SpaceParams,
+            report: dict) -> QuasinormResult:
+    """The result of one aggregate: its shares and the flag of its report."""
+    return QuasinormResult(value, _shares(value, masses, params.q), report, params,
+                           _flag_for(report))
 
 
 @np.errstate(over="ignore")  # finish raises NonFiniteSample
@@ -536,29 +544,14 @@ def lp_band_quasinorm(decomp: BandDecomposition, params: SpaceParams) -> Quasino
     if not decomp.homogeneous and decomp.lowpass is not None:
         value += lp_norm(decomp.lowpass, params.p)
         _check_finite(value)
-    report = {"low_tail": 0.0, "high_tail": 0.0,
-              "mass_total": (max(masses.values()) if params.q == math.inf
-                             else sum(masses.values())) if masses else 0.0}
-    return QuasinormResult(
-        value=value,
-        per_scale=_shares(value, masses, params.q),
-        truncation_report=report,
-        params_echo=params,
-        flag="OK",
-    )
+    report = {**_tail_report(masses, params.q), "low_tail": 0.0, "high_tail": 0.0}
+    return _result(value, masses, params, report)
 
 
 def _refined(quad: QuadratureSpec) -> QuadratureSpec:
     """The same quadrature extended four octaves below h_min."""
-    return QuadratureSpec(
-        h_min=quad.h_min / 2.0**REFINEMENT_OCTAVES,
-        h_max=quad.h_max,
-        radial_nodes_per_octave=quad.radial_nodes_per_octave,
-        sphere_nodes=quad.sphere_nodes,
-        t_nodes_per_octave=quad.t_nodes_per_octave,
-        tau_nodes_per_octave=quad.tau_nodes_per_octave,
-        tau_octaves=quad.tau_octaves,
-        allow_subgrid=True,
+    return dataclasses.replace(
+        quad, h_min=quad.h_min / 2.0**REFINEMENT_OCTAVES, allow_subgrid=True
     )
 
 
@@ -668,13 +661,7 @@ def _step_quasinorm(
     )
     report = _tail_report(masses, params.q)
     report["refinement_growth"] = refined_value / value if value > 0.0 else 1.0
-    return QuasinormResult(
-        value=value,
-        per_scale=_shares(value, masses, params.q),
-        truncation_report=report,
-        params_echo=params,
-        flag=_flag_for(report),
-    )
+    return _result(value, masses, params, report)
 
 
 def _engine_steps(field: SampledField, order: int):
@@ -877,25 +864,8 @@ def maximal_quasinorm_set(
                         np.maximum(x_k, point_fields[(m, ridx)], out=x_k)
             agg.add(k, 2.0 ** (k * params.s) * x_k)
         value, masses = agg.finish()
-        report = _tail_report(masses, params.q)
-        results[variant] = QuasinormResult(
-            value=value,
-            per_scale=_shares(value, masses, params.q),
-            truncation_report=report,
-            params_echo=params,
-            flag=_flag_for(report),
-        )
+        results[variant] = _result(value, masses, params, _tail_report(masses, params.q))
     return results
-
-
-def maximal_quasinorm(
-    field: SampledField,
-    params: SpaceParams,
-    variant: str,
-    quad: QuadratureSpec,
-) -> QuasinormResult:
-    """One variant of :func:`maximal_quasinorm_set`."""
-    return maximal_quasinorm_set(field, params, (variant,), quad)[variant]
 
 
 def quasinorm(
@@ -943,13 +913,8 @@ def quasinorm(
         report["refinement_growth"] = max(
             res.truncation_report["refinement_growth"] for res in results
         )
-        return QuasinormResult(
-            value=value,
-            per_scale=_shares(value, masses, params.q),
-            truncation_report=report,
-            params_echo=params,
-            flag=_flag_for(report),
-        )
+        return _result(value, masses, params, report)
     if characterization.startswith("max:"):
-        return maximal_quasinorm(field, params, characterization[4:], quad)
+        variant = characterization[4:]
+        return maximal_quasinorm_set(field, params, (variant,), quad)[variant]
     raise ConfigParseError(f"unknown characterization {characterization!r}")

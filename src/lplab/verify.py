@@ -15,6 +15,7 @@ the measure factor.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -50,27 +51,6 @@ from .quasinorms import (
     quasinorm,
 )
 
-__all__ = [
-    "ScalingReport",
-    "FunctionRatio",
-    "EquivalenceReport",
-    "DerivativeRatioReport",
-    "KernelDecayReport",
-    "DivergenceReport",
-    "SliceSupportReport",
-    "rescaled_dilate",
-    "scaled_quadrature",
-    "default_corpus",
-    "scaling_experiment",
-    "equivalence_experiment",
-    "band_limited_profile",
-    "ppn_probe",
-    "directional_window",
-    "kernel_decay_probe",
-    "divergence_probe",
-    "slice_support_check",
-]
-
 
 # ---------------------------------------------------------------------------
 # dilation plumbing
@@ -91,16 +71,7 @@ def rescaled_dilate(field: SampledField, m: int) -> SampledField:
 
 def scaled_quadrature(quad: QuadratureSpec, m: int) -> QuadratureSpec:
     """The step window moved with a box scaled by 2^(-m); counts unchanged."""
-    return QuadratureSpec(
-        h_min=quad.h_min * 2.0**-m,
-        h_max=quad.h_max * 2.0**-m,
-        radial_nodes_per_octave=quad.radial_nodes_per_octave,
-        sphere_nodes=quad.sphere_nodes,
-        t_nodes_per_octave=quad.t_nodes_per_octave,
-        tau_nodes_per_octave=quad.tau_nodes_per_octave,
-        tau_octaves=quad.tau_octaves,
-        allow_subgrid=quad.allow_subgrid,
-    )
+    return dataclasses.replace(quad, h_min=quad.h_min * 2.0**-m, h_max=quad.h_max * 2.0**-m)
 
 
 # ---------------------------------------------------------------------------
@@ -644,16 +615,7 @@ def divergence_probe(
     grid = field.grid
     base = quad if quad is not None else default_quadrature(grid)
     levels = [
-        QuadratureSpec(
-            h_min=base.h_min / 2.0**level,
-            h_max=base.h_max,
-            radial_nodes_per_octave=base.radial_nodes_per_octave,
-            sphere_nodes=base.sphere_nodes,
-            t_nodes_per_octave=base.t_nodes_per_octave,
-            tau_nodes_per_octave=base.tau_nodes_per_octave,
-            tau_octaves=base.tau_octaves,
-            allow_subgrid=True,
-        )
+        dataclasses.replace(base, h_min=base.h_min / 2.0**level, allow_subgrid=True)
         for level in range(refinement_levels + 1)
     ]
     values = difference_values(field, params, levels)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,21 @@ def field_of_kind(grid: GridSpec, kind: str) -> SampledField:
     if kind == "modulated":
         data = data * np.exp(2j * np.pi * 5 * x[0] / grid.box)
     return SampledField(grid, data)
+
+
+def unusual_quadrature(allow_subgrid: bool = True) -> quasinorms.QuadratureSpec:
+    """A quadrature whose fields all differ from the defaults, except
+    allow_subgrid when it is False."""
+    return quasinorms.QuadratureSpec(
+        h_min=1 / 96, h_max=0.2, radial_nodes_per_octave=3, sphere_nodes=12,
+        t_nodes_per_octave=5, tau_nodes_per_octave=7, tau_octaves=2,
+        allow_subgrid=allow_subgrid,
+    )
+
+
+def assert_replaced(before, after, **changes) -> None:
+    """after is the dataclass before with exactly the given fields changed."""
+    assert dataclasses.asdict(after) == {**dataclasses.asdict(before), **changes}
 
 
 def full_grid_symbol(grid: GridSpec, step, order: int) -> np.ndarray:

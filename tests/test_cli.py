@@ -27,6 +27,13 @@ def read_summary(out_dir, name):
         return json.load(fh)
 
 
+def assert_one_config_error(code, capsys):
+    """Exit 2 with a single `configuration error:` line on stderr."""
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error: "), lines
+
+
 def read_rows(out_dir, name):
     with open(out_dir / f"{name}.csv", "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -61,6 +68,22 @@ class TestFieldFiles:
     def test_missing_file_rejected(self, tmp_path, grid1d):
         with pytest.raises(IoError):
             load_field(str(tmp_path / "absent.bin"), grid1d)
+
+
+class TestFileErrors:
+    """Unreadable inputs and unwritable outputs are configuration errors."""
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "norm", "--grid-dim", "1", "--grid-n", "256",
+                      "--in", str(tmp_path))
+        assert_one_config_error(code, capsys)
+
+    def test_output_below_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["bands", "--grid-dim", "1", "--grid-n", "256", "--function", "gauss_mid",
+                     "--out", str(blocker / "x")])
+        assert_one_config_error(code, capsys)
 
 
 class TestNormCommand:
@@ -357,9 +380,9 @@ class TestMaximalCommand:
 
 
 class TestNameLists:
-    """variants, pair, theorem and characterization from a config: JSON
-    lists are read as lists, and empty values are rejected instead of
-    replaced by a default."""
+    """Names and lists from a config: JSON lists are read as lists, and
+    empty or non-numeric values are rejected with exit 2 instead of
+    replaced by a default or raised as a traceback."""
 
     @pytest.mark.parametrize(
         "argv, config",
@@ -379,6 +402,26 @@ class TestNameLists:
         code, out = run(tmp_path, *argv, "--function", "gauss_mid", "--config", str(cfg))
         assert code == 2
         assert next(iter(config)) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (("verify", "ppn", "--grid-dim", "1", "--grid-n", "256"), {"t_list": "a,b"}),
+            (("verify", "ppn", "--grid-dim", "1", "--grid-n", "256"), {"alpha": "x"}),
+            (("verify", "scaling", "--grid-dim", "1", "--grid-n", "256"), {"m_values": [1, "z"]}),
+            (("verify", "kernel-decay", "--grid-dim", "2", "--grid-n", "32"),
+             {"tau_list": "a,b"}),
+            (("norm", "--grid-dim", "1", "--grid-n", "64"), {"function": ""}),
+            (("norm", "--grid-dim", "1", "--grid-n", "64"), {"io": {"input": ""}}),
+        ],
+        ids=["t_list", "alpha", "m_values", "tau_list", "empty-function", "empty-input"],
+    )
+    def test_bad_value_rejected(self, tmp_path, capsys, argv, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out = run(tmp_path, *argv, "--config", str(cfg))
+        assert_one_config_error(code, capsys)
         assert not out.exists()
 
     def test_variants_json_list_accepted(self, tmp_path):

@@ -1,5 +1,8 @@
-"""Smoke test: every demo script runs to completion in a fresh interpreter."""
+"""Smoke test: every demo script runs to completion in a fresh interpreter,
+and the package namespace exports exactly what the demos import."""
 
+import ast
+import inspect
 import os
 import pathlib
 import subprocess
@@ -26,3 +29,16 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.strip()
+
+
+def test_exports_are_the_demo_imports():
+    import lplab
+
+    imported = set()
+    for demo in DEMOS:
+        for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "lplab":
+                imported.update(alias.name for alias in node.names)
+    exported = {name for name, value in vars(lplab).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported - {"LplabError"} == imported

@@ -248,6 +248,18 @@ class TestRealInputEngine:
                 tol = 1e-13 * np.max(np.abs(want)) + rounding_floor(f)
                 assert np.max(np.abs(got - np.abs(want))) <= tol
 
+    def test_modulus_of_huge_samples_is_finite(self):
+        # Re^2 + Im^2 overflows at 1e155 samples; the modulus itself does not
+        grid = self.GRIDS[2]
+        data = 1e155 * np.random.default_rng(61).standard_normal(grid.shape)
+        real = StepEngine(SampledField(grid, data))
+        full = StepEngine(SampledField(grid, data + 1e-300j))
+        assert real.real and not full.real
+        got = real.magnitude((0.01, 0.02), 1)
+        want = full.magnitude((0.01, 0.02), 1)
+        assert np.isfinite(got).all()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
     def test_layout_choice(self):
         # one nonzero imaginary sample, or fewer than 8192 samples, keeps
         # the complex layout

@@ -1,4 +1,4 @@
-"""Core field tests: transforms, norms, sampling, file format.
+"""Core field tests: transforms, norms, sampling.
 
 The transform oracle is a literal O(N^2) DFT sum written against the
 integral convention, independent of numpy's FFT plumbing.
@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from lplab.errors import (
     InvalidExponent,
-    IoError,
     NonFiniteSample,
     ShapeMismatch,
     UnresolvableSpec,
@@ -24,7 +23,6 @@ from lplab.fields import (
     TestFunctionSpec as FnSpec,
     derivative,
     lp_norm,
-    read_field,
     resolvable_band_range,
     sample_family,
     sample_energy,
@@ -32,7 +30,6 @@ from lplab.fields import (
     to_sampled,
     to_spectral,
     translate,
-    write_field,
 )
 
 from conftest import random_complex_field
@@ -283,41 +280,3 @@ class TestFamilies:
         ids = [s.function_id() for s in specs]
         assert len(set(ids)) == len(ids)
 
-
-class TestFieldFiles:
-    def test_roundtrip(self, tmp_path, grid2d):
-        f = random_complex_field(grid2d, seed=6)
-        path = tmp_path / "field.bin"
-        write_field(str(path), f)
-        back = read_field(str(path))
-        assert back.grid == grid2d
-        assert np.array_equal(back.data, f.data)
-
-    def test_write_is_deterministic(self, tmp_path, grid1d):
-        f = random_complex_field(grid1d, seed=7)
-        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        write_field(str(p1), f)
-        write_field(str(p2), f)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_header_layout(self, tmp_path, grid1d):
-        f = random_complex_field(grid1d, seed=8)
-        path = tmp_path / "field.bin"
-        write_field(str(path), f)
-        raw = path.read_bytes()
-        header, body = raw.split(b"\n", 1)
-        assert header == b'{"B":1.0,"N":256,"dim":1}'
-        assert len(body) == 2 * 256 * 8
-
-    def test_truncated_body_rejected(self, tmp_path, grid1d):
-        f = random_complex_field(grid1d, seed=9)
-        path = tmp_path / "field.bin"
-        write_field(str(path), f)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(IoError, match="bytes"):
-            read_field(str(path))
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(IoError):
-            read_field(str(tmp_path / "nope.bin"))

@@ -45,7 +45,6 @@ from lplab.quasinorms import (
     gagliardo_seminorm,
     hypothesis_window,
     lp_band_quasinorm,
-    maximal_quasinorm,
     maximal_quasinorm_set,
     quasinorm,
     radial_ladder,
@@ -57,7 +56,13 @@ from lplab.quasinorms import (
 from lplab.cli import main
 from lplab.verify import default_corpus
 
-from conftest import FullGridMeans, field_of_kind, random_complex_field
+from conftest import (
+    FullGridMeans,
+    assert_replaced,
+    field_of_kind,
+    random_complex_field,
+    unusual_quadrature,
+)
 
 
 def gaussian(grid: GridSpec, width_frac: float = 1 / 16) -> SampledField:
@@ -258,6 +263,12 @@ class TestQuadratureSpec:
     def test_override_keyword(self, grid1d):
         quad = default_quadrature(grid1d, sphere_nodes=16)
         assert quad.sphere_nodes == 16
+
+    @pytest.mark.parametrize("allow_subgrid", [True, False])
+    def test_refined_changes_only_h_min_and_subgrid(self, allow_subgrid):
+        quad = unusual_quadrature(allow_subgrid)
+        assert_replaced(quad, quasinorms._refined(quad), h_min=quad.h_min / 16,
+                        allow_subgrid=True)
 
 
 class TestLadders:
@@ -763,20 +774,20 @@ class TestMaximalQuasinorms:
         f = gaussian(grid1d)
         params = SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5)
         with pytest.raises(DimensionTooLow):
-            maximal_quasinorm(f, params, "S", default_quadrature(grid1d))
+            quasinorm(f, "max:S", params, default_quadrature(grid1d))
 
     def test_unknown_variant(self, grid2d_small):
         f = gaussian(grid2d_small, 1 / 8)
         params = SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5)
         with pytest.raises(ConfigParseError):
-            maximal_quasinorm(f, params, "Q", default_quadrature(grid2d_small))
+            quasinorm(f, "max:Q", params, default_quadrature(grid2d_small))
 
     def test_band_range_empty_on_tiny_grid(self):
         grid = GridSpec(2, 8, 1.0)
         f = random_complex_field(grid, seed=1)
         params = SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5)
         with pytest.raises(BandRangeEmpty):
-            maximal_quasinorm(f, params, "S", default_quadrature(grid))
+            quasinorm(f, "max:S", params, default_quadrature(grid))
 
     def test_plain_below_sup_variants(self, grid2d_small, light_quad_params):
         params, make = light_quad_params
@@ -796,10 +807,10 @@ class TestMaximalQuasinorms:
         quad = make(grid2d_small)
         joint = maximal_quasinorm_set(f, params, ("S", "D_SUP"), quad)
         assert (
-            maximal_quasinorm(f, params, "S", quad).value == joint["S"].value
+            quasinorm(f, "max:S", params, quad).value == joint["S"].value
         )
         assert (
-            maximal_quasinorm(f, params, "D_SUP", quad).value
+            quasinorm(f, "max:D_SUP", params, quad).value
             == joint["D_SUP"].value
         )
 
@@ -808,16 +819,16 @@ class TestMaximalQuasinorms:
         f = gaussian(grid2d_small, 1 / 8)
         quad = make(grid2d_small)
         via_dispatch = quasinorm(f, "max:V", params, quad).value
-        direct = maximal_quasinorm(f, params, "V", quad).value
+        direct = maximal_quasinorm_set(f, params, ("V",), quad)["V"].value
         assert via_dispatch == direct
 
     def test_positive_homogeneity(self, grid2d_small, light_quad_params):
         params, make = light_quad_params
         f = random_complex_field(grid2d_small, seed=22)
         quad = make(grid2d_small)
-        base = maximal_quasinorm(f, params, "S", quad).value
-        scaled = maximal_quasinorm(
-            SampledField(grid2d_small, 2.5 * f.data), params, "S", quad
+        base = quasinorm(f, "max:S", params, quad).value
+        scaled = quasinorm(
+            SampledField(grid2d_small, 2.5 * f.data), "max:S", params, quad
         ).value
         assert scaled == pytest.approx(2.5 * base, rel=1e-10)
 
@@ -825,9 +836,9 @@ class TestMaximalQuasinorms:
         params, make = light_quad_params
         f = gaussian(grid2d_small, 1 / 8)
         quad = make(grid2d_small)
-        base = maximal_quasinorm(f, params, "V", quad).value
+        base = quasinorm(f, "max:V", params, quad).value
         shift = (5 * grid2d_small.spacing, 11 * grid2d_small.spacing)
-        moved = maximal_quasinorm(translate(f, shift), params, "V", quad).value
+        moved = quasinorm(translate(f, shift), "max:V", params, quad).value
         assert moved == pytest.approx(base, rel=1e-12)
 
     def test_dilation_covariance(self, grid2d_small, light_quad_params):
@@ -836,9 +847,9 @@ class TestMaximalQuasinorms:
             TestFunctionSpec(family="random_band", band_index=3, seed=23),
             grid2d_small,
         )
-        base = maximal_quasinorm(f, params, "S", make(grid2d_small)).value
+        base = quasinorm(f, "max:S", params, make(grid2d_small)).value
         moved = rescaled_box(f, 1)
-        dil = maximal_quasinorm(moved, params, "S", make(moved.grid)).value
+        dil = quasinorm(moved, "max:S", params, make(moved.grid)).value
         expect = 2.0 ** (params.s - grid2d_small.dim / params.p)
         # spec tolerance 7%; box halving leaves the discrete problem
         # self-similar so the measured ratio is tight
@@ -847,7 +858,7 @@ class TestMaximalQuasinorms:
     def test_per_scale_reconstructs_value(self, grid2d_small, light_quad_params):
         params, make = light_quad_params
         f = gaussian(grid2d_small, 1 / 8)
-        res = maximal_quasinorm(f, params, "D_SUP", make(grid2d_small))
+        res = quasinorm(f, "max:D_SUP", params, make(grid2d_small))
         assert reconstructed_value(res) == pytest.approx(res.value, rel=1e-10)
 
 

@@ -16,7 +16,8 @@ from lplab.errors import (
     UnresolvableSpec,
 )
 from lplab.fields import GridSpec, SampledField, TestFunctionSpec, sample_family
-from lplab.quasinorms import QuadratureSpec, SpaceParams, default_quadrature, quasinorm
+from lplab import verify
+from lplab.quasinorms import SpaceParams, default_quadrature, quasinorm
 from lplab.verify import (
     band_limited_profile,
     default_corpus,
@@ -30,6 +31,8 @@ from lplab.verify import (
     scaling_experiment,
     slice_support_check,
 )
+
+from conftest import assert_replaced, unusual_quadrature
 
 
 @pytest.fixture(scope="module")
@@ -59,12 +62,10 @@ class TestDilationPlumbing:
         np.testing.assert_array_equal(g.data, f.data)
 
     def test_scaled_quadrature_moves_window_keeps_counts(self):
-        quad = QuadratureSpec(h_min=1 / 64, h_max=1 / 4, sphere_nodes=12)
-        moved = scaled_quadrature(quad, 1)
-        assert moved.h_min == pytest.approx(1 / 128)
-        assert moved.h_max == pytest.approx(1 / 8)
-        assert moved.sphere_nodes == 12
-        assert moved.radial_nodes_per_octave == quad.radial_nodes_per_octave
+        for quad in (unusual_quadrature(True), unusual_quadrature(False)):
+            for m in (-1, 1, 2):
+                assert_replaced(quad, scaled_quadrature(quad, m), h_min=quad.h_min * 2.0**-m,
+                                h_max=quad.h_max * 2.0**-m)
 
 
 class TestDefaultCorpus:
@@ -420,6 +421,22 @@ class TestDivergenceProbe:
         rep = divergence_probe(smooth_field, SpaceParams(s=2.0, p=2, q=2, L=1))
         vals = rep.values
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("allow_subgrid", [True, False])
+    def test_levels_change_only_h_min_and_subgrid(self, smooth_field, monkeypatch,
+                                                  allow_subgrid):
+        seen = []
+
+        def record(field, params, quads):
+            seen.extend(quads)
+            return [0.0] * len(quads)
+
+        monkeypatch.setattr(verify, "difference_values", record)
+        quad = unusual_quadrature(allow_subgrid)
+        divergence_probe(smooth_field, SpaceParams(s=1.0, p=2, q=2), 3, quad)
+        assert len(seen) == 4
+        for level, refined in enumerate(seen):
+            assert_replaced(quad, refined, h_min=quad.h_min / 2**level, allow_subgrid=True)
 
     @pytest.mark.parametrize("s, L", [(0.5, 1), (1.0, 1), (2.0, 1), (1.0, 2)])
     def test_one_sweep_matches_level_runs(self, smooth_field, recorded_engines, s, L):
