@@ -571,15 +571,15 @@ def _cmd_verify_ppn(opts: dict) -> int:
     space = _build_space(opts)
     t_list = _option(opts, "t_list", (8.0, 16.0, 32.0), _floats,
                      "a nonempty list of numbers", bool)
-    raw_alpha = opts.get("alpha", 1)
     alpha = _option(opts, "alpha", 1,
                     lambda raw: _integers(raw) if isinstance(raw, list) else _integer(raw),
                     "an integer or a list of integers")
+    label = alpha if isinstance(alpha, int) else list(alpha)  # as a JSON list prints
     u = band_limited_profile(grid, t_list[0])
     rep = ppn_probe(u, alpha, space.p, space.q, t_list)
     art = _Artifacts(opts, "verify_ppn")
     for t, ratio in zip(rep.t_values, rep.ratios):
-        art.add_row("profile", f"ppn:alpha={raw_alpha}@t={t:g}", space, ratio, "OK")
+        art.add_row("profile", f"ppn:alpha={label}@t={t:g}", space, ratio, "OK")
     art.summary.update(
         {
             "alpha": list(rep.alpha),
@@ -825,16 +825,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except LplabError as exc:
+        print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         out_dir = str(opts.get("out_dir") or "lplab-artifacts")
-        os.makedirs(out_dir, exist_ok=True)
         summary = {
             "command": args.command,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         path = os.path.join(out_dir, "error_summary.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_dump_json(summary))
-        print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(_dump_json(summary))
+        except OSError as io_exc:
+            print(f"cannot write {path}: {io_exc}", file=sys.stderr)
         return 1
 
 

@@ -51,6 +51,9 @@ _SERIAL_GEMM = 1_000_000
 # Grid points of step energies held at once by StepEngine.norms: 2^17 raised
 # the peak RSS of a 2-D 128^2, L = 2 `norm diff` call from 32.7 to 34.4 MB.
 _NORM_CHUNK_POINTS = 1 << 14
+# Grid points of step spectra sent through one inverse transform by
+# StepEngine.max_magnitude: 8 directions at 2-D n = 32.
+_MAX_CHUNK_POINTS = 1 << 13
 
 
 def difference_coefficients(order: int) -> np.ndarray:
@@ -177,6 +180,36 @@ class StepEngine:
     def mean_magnitude(self, steps: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
         """|sum_m w_m diff(f, h_m, L)| on the grid, checked finite."""
         return self._combine(steps, weights, order, modulus=True)
+
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
+    def max_magnitude(self, steps, order: int) -> np.ndarray:
+        """max over the rows h_m of steps of |diff(f, h_m, L)|, checked finite.
+
+        In the complex layout each chunk of steps pays one inverse
+        transform with a leading step axis; the real layout takes the steps
+        one at a time.
+        """
+        grid = self.grid
+        if self.real:
+            out = np.zeros(grid.shape)
+            for step in np.asarray(steps, dtype=np.float64):
+                np.maximum(out, self.magnitude(step, order), out=out)
+            return out
+        steps = self._count(steps, order)
+        chunk = max(1, _MAX_CHUNK_POINTS // grid.num_points)
+        axes = tuple(range(1, grid.dim + 1))
+        out = np.zeros(grid.shape)
+        for lo in range(0, len(steps), chunk):
+            part = steps[lo : lo + chunk]
+            # exp(2 pi i k h_a / B), indexed (step, axis, k)
+            factors = np.exp(2j * np.pi * (self._k * (part[:, :, None] / grid.box)))
+            spectra = np.empty((len(part),) + grid.shape, dtype=complex)
+            for i, step in enumerate(part):
+                np.multiply(self._coeffs, self._symbol(step, factors[i], order), out=spectra[i])
+            np.maximum(out, np.abs(np.fft.ifftn(spectra, axes=axes)).max(axis=0), out=out)
+        if not np.isfinite(out).all():
+            raise NonFiniteSample("difference samples contain NaN or infinity")
+        return out
 
     def difference(self, step: tuple[float, ...], order: int) -> SampledField:
         """The L-fold difference with step h as a validated field."""

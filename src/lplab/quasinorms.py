@@ -752,22 +752,23 @@ MAXIMAL_VARIANTS = ("S", "S_SUP", "V", "V_SUP", "D_SUP")
 
 def _point_sup_field(
     engine: StepEngine,
-    h_len: float,
+    lengths: list[float],
     r: float,
     order: int,
     directions: np.ndarray,
 ) -> np.ndarray:
-    """Largest single-step weighted sup over directions at one step length.
+    """Largest single-step weighted sup over directions at each step length.
 
     The sup weight depends only on |h|, so the direction maximum commutes
     with the offset sup and one weighted sup covers all directions.
+    Returns one row per length, from one stacked scan.
     """
+    lengths = np.asarray(lengths, dtype=np.float64)
     grid = engine.grid
-    direction_max = np.zeros(grid.shape)
-    for z in directions:
-        step = tuple(h_len * z[a] for a in range(grid.dim))
-        np.maximum(direction_max, engine.magnitude(step, order), out=direction_max)
-    return weighted_offset_sup(direction_max, grid, 1.0 / h_len, grid.dim / r)
+    direction_max = np.empty((lengths.size,) + grid.shape)
+    for i, h_len in enumerate(lengths):
+        direction_max[i] = engine.max_magnitude(h_len * directions, order)
+    return weighted_offset_sup(direction_max, grid, 1.0 / lengths, grid.dim / r)
 
 
 def maximal_quasinorm_set(
@@ -826,23 +827,24 @@ def maximal_quasinorm_set(
         if "V_SUP" in variants:
             needed_shell.update(sup_indices(k))
     engine = StepEngine(field)
-    sphere_fields = {
-        i: sphere_mean_max(field, scale_of(i), r, L, sphere_count, engine=engine).data.real
-        for i in sorted(needed_sphere)
-    }
-    shell_fields = {
-        i: annulus_mean_max(field, scale_of(i), r, L, sphere_count, engine=engine).data.real
-        for i in sorted(needed_shell)
-    }
-    point_fields: dict[tuple[int, int], np.ndarray] = {}
+    # one stacked call per family; a row serves every band and variant
+    # whose ladder holds its scale
+    sphere_fields, shell_fields, point_fields = {}, {}, {}
+    if needed_sphere:
+        ladder = sorted(needed_sphere)
+        sphere_fields = dict(zip(ladder, sphere_mean_max(
+            field, [scale_of(i) for i in ladder], r, L, sphere_count, engine=engine)))
+    if needed_shell:
+        ladder = sorted(needed_shell)
+        shell_fields = dict(zip(ladder, annulus_mean_max(
+            field, [scale_of(i) for i in ladder], r, L, sphere_count, engine=engine)))
     if "D_SUP" in variants:
-        directions = unit_sphere_nodes(grid.dim, sphere_count)
         radii = annulus_radii()
-        for m in range(k_lo, j_max + quad.tau_octaves):
-            for ridx, rho in enumerate(radii):
-                point_fields[(m, ridx)] = _point_sup_field(
-                    engine, rho * 2.0**-m, r, L, directions
-                )
+        keys = [(m, ridx) for m in range(k_lo, j_max + quad.tau_octaves)
+                for ridx in range(radii.size)]
+        point_fields = dict(zip(keys, _point_sup_field(
+            engine, [radii[ridx] * 2.0**-m for m, ridx in keys], r, L,
+            unit_sphere_nodes(grid.dim, sphere_count))))
 
     results: dict[str, QuasinormResult] = {}
     for variant in variants:
@@ -898,7 +900,11 @@ def quasinorm(
         if characterization == "axis":
             axes = range(1, grid.dim + 1)
         else:
-            axes = [int(characterization.split(":", 1)[1])]
+            try:
+                axes = [int(characterization.split(":", 1)[1])]
+            except ValueError as exc:
+                raise ConfigParseError(
+                    f"axis:J needs an integer J, got {characterization!r}") from exc
         results = [axis_quasinorm(field, params, a, quad) for a in axes]
         value = sum(res.value for res in results)
         masses: dict[int, float] = {}

@@ -171,6 +171,26 @@ class TestExitCodes:
             summary = json.load(fh)
         assert summary["error"]["type"] == "DimensionTooLow"
 
+    def test_unwritable_error_summary_is_reported(self, tmp_path, capsys):
+        # an --out below a regular file used to turn the typed error into a
+        # NotADirectoryError traceback
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["maximal", "--grid-dim", "1", "--grid-n", "64", "--function",
+                     "gauss_mid", "--out", str(blocker / "x")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2, lines
+        assert lines[0].startswith("computation error: DimensionTooLow")
+        assert lines[1].startswith("cannot write ") and "error_summary.json" in lines[1]
+
+    @pytest.mark.parametrize("cid", ["axis:x", "axis:", "axis:1.5"])
+    def test_non_integer_axis_is_config_error(self, tmp_path, capsys, cid):
+        code, out = run(tmp_path, "norm", "--characterization", cid, "--grid-dim", "1",
+                        "--grid-n", "64", "--function", "gauss_mid")
+        assert_one_config_error(code, capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("cid,q", [("diff", "2"), ("diff", "1"), ("lp", "2")])
     def test_overflowing_aggregate_is_computation_error(self, tmp_path, capsys, cid, q):
         # finite samples near 1e160 used to give `value inf`, flag OK, exit 0
@@ -287,6 +307,21 @@ class TestVerifyCommands:
         assert summary["verdict"] == "PASS"
         assert summary["max_over_min"] <= 1.5
         assert len(read_rows(out, "verify_ppn")) == 3
+
+    @pytest.mark.parametrize("alpha,label", [(None, "1"), (2, "2"), ([1], "[1]")],
+                             ids=["null", "int", "list"])
+    def test_ppn_rows_name_the_alpha_run(self, tmp_path, alpha, label):
+        # config "alpha": null runs the default alpha 1, and the rows used
+        # to print it as alpha=None
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": alpha}))
+        code, out = run(tmp_path, "verify", "ppn", "--grid-dim", "1", "--grid-n", "256",
+                        "--config", str(cfg))
+        summary = read_summary(out, "verify_ppn")
+        assert code == (0 if summary["verdict"] == "PASS" else 1)
+        assert summary["alpha"] == [int(label.strip("[]"))]
+        assert [r.split(",")[1] for r in read_rows(out, "verify_ppn")] == [
+            f"ppn:alpha={label}@t={t}" for t in (8, 16, 32)]
 
     def test_divergence_classification(self, tmp_path):
         code, out = run(

@@ -163,6 +163,24 @@ class TestStepEngine:
                   random_complex_field(GridSpec(3, 16), seed=48)):
             assert_norms_match_magnitudes(StepEngine(f), TestRealInputEngine.steps(f.grid))
 
+    @pytest.mark.parametrize("grid,real", [(GridSpec(2, 32), False), (GridSpec(2, 128), True),
+                                           (GridSpec(1, 256), False), (GridSpec(3, 8), False)],
+                             ids=["complex-2d", "real-2d", "complex-1d", "complex-3d"])
+    def test_max_magnitude_matches_step_loop(self, grid, real):
+        # the D_SUP direction maximum against one magnitude per step; 11
+        # directions are not a multiple of a chunk, and the first has zero
+        # components
+        f = field_of_kind(grid, "noise")
+        engine = StepEngine(f)
+        assert engine.real == real
+        directions = unit_sphere_nodes(grid.dim, 11) if grid.dim > 1 else np.array([[1.0], [-1.0]])
+        for length, order in ((grid.spacing / 3, 1), (0.07, 2), (0.25, 3)):
+            steps = length * directions
+            want = np.zeros(grid.shape)
+            for step in steps:
+                np.maximum(want, engine.magnitude(tuple(step), order), out=want)
+            assert np.array_equal(engine.max_magnitude(steps, order), want)
+
     def test_zero_step_annihilates(self, grid2d):
         engine = StepEngine(random_complex_field(grid2d, seed=43))
         assert not np.any(engine.magnitude((0.0, 0.0), 2))

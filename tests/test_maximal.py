@@ -110,16 +110,49 @@ class TestWeightedSup:
         fast = weighted_offset_sup(mag, grid, scale, exponent)
         assert np.array_equal(fast, brute_weighted_sup(mag, grid, scale, exponent))
 
+    @pytest.mark.parametrize(
+        "dim, n, stack",
+        [
+            (1, 256, 37),  # scans of 32 fields: one full, one of 5
+            (2, 32, 11),  # scans of 8 fields
+            (2, 64, 3),  # scans of 2 fields
+            (3, 8, 19),  # scans of 16 fields
+            (3, 16, 3),  # scans of 2 fields
+        ],
+    )
+    def test_stack_matches_single_scans_and_oracle(self, dim, n, stack):
+        # mixed scales, including 0 (every weight 1) and 1e9 (all but the
+        # zero offset vanish), on fields of mixed sparsity
+        grid = GridSpec(dim, n, 1.0)
+        rng = np.random.default_rng(dim * 100 + stack)
+        scales = np.resize([0.0, 1e9, 3.0, 0.5, 40.0, 1.0], stack)
+        density = np.resize([1.0, 0.05, 1.0], stack).reshape((stack,) + (1,) * dim)
+        mags = np.abs(rng.standard_normal((stack,) + grid.shape)) * (
+            rng.random((stack,) + grid.shape) < density)
+        out = weighted_offset_sup(mags, grid, scales, 1.5)
+        assert out.shape == mags.shape
+        for mag, scale, row in zip(mags, scales, out):
+            assert np.array_equal(row, weighted_offset_sup(mag, grid, scale, 1.5))
+            assert np.array_equal(row, brute_weighted_sup(mag, grid, scale, 1.5))
+
+    def test_stack_shapes_checked(self):
+        grid = GridSpec(2, 8, 1.0)
+        with pytest.raises(ShapeMismatch):
+            weighted_offset_sup(np.zeros((3, 8, 8)), grid, [1.0, 2.0], 1.0)
+        with pytest.raises(InvalidExponent):
+            weighted_offset_sup(np.zeros((2, 8, 8)), grid, [1.0, -2.0], 1.0)
+        assert weighted_offset_sup(np.zeros((0, 8, 8)), grid, [], 1.0).shape == (0, 8, 8)
+
     @pytest.mark.parametrize("n, members", [(32, tuple(range(12))), (64, (1, 4, 7, 10))])
     def test_corpus_scale_ladders_match_array_oracle(self, monkeypatch, n, members):
         # every sup of the S and V ladders on corpus members, as the
-        # pipeline calls it on sphere and shell mean fields
+        # pipeline calls it on stacks of sphere and shell mean fields
         grid = GridSpec(2, n, 1.0)
-        calls = []
+        rows = []
 
         def recording(mag, grid, scale, exponent):
             out = weighted_offset_sup(mag, grid, scale, exponent)
-            calls.append((mag, scale, exponent, out))
+            rows.extend(zip(mag, scale, [exponent] * len(scale), out))
             return out
 
         monkeypatch.setattr(maximal, "weighted_offset_sup", recording)
@@ -128,24 +161,28 @@ class TestWeightedSup:
             field = sample_family(corpus[i], grid)
             maximal_quasinorm_set(field, SpaceParams(s=0.5, p=2.0, q=2.0), ("S", "V"),
                                   default_quadrature(grid))
-        assert len(calls) == len(members) * 2 * (2 if n == 32 else 3)
-        for mag, scale, exponent, out in calls:
+        assert len(rows) == len(members) * 2 * (2 if n == 32 else 3)
+        for mag, scale, exponent, out in rows:
             assert np.array_equal(out, brute_weighted_sup(mag, grid, scale, exponent))
 
     def test_pruned_scan_counts_block_pairs(self):
         # The field decays away from the origin, so the sup stays small
         # there and the scan cannot end early on the global minimum: only
         # the per-block bounds keep the count low (about 8 % of the NB^2
-        # pairs; a scan without them evaluates over 99 %).
+        # pairs; a scan without them evaluates over 99 %).  Stacked with
+        # itself, the field meets the same pairs once per copy.
         grid = GridSpec(2, 64, 1.0)
         rng = np.random.default_rng(64)
         envelope = np.exp(-((grid.minimal_image_radii() / 0.2) ** 2))
         mag = np.abs(rng.standard_normal(grid.shape)) * envelope
-        out, pairs = _block_pruned_sup(mag, grid, 8.0, 2.0)
-        again, pairs_again = _block_pruned_sup(mag, grid, 8.0, 2.0)
+        out, pairs = _block_pruned_sup(mag[None], grid, np.array([8.0]), 2.0)
+        again, pairs_again = _block_pruned_sup(mag[None], grid, np.array([8.0]), 2.0)
         assert pairs == pairs_again
         assert np.array_equal(out, again)
         assert 0 < pairs < (64 // 4) ** 4 / 4
+        twice, pairs_twice = _block_pruned_sup(np.stack([mag, mag]), grid, np.array([8.0, 8.0]), 2.0)
+        assert pairs_twice == 2 * pairs
+        assert np.array_equal(twice, np.concatenate([out, out]))
 
     def test_zero_field_gives_zero(self):
         grid = GridSpec(1, 64, 1.0)
@@ -351,16 +388,27 @@ class TestMeanDifferenceMax:
     def test_sphere_mean_needs_two_dimensions(self, grid1d):
         f = random_complex_field(grid1d)
         with pytest.raises(DimensionTooLow):
-            sphere_mean_max(f, 0.1, 2.0, 1)
+            sphere_mean_max(f, [0.1], 2.0, 1)
 
     def test_constants_are_annihilated(self, grid2d):
         f = SampledField(grid2d, np.full(grid2d.shape, 3.0, dtype=complex))
         for out in (
-            sphere_mean_max(f, 0.1, 2.0, 1, sphere_count=8),
-            annulus_mean_max(f, 0.1, 2.0, 1, sphere_count=8, radial_count=2),
+            sphere_mean_max(f, [0.1], 2.0, 1, sphere_count=8),
+            annulus_mean_max(f, [0.1], 2.0, 1, sphere_count=8, radial_count=2),
         ):
-            assert np.abs(out.data).max() <= 1e-12
+            assert np.abs(out).max() <= 1e-12
         assert point_sup(f, (0.1, 0.0), 2.0, 1).max() <= 1e-12
+
+    def test_ladders_match_single_scales(self, grid2d):
+        # one stacked scan per ladder against one scan per scale
+        f = random_complex_field(grid2d, seed=24)
+        ladder = [0.3, 0.07, 0.011, 0.05]
+        engine = StepEngine(f)
+        for mean_max, kwargs in ((sphere_mean_max, {}), (annulus_mean_max, {"radial_count": 2})):
+            stack = mean_max(f, ladder, 1.5, 2, 8, engine=engine, **kwargs)
+            assert stack.shape == (len(ladder),) + grid2d.shape
+            for t, row in zip(ladder, stack):
+                assert np.array_equal(row, mean_max(f, [t], 1.5, 2, 8, **kwargs)[0])
 
     def test_sphere_mean_symbol_matches_explicit_differences(self, grid2d):
         # Oracle for the accumulated-symbol path: average explicit
@@ -372,10 +420,10 @@ class TestMeanDifferenceMax:
         for z in nodes:
             acc += iterated_difference(f, (t * z[0], t * z[1]), order).data
         base = np.abs(acc / len(nodes))
-        s = sphere_mean_max(f, t, 2.0, order, sphere_count=8).data.real
+        s = sphere_mean_max(f, [t], 2.0, order, sphere_count=8)[0]
         assert np.all(s >= base - 1e-10)
         # with an enormous weight exponent the sup collapses onto offset zero
-        tight = sphere_mean_max(f, t, 1e-9, order, sphere_count=8).data.real
+        tight = sphere_mean_max(f, [t], 1e-9, order, sphere_count=8)[0]
         assert np.allclose(tight, base, atol=base.max() * 1e-6 + 1e-15)
 
     def test_point_difference_dominates_plain_difference(self, grid1d):
@@ -391,7 +439,7 @@ class TestMeanDifferenceMax:
         f = random_complex_field(grid2d, seed=23)
         t, r, order = 0.05, 2.0, 1
         points, _ = annulus_nodes(2, 8, 2)
-        v = annulus_mean_max(f, t, r, order, sphere_count=8, radial_count=2).data.real
+        v = annulus_mean_max(f, [t], r, order, sphere_count=8, radial_count=2)[0]
         worst = np.zeros(grid2d.shape)
         for z in points:
             d = point_sup(f, (t * z[0], t * z[1]), r, order)

@@ -6,6 +6,7 @@ constants here.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -549,22 +550,50 @@ class TestStepEngineSweep:
         maximal_quasinorm_set(f, params, MAXIMAL_VARIANTS, make(grid))
         assert [e.forward_ffts for e in recorded_engines] == [1]
 
-    def test_benchmark_maximal_work_counts(self, tmp_path, recorded_engines, inverse_ffts):
+    def test_benchmark_maximal_work_counts(self, tmp_path, monkeypatch, recorded_engines,
+                                           inverse_ffts):
         # the `maximal` calls of the benchmark's maximal-2d workload, with the
         # CLI defaults: S,V at 2-D n=64 (3 bands of a 32-node sphere and a
-        # 256-node annulus mean) and all five variants at n=32; every mean
-        # and every D_SUP step pays one complex inverse transform
-        inverse = []
+        # 256-node annulus mean) and all five variants at n=32 (96-scale
+        # sphere and shell ladders, 48 D_SUP step lengths); every mean pays
+        # one complex inverse transform and each step length one per chunk
+        # of 8 of its 32 directions, so the transformed 2-D slices stay one
+        # per mean and one per step
+        inverse, slices, points = [], [], []
+        counted = np.fft.ifftn
+        monkeypatch.setattr(np.fft, "ifftn",
+                            lambda a, *args, **kwargs: points.append(np.size(a))
+                            or counted(a, *args, **kwargs))
         for n, variants in ((64, "S,V"), (32, "S,V,S_SUP,V_SUP,D_SUP")):
             path = tmp_path / f"plane{n}.bin"
             gaussian(GridSpec(2, n), 1 / 8).data.real.tofile(path)
             inverse_ffts.clear()
+            points.clear()
             assert main(["maximal", "--variants", variants, "--grid-dim", "2", "--grid-n",
                          str(n), "--in", str(path), "--out", str(tmp_path / f"out{n}")]) == 0
             inverse.append(dict(inverse_ffts))
+            slices.append(sum(points) // n**2)
         assert [(e.forward_ffts, e.steps) for e in recorded_engines] == [(1, 864), (1, 29184)]
         assert not any(e.real for e in recorded_engines)
-        assert inverse == [{"ifftn": 6}, {"ifftn": 1728}]
+        assert inverse == [{"ifftn": 6}, {"ifftn": 2 * 96 + 48 * 4}]
+        assert slices == [6, 1728]
+
+    @pytest.mark.parametrize("n,variants,bound_mb", [(32, MAXIMAL_VARIANTS, 4.5),
+                                                     (64, ("S", "V"), 2.7)],
+                             ids=["32-all", "64-S,V"])
+    def test_maximal_set_traced_peak(self, n, variants, bound_mb):
+        # the benchmark's maximal calls hold one scan stack of tables at a
+        # time; whole-ladder weight patches (12 MB at n=32) would not fit
+        grid = GridSpec(2, n)
+        f = SampledField(grid, np.random.default_rng(n).standard_normal(grid.shape))
+        params, quad = SpaceParams(s=0.5, p=2, q=2), default_quadrature(grid)
+        tracemalloc.start()
+        try:
+            maximal_quasinorm_set(f, params, variants, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 2**20
 
     def test_variants_match_full_grid_means(self, monkeypatch):
         # the low-rank mean symbols against one full-grid symbol per node, on
