@@ -22,9 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from .bands import band_project, build_band_system, decompose
-from .errors import ConfigParseError, IoError, LplabError
+from .errors import ConfigParseError, InvalidAxis, IoError, LplabError, UnknownTheoremId
 from .fields import GridSpec, SampledField, TestFunctionSpec, lp_norm, sample_family
 from .quasinorms import (
+    CHARACTERIZATION_IDS,
     MAXIMAL_VARIANTS,
     QuadratureSpec,
     QuasinormResult,
@@ -49,6 +50,9 @@ CSV_HEADER = "function_id,characterization,s,p,q,L,value,flag"
 
 # spec'd shorthand for the point-difference maximal form
 _CHARACTERIZATION_ALIASES = {"max:D": "max:D_SUP"}
+# errors in the request itself: exit 2, with no error_summary.json; the
+# library raises the last two on an axis or theorem id it does not know
+_CONFIG_ERRORS = (ConfigParseError, IoError, InvalidAxis, UnknownTheoremId)
 
 
 def _fmt(x: float) -> str:
@@ -442,9 +446,6 @@ def _cmd_maximal(opts: dict) -> int:
     quad = _build_quad(opts, grid)
     fid, field = _input_field(opts, grid)
     variants = tuple(_names(opts, "variants", "S,V"))
-    unknown = set(variants) - set(MAXIMAL_VARIANTS)
-    if unknown:
-        raise ConfigParseError(f"unknown maximal variants: {sorted(unknown)}")
     results = maximal_quasinorm_set(field, space, variants, quad or default_quadrature(grid))
     art = _Artifacts(opts, "maximal")
     for variant in variants:
@@ -768,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "norm":
             p.add_argument(
                 "--characterization", default="lp",
-                help="lp | diff | axis | axis:J | gagliardo | max:S | max:V | max:D",
+                help=" | ".join((*CHARACTERIZATION_IDS, "axis:J", *_CHARACTERIZATION_ALIASES)),
             )
         if name == "maximal":
             p.add_argument("--variants", default="S,V",
@@ -815,13 +816,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             handler = _VERIFY_HANDLERS[opts["experiment"]]
         else:
             handler = _HANDLERS[args.command]
-    except (ConfigParseError, IoError) as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
     try:
         return handler(opts)
-    except (ConfigParseError, IoError) as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except LplabError as exc:

@@ -8,11 +8,10 @@ equivalently the spectral multiplier (exp(2 pi i h.xi) - 1)^L.  The shift
 path composes exact circular shifts and therefore needs h on the sample
 lattice; the spectral path accepts any real step and is exact on the
 trigonometric interpolant of the samples.  Every spectral step runs
-through a :class:`StepEngine`, which transforms its field forward once and
-then pays one inverse transform per step: a real-input one for a real
-field of at least 8192 samples, a complex one otherwise.  Where only the
-L^2 norm of each difference is needed, :meth:`StepEngine.norms` reads it
-off the power spectrum by Plancherel and pays no inverse transform.
+through a :class:`StepEngine`, which transforms its field forward once with
+`fftn` and then pays one `ifftn` per step.  Where only the L^2 norm of each
+difference is needed, :meth:`StepEngine.norms` reads it off the power
+spectrum by Plancherel and pays no inverse transform.
 """
 
 from __future__ import annotations
@@ -30,12 +29,6 @@ from .errors import (
 from .fields import GridSpec, SampledField
 
 ALIGNMENT_TOL = 1e-9
-# Fewest samples for the real-input layout.  Below it the per-step Nyquist
-# plane work costs more than the smaller inverse transform saves: per step
-# on a 2-vCPU x86 VM with numpy 2.4, the real layout took 1.3x the complex
-# time at 2-D 64^2 and 1.4x at 3-D 16^3, but 0.6-0.85x at 1-D 8192,
-# 2-D 128^2 and 3-D 32^3.
-_REAL_LAYOUT_MIN_POINTS = 8192
 # Leading-plane points times nodes of a weighted mean held at once: 64 nodes
 # at 2-D n = 32, 2 at 3-D 32^3.  At 2-D n = 32, chunks of 2^13 (all 256
 # nodes of an annulus mean) raised the peak RSS of a `verify equivalence`
@@ -118,57 +111,19 @@ class StepEngine:
     phase factor exp(2 pi i k_a h_a / B) per axis with a nonzero step
     component, so each step costs one inverse transform and no full-grid
     exponential.  A weighted sum of steps also costs one inverse transform,
-    its symbol built as low-rank real matrix products (`_mean_symbol`).
-
-    A field of at least _REAL_LAYOUT_MIN_POINTS samples, none with a
-    nonzero imaginary part, keeps (`real` is True) the half spectrum X of
-    `np.fft.rfftn` (last axis k = 0 .. n/2 - 1 and the Nyquist entry
-    k = -n/2, as `fftfreq` orders it) and pays one `np.fft.irfftn` per
-    step.  The difference y = ifftn(X S) has real part
-    irfftn(X (S(k) + conj S(-k)) / 2), and conj S(-k) differs from S(k)
-    only on the Nyquist planes k_a = -n/2, where -k aliases: there it is S
-    with the Nyquist entry of every phase factor conjugated.  `irfftn`
-    folds the last axis's plane itself; the planes of the other axes are
-    averaged here.  The imaginary part, the inverse transform of
-    X (S(k) - conj S(-k)) / 2i, lives on those planes only, so it is a sum
-    over axes a of (-1)^(x_a) times a (d-1)-dimensional inverse transform
-    of the piece of plane a off the planes of earlier axes.  Any other
-    field keeps the full `fftn`/`ifftn` pair.
-
-    `norms` needs only the full power spectrum |X|^2, which it mirrors
-    from the half spectrum of the real layout.
+    its symbol built as low-rank real matrix products (`_mean_symbol`), and
+    `max_magnitude` sends a chunk of steps through one inverse transform.
+    The spectrum X is the full `np.fft.fftn` of the field, real or complex;
+    `norms` reads |X|^2 off it with no inverse transform.
 
     `steps` counts the step symbols formed and `forward_ffts` the forward
     transforms of the whole field, which stays 1.
     """
 
     def __init__(self, field: SampledField):
-        grid = self.grid = field.grid
-        self.real = (grid.num_points >= _REAL_LAYOUT_MIN_POINTS
-                     and not field.data.imag.any())
-        self._k = grid.frequency_integers().astype(np.float64)
-        if self.real:
-            samples = field.data.real
-            self._coeffs = np.fft.rfftn(samples)
-            alternating = (-1.0) ** np.arange(grid.n)
-            # the full spectrum on the plane k_a = -n/2 of each axis a, over
-            # the other axes in order
-            self._planes = np.stack([
-                np.fft.fftn(np.einsum("...i,i->...", np.moveaxis(samples, a, -1), alternating))
-                for a in range(grid.dim)
-            ])
-            # half the stored spectrum on those planes, for all axes but the last
-            self._half_planes = [0.5 * self._coeffs[(slice(None),) * a + (grid.n // 2,)]
-                                 for a in range(grid.dim - 1)]
-            # row i: for each plane a, the i-th axis other than a
-            self._others = np.array([[b for b in range(grid.dim) if b != a]
-                                     for a in range(grid.dim)], dtype=np.intp).T
-            # (-1)^(sum of the plane coordinates) / 2n, and the shape from
-            # which plane a's piece broadcasts over the grid
-            self._checker = (-1.0) ** np.indices(grid.shape[1:]).sum(axis=0) / (2 * grid.n)
-            self._spread = [grid.shape[:a] + (1,) + grid.shape[a + 1:] for a in range(grid.dim)]
-        else:
-            self._coeffs = np.fft.fftn(field.data)
+        self.grid = field.grid
+        self._k = self.grid.frequency_integers().astype(np.float64)
+        self._coeffs = np.fft.fftn(field.data)
         self._power = None
         self.forward_ffts = 1
         self.steps = 0
@@ -185,16 +140,10 @@ class StepEngine:
     def max_magnitude(self, steps, order: int) -> np.ndarray:
         """max over the rows h_m of steps of |diff(f, h_m, L)|, checked finite.
 
-        In the complex layout each chunk of steps pays one inverse
-        transform with a leading step axis; the real layout takes the steps
-        one at a time.
+        Each chunk of steps pays one inverse transform with a leading step
+        axis.
         """
         grid = self.grid
-        if self.real:
-            out = np.zeros(grid.shape)
-            for step in np.asarray(steps, dtype=np.float64):
-                np.maximum(out, self.magnitude(step, order), out=out)
-            return out
         steps = self._count(steps, order)
         chunk = max(1, _MAX_CHUNK_POINTS // grid.num_points)
         axes = tuple(range(1, grid.dim + 1))
@@ -271,21 +220,9 @@ class StepEngine:
 
     @np.errstate(over="ignore")  # norms raises on the overflow
     def _power_spectrum(self) -> np.ndarray:
-        """|X|^2 on the full grid in `fftn` order, built on first use.
-
-        In the real layout the negative last-axis frequencies are the
-        mirror X(k', -j) = conj X(-k', j) of the stored half.
-        """
+        """|X|^2 in `fftn` order, built on first use."""
         if self._power is None:
-            power = self._coeffs.real**2 + self._coeffs.imag**2
-            if self.real:
-                n, dim = self.grid.n, self.grid.dim
-                mirror = power[..., n // 2 - 1 : 0 : -1]
-                negated = -np.arange(n) % n
-                for a in range(dim - 1):
-                    mirror = np.take(mirror, negated, axis=a)
-                power = np.concatenate([power, mirror], axis=-1)
-            self._power = power
+            self._power = self._coeffs.real**2 + self._coeffs.imag**2
         return self._power
 
     def _count(self, steps, order: int) -> np.ndarray:
@@ -304,47 +241,23 @@ class StepEngine:
 
         weights None stands for the single unweighted step steps[0].
         """
-        grid = self.grid
         steps = self._count(steps, order)
         if weights is None:
-            # exp(2 pi i k h_a / B), indexed (node, axis, k)
-            factors = np.exp(2j * np.pi * (self._k * (steps[:1, :, None] / grid.box)))
-            symbol = self._symbol(steps[0], factors[0], order)
-            jump = self._plane_jump(factors, None, order) if self.real else None
+            # exp(2 pi i k h_a / B), indexed (axis, k)
+            factor = np.exp(2j * np.pi * (self._k * (steps[0, :, None] / self.grid.box)))
+            symbol = self._symbol(steps[0], factor, order)
         else:
-            symbol, jump = self._mean_symbol(steps, np.asarray(weights, dtype=np.float64), order)
-        if self.real:
-            real_part, twisted = self._real_samples(symbol, jump)
-            if not modulus:
-                checker = (-1.0) ** np.indices(grid.shape).sum(axis=0)
-                return real_part + 1j * (checker * twisted)
-            mag = np.multiply(real_part, real_part, out=real_part)
-            mag += np.multiply(twisted, twisted, out=twisted)
-            np.sqrt(mag, out=mag)
-        else:
-            samples = np.fft.ifftn(self._coeffs * symbol)
-            if not modulus:
-                return samples
-            mag = np.abs(samples)
+            symbol = self._mean_symbol(steps, np.asarray(weights, dtype=np.float64), order)
+        samples = np.fft.ifftn(self._coeffs * symbol)
+        if not modulus:
+            return samples
+        mag = np.abs(samples)
         if not np.isfinite(mag).all():
-            if self.real:
-                # the squares may overflow where the modulus does not; the
-                # slower hypot of recomputed parts does not
-                mag = np.hypot(*self._real_samples(symbol, jump))
-            if not np.isfinite(mag).all():
-                raise NonFiniteSample("difference samples contain NaN or infinity")
+            raise NonFiniteSample("difference samples contain NaN or infinity")
         return mag
 
-    def _real_samples(self, symbol, jump) -> tuple[np.ndarray, np.ndarray]:
-        """The real part of the samples of X S in the real layout, and their
-        imaginary part times (-1)^(x_1 + ... + x_d)."""
-        spectrum = self._coeffs * symbol
-        twisted = self._nyquist_planes(spectrum, jump)
-        return np.fft.irfftn(spectrum), twisted
-
-    def _mean_symbol(self, steps: np.ndarray, weights: np.ndarray, order: int):
-        """sum_m w_m S_m on the stored spectrum, and in the real layout its
-        jump on the Nyquist planes (else None).
+    def _mean_symbol(self, steps: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
+        """sum_m w_m S_m on the grid, in `fftn` order.
 
         Split the phase as phi = phi' phi_d, phi' the product over the axes
         before the last.  Then phi - 1 = (phi' - 1) phi_d + (phi_d - 1), so
@@ -361,12 +274,11 @@ class StepEngine:
         small steps, as expanding (phi - 1)^L in powers of phi would.
         """
         grid = self.grid
-        last = self._coeffs.shape[-1]
-        plane = self._coeffs.size // last
+        last = grid.n
+        plane = grid.num_points // grid.n
         binomials = [math.comb(order, j) for j in range(order + 1)]
         row = np.zeros(last, dtype=complex)  # the j = 0 terms
         total = np.zeros((plane, last), dtype=complex)
-        jump = 0.0 if self.real else None
         chunk = max(1, _MEAN_CHUNK_POINTS // plane)
         for lo in range(0, len(steps), chunk):
             part, w = steps[lo : lo + chunk], weights[lo : lo + chunk]
@@ -376,8 +288,7 @@ class StepEngine:
             minus = -2.0 * sine * sine + 1j * np.sin(2.0 * half)  # phi_a - 1
             phase = minus + 1.0
             # (phi_d - 1)^i for i = 0 .. L on the last axis, indexed (node, k)
-            # over the stored half
-            minus_d = [1.0, minus[-1, :last].T]
+            minus_d = [1.0, minus[-1].T]
             for _ in range(order - 1):
                 minus_d.append(minus_d[-1] * minus_d[1])
             row += np.einsum("m,mk->k", w, minus_d[order])  # no BLAS: zgemv threads
@@ -385,7 +296,7 @@ class StepEngine:
                 lead = minus[0]  # phi' - 1, indexed (flattened plane, node)
                 for a in range(1, grid.dim - 1):
                     lead = (lead[:, None] * phase[a] + minus[a]).reshape(-1, len(part))
-                phase_d = phase[-1, :last].T
+                phase_d = phase[-1].T
                 cols = np.empty((plane, order, len(part)), dtype=complex)
                 rows = np.empty((order, len(part), last), dtype=complex)
                 lead_j, phase_j = lead, phase_d
@@ -396,14 +307,11 @@ class StepEngine:
                     np.multiply(lead_j, binomials[j] * w, out=cols[:, j - 1])
                     np.multiply(phase_j, minus_d[order - j], out=rows[j - 1])
                 _add_product(total, cols.reshape(plane, -1), rows.reshape(-1, last))
-            if self.real:
-                factors = np.exp(2j * np.pi * (self._k * (part[:, :, None] / grid.box)))
-                jump = jump + self._plane_jump(factors, w, order)
         total += row
-        return total.reshape(self._coeffs.shape), jump
+        return total.reshape(grid.shape)
 
     def _symbol(self, step: np.ndarray, factor: np.ndarray, order: int) -> np.ndarray | float:
-        """One step's multiplier, broadcastable to the stored spectrum.
+        """One step's multiplier, broadcastable to the grid.
 
         Axes with a zero step component are left out of the product, so an
         axis step yields an array that is flat along the other axes, and the
@@ -414,55 +322,9 @@ class StepEngine:
         for a, h in enumerate(step.tolist()):
             if h != 0.0:
                 shape = [1] * dim
-                shape[a] = self._coeffs.shape[a]
-                phase = phase * factor[a, : shape[a]].reshape(shape)
+                shape[a] = -1
+                phase = phase * factor[a].reshape(shape)
         return _power(phase - 1.0, order)
-
-    def _plane_jump(self, factors, weights, order: int) -> np.ndarray:
-        """sum_m w_m (S_m(k) - conj S_m(-k)) on the Nyquist plane of every
-        axis, indexed (a, other axes), for nodes with the given phase
-        factors; conj S(-k) is S with every Nyquist phase entry conjugated.
-        """
-        dim, n, nyquist = self.grid.dim, self.grid.n, self.grid.n // 2
-        # the phase factors and their primed forms, indexed (form, node, axis, k)
-        both = np.empty((2,) + factors.shape, dtype=complex)
-        both[:] = factors
-        both[1, :, :, nyquist] = factors[:, :, nyquist].conj()
-        # both forms of S on every plane, indexed (form, node, a, other axes)
-        phase = both[:, :, :, nyquist].reshape(both.shape[:3] + (1,) * (dim - 1))
-        for i, other in enumerate(self._others):
-            shape = [2, -1, dim] + [1] * (dim - 1)
-            shape[3 + i] = n
-            phase = phase * both[:, :, other].reshape(shape)
-        forms = _power(phase - 1.0, order)
-        jump = forms[0] - forms[1]
-        return jump[0] if weights is None else np.einsum("m,m...->...", weights, jump)
-
-    def _nyquist_planes(self, spectrum: np.ndarray, jump: np.ndarray) -> np.ndarray:
-        """Average the Nyquist planes of all but the last axis of the half
-        spectrum in place, and return the imaginary part of the samples
-        times (-1)^(x_1 + ... + x_d).
-
-        jump is X's multiplier S(k) - conj S(-k) on the planes.  The
-        imaginary part is sum_a (-1)^(x_a) g_a(x without x_a), so that
-        product is the sum of the g_a times the signs of the other
-        coordinates, each a function of d - 1 coordinates broadcast over
-        the grid; squaring it gives the squared imaginary part.
-        """
-        dim, nyquist = self.grid.dim, self.grid.n // 2
-        # plane a keeps only its piece off the planes of the axes before a
-        for b in range(dim - 1):
-            jump[(slice(b + 1, None),) + (slice(None),) * b + (nyquist,)] = 0.0
-        for a, half_plane in enumerate(self._half_planes):
-            spectrum[(slice(None),) * a + (nyquist,)] -= half_plane * jump[a, ..., : spectrum.shape[-1]]
-        pieces = self._planes * jump
-        for axis in range(1, dim):
-            pieces = np.fft.ifft(pieces, axis=axis)
-        pieces = pieces.imag * self._checker
-        twisted = pieces[0].reshape(self._spread[0])
-        for a in range(1, dim):
-            twisted = twisted + pieces[a].reshape(self._spread[a])
-        return twisted
 
 
 def iterated_difference(

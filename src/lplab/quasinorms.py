@@ -789,12 +789,12 @@ def maximal_quasinorm_set(
     scale is computed once and shared across bands and variants; this also
     makes S <= S_SUP and V <= V_SUP hold pointwise by construction.
     """
-    grid = field.grid
-    if grid.dim < 2:
-        raise DimensionTooLow("maximal quasinorms need dim >= 2")
     for variant in variants:
         if variant not in MAXIMAL_VARIANTS:
             raise ConfigParseError(f"unknown maximal variant {variant!r}")
+    grid = field.grid
+    if grid.dim < 2:
+        raise DimensionTooLow("maximal quasinorms need dim >= 2")
     j_min, j_max = resolvable_band_range(grid)
     k_lo = max(j_min, math.ceil(math.log2(4.0 / grid.box)))
     if k_lo > j_max:

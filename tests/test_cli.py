@@ -9,10 +9,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lplab.cli import CSV_HEADER, load_field, main, save_field
 from lplab.errors import IoError
 from lplab.fields import GridSpec, SampledField, TestFunctionSpec, sample_family
+from lplab.quasinorms import SpaceParams, default_quadrature, quasinorm
 
 
 def run(tmp_path, *argv):
@@ -188,6 +190,19 @@ class TestExitCodes:
     def test_non_integer_axis_is_config_error(self, tmp_path, capsys, cid):
         code, out = run(tmp_path, "norm", "--characterization", cid, "--grid-dim", "1",
                         "--grid-n", "64", "--function", "gauss_mid")
+        assert_one_config_error(code, capsys)
+        assert not out.exists()
+
+    def test_axis_outside_grid_is_config_error(self, tmp_path, capsys):
+        # the library's InvalidAxis, like a non-integer J, names a bad request
+        code, out = run(tmp_path, "norm", "--characterization", "axis:3", "--grid-dim", "2",
+                        "--grid-n", "32", "--function", "gauss_mid")
+        assert_one_config_error(code, capsys)
+        assert not out.exists()
+
+    def test_unknown_theorem_is_config_error(self, tmp_path, capsys):
+        code, out = run(tmp_path, "verify", "equivalence", "--grid-dim", "1", "--grid-n", "256",
+                        "--theorem", "T99")
         assert_one_config_error(code, capsys)
         assert not out.exists()
 
@@ -413,6 +428,15 @@ class TestMaximalCommand:
         )
         assert code == 2
 
+    def test_unknown_variant_rejected_below_dim_two(self, tmp_path, capsys):
+        # the name check comes before the dimension check
+        code, out = run(
+            tmp_path, "maximal", "--grid-dim", "1", "--grid-n", "64",
+            "--function", "gauss_mid", "--variants", "S,BOGUS",
+        )
+        assert_one_config_error(code, capsys)
+        assert not out.exists()
+
 
 class TestNameLists:
     """Names and lists from a config: JSON lists are read as lists, and
@@ -544,3 +568,47 @@ class TestExplicitZeros:
             "--function", "band_mid", "--config", str(cfg),
         )
         assert code == 2
+
+
+class TestLibraryParity:
+    """CLI `norm` against the library's `quasinorm` on the same file and
+    quadrature, over random valid parameters; p = 2 with B or q = 2 takes
+    the step-energy path, any other p the magnitude path."""
+
+    @given(
+        grid=st.sampled_from([GridSpec(1, 16), GridSpec(1, 64), GridSpec(2, 16),
+                              GridSpec(2, 32), GridSpec(2, 64)]),
+        cid=st.sampled_from(["diff", "axis"]),
+        s=st.floats(0.1, 1.9),
+        p=st.sampled_from(["0.5", "1", "1.5", "2", "3"]),
+        q=st.sampled_from(["0.5", "1", "2", "4", "inf"]),
+        scale=st.sampled_from(["F", "B"]),
+        order=st.integers(1, 3),
+        complex_field=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    # one call on each path at the largest grid, whatever is drawn
+    @example(grid=GridSpec(2, 64), cid="diff", s=0.5, p="2", q="2", scale="F", order=1,
+             complex_field=False, seed=0)
+    @example(grid=GridSpec(2, 64), cid="diff", s=0.5, p="1", q="inf", scale="B", order=2,
+             complex_field=False, seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_norm_matches_quasinorm(self, tmp_path_factory, grid, cid, s, p, q, scale, order,
+                                    complex_field, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal(grid.shape)
+        if complex_field:
+            data = data + 1j * rng.standard_normal(grid.shape)
+        tmp = tmp_path_factory.mktemp("parity")
+        save_field(str(tmp / "f.bin"), SampledField(grid, data))
+        code = main(["norm", "--characterization", cid, "--grid-dim", str(grid.dim),
+                     "--grid-n", str(grid.n), "--in", str(tmp / "f.bin"), "--s", repr(s),
+                     "--p", p, "--q", q, "--space", scale, "--L", str(order),
+                     "--radial-per-octave", "2", "--sphere-nodes", "4", "--out", str(tmp)])
+        assert code == 0
+        params = SpaceParams(s=s, p=float(p), q=float(q), L=order, scale=scale)
+        quad = default_quadrature(grid, radial_nodes_per_octave=2, sphere_nodes=4)
+        want = quasinorm(load_field(str(tmp / "f.bin"), grid), cid, params, quad)
+        [row] = read_rows(tmp, "norm")
+        assert float(row.split(",")[6]) == pytest.approx(want.value, rel=1e-12)
+        assert row.split(",")[7] == want.flag

@@ -158,21 +158,20 @@ class TestStepEngine:
         assert (engine.forward_ffts, engine.steps) == (1, 6)
 
     def test_norms_match_magnitudes(self, grid1d, grid2d):
-        # the complex layout, in 1-D, 2-D and 3-D
+        # complex fields, in 1-D, 2-D and 3-D
         for f in (random_complex_field(grid1d, seed=46), random_complex_field(grid2d, seed=47),
                   random_complex_field(GridSpec(3, 16), seed=48)):
             assert_norms_match_magnitudes(StepEngine(f), TestRealInputEngine.steps(f.grid))
 
-    @pytest.mark.parametrize("grid,real", [(GridSpec(2, 32), False), (GridSpec(2, 128), True),
-                                           (GridSpec(1, 256), False), (GridSpec(3, 8), False)],
+    @pytest.mark.parametrize("grid", [GridSpec(2, 32), GridSpec(2, 128), GridSpec(1, 256),
+                                      GridSpec(3, 8)],
                              ids=["complex-2d", "real-2d", "complex-1d", "complex-3d"])
-    def test_max_magnitude_matches_step_loop(self, grid, real):
+    def test_max_magnitude_matches_step_loop(self, grid):
         # the D_SUP direction maximum against one magnitude per step; 11
         # directions are not a multiple of a chunk, and the first has zero
         # components
         f = field_of_kind(grid, "noise")
         engine = StepEngine(f)
-        assert engine.real == real
         directions = unit_sphere_nodes(grid.dim, 11) if grid.dim > 1 else np.array([[1.0], [-1.0]])
         for length, order in ((grid.spacing / 3, 1), (0.07, 2), (0.25, 3)):
             steps = length * directions
@@ -211,7 +210,7 @@ def rounding_floor(field):
 
 
 class TestRealInputEngine:
-    # the smallest real-layout grids: 8192 samples or more
+    # real fields of 8192 samples or more, against the full-grid oracles
     GRIDS = {1: GridSpec(1, 8192), 2: GridSpec(2, 128), 3: GridSpec(3, 32)}
 
     @staticmethod
@@ -230,7 +229,6 @@ class TestRealInputEngine:
     def test_steps_match_full_grid_symbol(self, dim, order, kind):
         f = field_of_kind(self.GRIDS[dim], kind)
         engine = StepEngine(f)
-        assert engine.real
         for step in self.steps(f.grid):
             want = full_grid_difference(f, step, order)
             tol = 1e-13 * np.max(np.abs(want)) + rounding_floor(f)
@@ -240,9 +238,7 @@ class TestRealInputEngine:
     @pytest.mark.parametrize("kind", ["noise", "gaussian"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_norms_match_magnitudes(self, dim, kind):
-        # the power spectrum mirrored from the stored half
         engine = StepEngine(field_of_kind(self.GRIDS[dim], kind))
-        assert engine.real
         assert_norms_match_magnitudes(engine, self.steps(engine.grid))
 
     @pytest.mark.parametrize("kind", ["noise", "gaussian"])
@@ -272,26 +268,10 @@ class TestRealInputEngine:
         data = 1e155 * np.random.default_rng(61).standard_normal(grid.shape)
         real = StepEngine(SampledField(grid, data))
         full = StepEngine(SampledField(grid, data + 1e-300j))
-        assert real.real and not full.real
         got = real.magnitude((0.01, 0.02), 1)
         want = full.magnitude((0.01, 0.02), 1)
         assert np.isfinite(got).all()
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
-
-    def test_layout_choice(self):
-        # one nonzero imaginary sample, or fewer than 8192 samples, keeps
-        # the complex layout
-        data = field_of_kind(self.GRIDS[2], "noise").data.copy()
-        assert StepEngine(SampledField(self.GRIDS[2], data)).real
-        assert not StepEngine(field_of_kind(GridSpec(2, 64), "noise")).real
-        data[5, 7] += 1e-9j
-        f = SampledField(self.GRIDS[2], data)
-        engine = StepEngine(f)
-        assert not engine.real
-        step = (0.3 * f.grid.spacing, 0.02)
-        want = full_grid_difference(f, step, 2)
-        assert np.max(np.abs(engine.difference(step, 2).data - want)) <= 1e-13 * np.max(np.abs(want))
-        assert np.array_equal(engine.magnitude(step, 2), np.abs(engine.difference(step, 2).data))
 
 
 LONG_PI = np.arccos(np.longdouble(-1.0))
@@ -310,11 +290,12 @@ class TestMeanSymbolAccuracy:
 
     The mode k with entries 0 or n/4 has samples exp(2 pi i k.x / B) in
     {1, i, -1, -i}, or cosines in {1, 0, -1}, which the forward transforms
-    map to an exact delta.  So the mean field is exactly |S(k)| in the
-    complex layout and |Re(exp(2 pi i k.x / B) S(k))| in the real one, S the
-    mean symbol.  (At k = 1 the forward transform's roundoff, about 1e-16
-    of X(1) at every other frequency, enters times |S(k')| / |S(1)|, up to
-    (n/2)^(L+1), and would hide the symbol's own error.)  Expanding
+    map to an exact delta.  So the mean field is exactly |S(k)| for the
+    complex mode and |Re(exp(2 pi i k.x / B) S(k))| for the cosine, S the
+    mean symbol (the cosine's other delta, at -k, carries conj S(k)).  (At
+    k = 1 the forward transform's roundoff, about 1e-16 of X(1) at every
+    other frequency, enters times |S(k')| / |S(1)|, up to (n/2)^(L+1), and
+    would hide the symbol's own error.)  Expanding
     (phi - 1)^L in powers of phi misses 1e-13 of |S| from spacing / 32 down,
     and forming phi - 1 from the full phase misses it at spacing / 128.
     """
@@ -329,10 +310,9 @@ class TestMeanSymbolAccuracy:
         k = np.zeros(grid.dim)
         k[list(axes)] = grid.n // 4
         turns = sum(np.indices(grid.shape)[a] for a in axes) % 4
-        real = grid.num_points >= 8192
+        real = grid.num_points >= 8192  # the cosine on the larger grids
         data = QUARTER_TURNS[turns].real if real else QUARTER_TURNS[turns]
         engine = StepEngine(SampledField(grid, data))
-        assert engine.real == real
         if mean == "sphere":
             points = unit_sphere_nodes(grid.dim, 16)
             weights = np.full(len(points), 1.0 / len(points))
