@@ -10,6 +10,14 @@ The package namespace holds what the demos use; everything else is imported
 from its submodule (`lplab.fields`, `lplab.quasinorms`, `lplab.verify`, ...).
 """
 
+import os
+
+# Every matrix product of the package is small enough to run on the calling
+# thread (`differences._SERIAL_GEMM`), so an OpenBLAS thread pool only costs
+# start-up time and spinning workers.  This must precede the first numpy
+# import; a value already set in the environment is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import LplabError
 from .fields import (
     GridSpec,

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from typing import Sequence
 
 import numpy as np
@@ -826,20 +827,33 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except LplabError as exc:
-        print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        out_dir = str(opts.get("out_dir") or "lplab-artifacts")
-        summary = {
-            "command": args.command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        path = os.path.join(out_dir, "error_summary.json")
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(_dump_json(summary))
-        except OSError as io_exc:
-            print(f"cannot write {path}: {io_exc}", file=sys.stderr)
-        return 1
+        return _report_failure(args.command, opts, "computation error", exc)
+    except Exception as exc:  # any other failure, MemoryError included; KeyboardInterrupt ends the run
+        return _report_failure(args.command, opts, "internal error", exc,
+                               traceback.format_exception(exc))
+
+
+def _report_failure(command: str, opts: dict, kind: str, exc: Exception,
+                    trace: list[str] | None = None) -> int:
+    """Print one `kind: Type: message` line, write error_summary.json into
+    the output directory (with the traceback lines, if given), and return
+    exit code 1."""
+    print(f"{kind}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    out_dir = str(opts.get("out_dir") or "lplab-artifacts")
+    summary = {
+        "command": command,
+        "error": {"type": type(exc).__name__, "message": str(exc)},
+    }
+    if trace is not None:
+        summary["traceback"] = trace
+    path = os.path.join(out_dir, "error_summary.json")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(_dump_json(summary))
+    except OSError as io_exc:
+        print(f"cannot write {path}: {io_exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -110,11 +110,13 @@ class StepEngine:
     S(k) = (exp(2 pi i h.k / B) - 1)^L is the broadcast product of one 1-D
     phase factor exp(2 pi i k_a h_a / B) per axis with a nonzero step
     component, so each step costs one inverse transform and no full-grid
-    exponential.  A weighted sum of steps also costs one inverse transform,
-    its symbol built as low-rank real matrix products (`_mean_symbol`), and
-    `max_magnitude` sends a chunk of steps through one inverse transform.
-    The spectrum X is the full `np.fft.fftn` of the field, real or complex;
-    `norms` reads |X|^2 off it with no inverse transform.
+    exponential.  A weighted sum of steps also costs one inverse transform
+    (`symbol_magnitude`), its symbol built as low-rank real matrix products
+    (`mean_symbol`), and `max_magnitude` sends a chunk of steps through one
+    inverse transform.  A mean symbol built under a key announced by
+    `keep_mean_symbols` is held for one later request, so two callers can
+    share it.  The spectrum X is the full `np.fft.fftn` of the field, real
+    or complex; `norms` reads |X|^2 off it with no inverse transform.
 
     `steps` counts the step symbols formed and `forward_ffts` the forward
     transforms of the whole field, which stays 1.
@@ -125,23 +127,61 @@ class StepEngine:
         self._k = self.grid.frequency_integers().astype(np.float64)
         self._coeffs = np.fft.fftn(field.data)
         self._power = None
+        self._kept = {}  # key -> held mean symbol, None until built
         self.forward_ffts = 1
         self.steps = 0
 
     def magnitude(self, step: tuple[float, ...], order: int) -> np.ndarray:
         """|diff(f, h, L)| on the grid, checked finite."""
-        return self._combine([step], None, order, modulus=True)
+        return self.symbol_magnitude(self._step_symbol(step, order))
 
     def mean_magnitude(self, steps: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
         """|sum_m w_m diff(f, h_m, L)| on the grid, checked finite."""
-        return self._combine(steps, weights, order, modulus=True)
+        return self.symbol_magnitude(self.mean_symbol(steps, weights, order))
+
+    def mean_symbol(self, steps: np.ndarray, weights: np.ndarray, order: int,
+                    key=None) -> np.ndarray:
+        """The multiplier sum_m w_m S_m of a weighted mean of steps, in `fftn`
+        order; the steps count toward `steps`.
+
+        A symbol built under a key of `keep_mean_symbols` is held, and the
+        next request of that key takes it without building or counting it.
+        """
+        held = self._kept.get(key)
+        if held is not None:
+            del self._kept[key]
+            return held
+        steps = self._count(steps, order)
+        symbol = self._mean_symbol(steps, np.asarray(weights, dtype=np.float64), order)
+        if key in self._kept:
+            self._kept[key] = symbol
+        return symbol
+
+    def keeps(self, key) -> bool:
+        """Whether a mean symbol is held, or will be held, under key."""
+        return key in self._kept
+
+    def keep_mean_symbols(self, keys) -> None:
+        """Hold the mean symbol next built under each of these keys for one
+        later request of the same key."""
+        for key in keys:
+            self._kept.setdefault(key, None)
+
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
+    def symbol_magnitude(self, symbol: np.ndarray) -> np.ndarray:
+        """|ifftn(X symbol)|, the modulus of the field with multiplier symbol,
+        checked finite."""
+        mag = np.abs(np.fft.ifftn(self._coeffs * symbol))
+        if not np.isfinite(mag).all():
+            raise NonFiniteSample("difference samples contain NaN or infinity")
+        return mag
 
     @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
     def max_magnitude(self, steps, order: int) -> np.ndarray:
         """max over the rows h_m of steps of |diff(f, h_m, L)|, checked finite.
 
-        Each chunk of steps pays one inverse transform with a leading step
-        axis.
+        Each chunk of steps forms its symbols in one broadcast and pays one
+        inverse transform with a leading step axis.
         """
         grid = self.grid
         steps = self._count(steps, order)
@@ -152,17 +192,22 @@ class StepEngine:
             part = steps[lo : lo + chunk]
             # exp(2 pi i k h_a / B), indexed (step, axis, k)
             factors = np.exp(2j * np.pi * (self._k * (part[:, :, None] / grid.box)))
-            spectra = np.empty((len(part),) + grid.shape, dtype=complex)
-            for i, step in enumerate(part):
-                np.multiply(self._coeffs, self._symbol(step, factors[i], order), out=spectra[i])
+            phase = factors[:, 0].reshape((len(part), -1) + (1,) * (grid.dim - 1))
+            for a in range(1, grid.dim):
+                shape = [len(part)] + [1] * grid.dim
+                shape[1 + a] = -1
+                phase = phase * factors[:, a].reshape(shape)
+            spectra = _power(phase - 1.0, order)
+            np.multiply(self._coeffs, spectra, out=spectra)  # this operand order, bit for bit
             np.maximum(out, np.abs(np.fft.ifftn(spectra, axes=axes)).max(axis=0), out=out)
         if not np.isfinite(out).all():
             raise NonFiniteSample("difference samples contain NaN or infinity")
         return out
 
+    @np.errstate(over="ignore", invalid="ignore")  # SampledField rejects non-finite samples
     def difference(self, step: tuple[float, ...], order: int) -> SampledField:
         """The L-fold difference with step h as a validated field."""
-        return SampledField(self.grid, self._combine([step], None, order, modulus=False))
+        return SampledField(self.grid, np.fft.ifftn(self._coeffs * self._step_symbol(step, order)))
 
     @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
     def norms(self, steps, order: int) -> np.ndarray:
@@ -235,26 +280,22 @@ class StepEngine:
         self.steps += len(steps)
         return steps
 
-    @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
-    def _combine(self, steps, weights, order: int, modulus: bool) -> np.ndarray:
-        """sum_m w_m diff(f, h_m, L), or its modulus checked finite.
+    def _step_symbol(self, step: tuple[float, ...], order: int) -> np.ndarray | float:
+        """One step's multiplier, counted, broadcastable to the grid.
 
-        weights None stands for the single unweighted step steps[0].
+        Axes with a zero step component are left out of the product, so an
+        axis step yields an array that is flat along the other axes, and the
+        zero step yields the scalar 0.
         """
-        steps = self._count(steps, order)
-        if weights is None:
-            # exp(2 pi i k h_a / B), indexed (axis, k)
-            factor = np.exp(2j * np.pi * (self._k * (steps[0, :, None] / self.grid.box)))
-            symbol = self._symbol(steps[0], factor, order)
-        else:
-            symbol = self._mean_symbol(steps, np.asarray(weights, dtype=np.float64), order)
-        samples = np.fft.ifftn(self._coeffs * symbol)
-        if not modulus:
-            return samples
-        mag = np.abs(samples)
-        if not np.isfinite(mag).all():
-            raise NonFiniteSample("difference samples contain NaN or infinity")
-        return mag
+        dim = self.grid.dim
+        phase = 1.0
+        for a, h in enumerate(self._count([step], order)[0].tolist()):
+            if h != 0.0:
+                shape = [1] * dim
+                shape[a] = -1
+                # exp(2 pi i k h_a / B) along axis a
+                phase = phase * np.exp(2j * np.pi * (self._k * (h / self.grid.box))).reshape(shape)
+        return _power(phase - 1.0, order)
 
     def _mean_symbol(self, steps: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
         """sum_m w_m S_m on the grid, in `fftn` order.
@@ -309,22 +350,6 @@ class StepEngine:
                 _add_product(total, cols.reshape(plane, -1), rows.reshape(-1, last))
         total += row
         return total.reshape(grid.shape)
-
-    def _symbol(self, step: np.ndarray, factor: np.ndarray, order: int) -> np.ndarray | float:
-        """One step's multiplier, broadcastable to the grid.
-
-        Axes with a zero step component are left out of the product, so an
-        axis step yields an array that is flat along the other axes, and the
-        zero step yields the scalar 0.
-        """
-        dim = self.grid.dim
-        phase = 1.0
-        for a, h in enumerate(step.tolist()):
-            if h != 0.0:
-                shape = [1] * dim
-                shape[a] = -1
-                phase = phase * factor[a].reshape(shape)
-        return _power(phase - 1.0, order)
 
 
 def iterated_difference(

@@ -17,14 +17,27 @@ with the surviving pairs, not with the square of the point count.
 Suprema on one grid with one exponent run as a stacked scan, each field
 with its own weight scale: all fields visit the block offsets in one
 order, so the numpy calls that pick each offset's live pairs and update
-the maxima serve the whole stack.  The mean-difference forms take a ladder
-of scales and return the stack of maximal fields from one such call.
+the maxima serve the whole stack.  Where only the max over runs of fields
+is read, the runs ("pieces") share one output and one floor, which carry
+from one stack to the next: a piece's later fields skip every pair its
+earlier fields have already beaten.
+
+The mean-difference forms take a ladder of scales and return the maximal
+fields of its scales, or of its pieces, from one such call.  A shell mean
+is a radial sum of sphere means, sum_j w_j M(t r_j), so its symbol is the
+same sum of sphere-mean symbols.  Ladders of exact scales (`Scale`, top
+times a rational power of 2) key those symbols by their exact radius:
+each is built once, in increasing order of radius, and dropped as soon as
+the means that use it are complete; `share_sphere_symbols` hands a sphere
+ladder's symbols on to a shell ladder on the same lattice.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,123 +58,180 @@ _BLOCK = 4  # block edge of the pruned supremum, in samples per axis
 # measurable gain in speed.
 _STACK_POINTS = 1 << 13
 # Most products formed by one numpy operation of the scan: 64 block pairs
-# at 2-D, so each temporary stays at 128 KB whatever the stack or grid.
+# at 2-D, so each temporary (the products and the pairs' patches) stays at
+# 128 KB whatever the stack or grid.
 _PRODUCT_CHUNK = 1 << 14
 
 DEFAULT_SPHERE_COUNT = {1: 2, 2: 64, 3: 256}
 DEFAULT_ANNULUS_RADII = 8
 
 
+class _BlockScan:
+    """The pruned supremum on one grid with one exponent, for stacks of
+    fields whose weighted sups are maximized into pieces.
+
+    Target block T meets source block S = T - delta through the patch
+    P[delta][c_s, c_t] = w((delta b + c_t - c_s) mod n) of a field's weight
+    table w, so its sup at T b + c_t is the max over delta and c_s of
+    u[S b + c_s] P[delta][c_s, c_t].  Float products are monotone in each
+    nonnegative factor, so max(u on S) * max(P[delta]) bounds every product
+    of the pair; a pair is evaluated only while that bound exceeds the
+    floor of its piece on T, the current minimum of the piece's maximum
+    there.  All fields of a stack visit delta in one order, by the least
+    offset radius of the patch, and a field has no pair left once max(u)
+    times the largest patch max still to come cannot beat the minimum of
+    its piece's floor; the stack ends when no field has one.  Every
+    skipped product is at most a value already reached, so each piece is
+    the max over the same products as full scans of its fields.  A piece
+    that goes on into the next stack hands its maximum and floor on, so
+    its later fields start from the values its earlier ones reached.
+    """
+
+    def __init__(self, grid: GridSpec, exponent: float):
+        dim, n = grid.dim, grid.n
+        b = min(_BLOCK, n)
+        nb = n // b
+        self.grid, self.exponent, self.b, self.nb = grid, exponent, b, nb
+        self.count, self.size = nb**dim, b**dim  # blocks, points per block
+        self.radii = grid.minimal_image_radii()
+        # P[delta] holds, along each axis a, the offsets delta_a b + j for
+        # j = 1 - b .. b - 1, so its max is a max over that box, axis by axis
+        self.window = (np.arange(nb)[:, None] * b + np.arange(1 - b, b)) % n
+        # per axis: (delta_a, c_s, c_t) -> (delta_a b + c_t - c_s) mod n, as
+        # a term of the flat grid index with c_s on axis a and c_t on axis
+        # dim + a
+        axis_index = (
+            np.arange(nb)[:, None, None] * b - np.arange(b)[None, :, None]
+            + np.arange(b)[None, None, :]
+        ) % n
+        self.terms = []
+        for a in range(dim):
+            shape = [nb] + [1] * (2 * dim)
+            shape[1 + a] = shape[1 + dim + a] = b
+            self.terms.append((axis_index * n ** (dim - 1 - a)).reshape(shape))
+        # all fields visit delta by the least squared offset, in samples, of
+        # its patch
+        near = np.minimum(axis_index, n - axis_index).min(axis=(1, 2)) ** 2
+        least = sum(near.reshape((nb,) + (1,) * (dim - 1 - a)) for a in range(dim))
+        self.order = np.argsort(np.broadcast_to(least, (nb,) * dim).reshape(-1), kind="stable")
+        # per axis: (delta_a, T_a) -> (T_a - delta_a) mod nb, as a term of
+        # the row of source block S in the stack's blocks, shaped to
+        # broadcast over (field, block axes) from the first block of each
+        # field
+        shifted = (np.arange(nb)[None, :] - np.arange(nb)[:, None]) % nb
+        self.sources = []
+        for a in range(dim):
+            shape = [nb, 1] + [1] * dim
+            shape[2 + a] = nb
+            self.sources.append((shifted * nb ** (dim - 1 - a)).reshape(shape))
+        self.coords = np.indices((nb,) * dim).reshape(dim, -1).T.tolist()
+        # blocked layout of C-ordered fields: in-block position first, so
+        # reductions over it run across rows
+        self.to_blocks = tuple(range(2, 2 * dim + 1, 2)) + (0,) + tuple(range(1, 2 * dim, 2))
+        self.chunk = max(1, _PRODUCT_CHUNK // (self.size * self.size))
+
+    def add(self, u: np.ndarray, scales: np.ndarray, rows: np.ndarray,
+            out: np.ndarray, floor: np.ndarray) -> int:
+        """Maximize the sups of the stacked fields u[i], field i with weight
+        scale scales[i], into pieces rows[i]; return the block pairs
+        evaluated.
+
+        out[c, p count + T] is the maximum of piece p at in-block position
+        c of block T, and floor[p count + T] its minimum over c; both are
+        updated in place.
+        """
+        dim, b, nb, count, size = self.grid.dim, self.b, self.nb, self.count, self.size
+        depth = len(scales)
+        # one weight table per field, each one array power, as a full scan
+        # builds it
+        tables = np.empty((depth,) + self.grid.shape)
+        for i, scale in enumerate(scales):
+            tables[i] = (1.0 + scale * self.radii) ** (-self.exponent)
+        patch_max = tables
+        for a in range(dim):
+            patch_max = np.take(patch_max, self.window, axis=a + 1).max(axis=a + 2)
+        patch_max = patch_max.reshape(depth, count)
+        # cols[c, i count + T]: in-block position c of field i's block T
+        cols = u.reshape((depth,) + (nb, b) * dim).transpose(self.to_blocks)
+        cols = cols.reshape(size, depth * count)
+        block_max = cols.max(axis=0).reshape(depth, count)
+        # reach[step, i]: the most a product of field i can reach from that
+        # step of the order on, max(u) times the largest patch max to come;
+        # then patch_max[delta] as a (field, 1) column
+        order = self.order
+        still = np.maximum.accumulate(patch_max[:, order[::-1]], axis=1)[:, ::-1]
+        reach = (still * block_max.max(axis=1)[:, None]).T.copy()
+        patch_max = patch_max.T[:, :, None].copy()
+        first_block = np.arange(depth).reshape((depth,) + (1,) * dim) * count
+        tables = tables.reshape(depth, -1)
+        # target[i count + T]: the column of out that field i's block T feeds
+        rows = np.asarray(rows)
+        target = (rows[:, None] * count + np.arange(count)).reshape(-1)
+        shared = len(set(rows.tolist())) < depth  # some piece has several fields here
+        chunk = self.chunk
+        pairs = 0
+        for step, delta in enumerate(order.tolist()):
+            floors = floor.take(target).reshape(depth, count)
+            if (reach[step] <= floors.min(axis=1)).all():
+                break
+            shift = self.coords[delta]
+            source = sum((term[d] for term, d in zip(self.sources, shift)), first_block)
+            source = source.reshape(depth, count)
+            bound = block_max.take(source)
+            bound *= patch_max[delta]
+            live = np.flatnonzero(bound > floors)
+            if live.size == 0:
+                continue
+            index = sum(term[d] for term, d in zip(self.terms, shift)).reshape(size, size)
+            patches = tables.take(index, axis=1)
+            values = cols.take(source.take(live), axis=1)[:, None]
+            # field i's pairs take its patch, patches[i][c_s, c_t]
+            fields = live // count
+            best = np.empty((size, live.size))
+            for lo in range(0, live.size, chunk):
+                part = slice(lo, lo + chunk)
+                if depth == 1:
+                    patch = patches[0][:, :, None]
+                else:
+                    patch = patches.take(fields[part], axis=0).transpose(1, 2, 0)
+                products = values[:, :, part] * patch
+                products.max(axis=0, out=best[:, part])
+            columns = target.take(live)
+            if shared:
+                # pairs of one piece's fields may share a target column: max
+                # them into one column each
+                by_column = np.argsort(columns, kind="stable")
+                columns = columns.take(by_column)
+                opens = np.ones(columns.size, dtype=bool)
+                np.not_equal(columns[1:], columns[:-1], out=opens[1:])
+                starts = np.flatnonzero(opens)
+                columns = columns.take(starts)
+                best = np.maximum.reduceat(best.take(by_column, axis=1), starts, axis=1)
+            np.maximum(best, out.take(columns, axis=1), out=best)
+            out[:, columns] = best
+            floor.put(columns, best.min(axis=0))
+            pairs += live.size
+        return pairs
+
+    def unblock(self, out: np.ndarray) -> np.ndarray:
+        """The pieces of a blocked maximum out as grid fields, shape
+        (pieces,) + grid shape."""
+        dim, b, nb = self.grid.dim, self.b, self.nb
+        pieces = out.shape[1] // self.count
+        shaped = out.reshape((b,) * dim + (pieces,) + (nb,) * dim)
+        return shaped.transpose(np.argsort(self.to_blocks)).reshape((pieces,) + self.grid.shape)
+
+
 def _block_pruned_sup(
     u: np.ndarray, grid: GridSpec, scales: np.ndarray, exponent: float
 ) -> tuple[np.ndarray, int]:
     """The weighted offset sups of the stacked fields u[i], field i with
-    weight scale scales[i], and the number of block pairs evaluated.
-
-    Target block T meets source block S = T - delta through the patch
-    P[delta][c_s, c_t] = w((delta b + c_t - c_s) mod n) of the field's
-    weight table w, so out[T b + c_t] = max over delta and c_s of
-    u[S b + c_s] P[delta][c_s, c_t].  Float products are monotone in each
-    nonnegative factor, so max(u on S) * max(P[delta]) bounds every product
-    of the pair; a pair is evaluated only while that bound exceeds the
-    current minimum of out on T.  All fields visit delta in one order, by
-    the least offset radius of the patch, and a field has no pair left once
-    max(u) times the largest patch max still to come cannot beat the
-    minimum of its out anywhere; the scan ends when no field has one.
-    Every skipped product is at most a value already reached, so each
-    result is the same max over the same products as the full scan.
-    """
-    dim, n = grid.dim, grid.n
-    b = min(_BLOCK, n)
-    nb = n // b
-    count, size, depth = nb**dim, b**dim, len(scales)  # blocks, points per block, fields
-    radii = grid.minimal_image_radii()
-    # one weight table per field, each one array power, as a full scan
-    # builds it
-    tables = np.empty((depth,) + grid.shape)
-    for i, scale in enumerate(scales):
-        tables[i] = (1.0 + scale * radii) ** (-exponent)
-    # P[delta] holds, along each axis a, the offsets delta_a b + j for
-    # j = 1 - b .. b - 1, so its max is a max over that box, axis by axis
-    window = (np.arange(nb)[:, None] * b + np.arange(1 - b, b)) % n
-    patch_max = tables
-    for a in range(dim):
-        patch_max = np.take(patch_max, window, axis=a + 1).max(axis=a + 2)
-    patch_max = patch_max.reshape(depth, count)
-    # per axis: (delta_a, c_s, c_t) -> (delta_a b + c_t - c_s) mod n, as a
-    # term of the flat grid index with c_s on axis a and c_t on axis dim + a
-    axis_index = (
-        np.arange(nb)[:, None, None] * b - np.arange(b)[None, :, None] + np.arange(b)[None, None, :]
-    ) % n
-    terms = []
-    for a in range(dim):
-        shape = [nb] + [1] * (2 * dim)
-        shape[1 + a] = shape[1 + dim + a] = b
-        terms.append((axis_index * n ** (dim - 1 - a)).reshape(shape))
-    # all fields visit delta by the least squared offset, in samples, of
-    # its patch
-    near = np.minimum(axis_index, n - axis_index).min(axis=(1, 2)) ** 2
-    least = sum(near.reshape((nb,) + (1,) * (dim - 1 - a)) for a in range(dim))
-    order = np.argsort(np.broadcast_to(least, (nb,) * dim).reshape(-1), kind="stable")
-
-    # cols[c, i count + T]: in-block position c of field i's block T, both
-    # in C order; the position axis leads so that reductions over it run
-    # across rows
-    split = (depth,) + (nb, b) * dim
-    to_blocks = tuple(range(2, 2 * dim + 1, 2)) + (0,) + tuple(range(1, 2 * dim, 2))
-    cols = u.reshape(split).transpose(to_blocks).reshape(size, depth * count)
-    block_max = cols.max(axis=0).reshape(depth, count)
-    # reach[step, i]: the most a product of field i can reach from that
-    # step of the order on, max(u) times the largest patch max to come;
-    # then patch_max[delta] as a (field, 1) column
-    still = np.maximum.accumulate(patch_max[:, order[::-1]], axis=1)[:, ::-1]
-    reach = (still * block_max.max(axis=1)[:, None]).T.copy()
-    patch_max = patch_max.T[:, :, None].copy()
-    # per axis: (delta_a, T_a) -> (T_a - delta_a) mod nb, as a term of the
-    # row of source block S in cols, shaped to broadcast over (field,
-    # block axes) from the first block of each field
-    shifted = (np.arange(nb)[None, :] - np.arange(nb)[:, None]) % nb
-    sources = []
-    for a in range(dim):
-        shape = [nb, 1] + [1] * dim
-        shape[2 + a] = nb
-        sources.append((shifted * nb ** (dim - 1 - a)).reshape(shape))
-    first_block = np.arange(depth).reshape((depth,) + (1,) * dim) * count
-    coords = np.indices((nb,) * dim).reshape(dim, -1).T.tolist()
-    edges = np.arange(depth + 1) * count
-    tables = tables.reshape(depth, -1)
-    out = np.zeros(cols.shape)
-    floor = np.zeros(block_max.shape)
-    chunk = max(1, _PRODUCT_CHUNK // (size * size))
-    pairs = 0
-    for step, delta in enumerate(order.tolist()):
-        if (reach[step] <= floor.min(axis=1)).all():
-            break
-        shift = coords[delta]
-        source = sum((term[d] for term, d in zip(sources, shift)), first_block)
-        source = source.reshape(depth, count)
-        bound = block_max.take(source)
-        bound *= patch_max[delta]
-        live = np.flatnonzero(bound > floor)
-        if live.size == 0:
-            continue
-        index = sum(term[d] for term, d in zip(terms, shift)).reshape(size, size)
-        patches = tables.take(index, axis=1)
-        values = cols.take(source.take(live), axis=1)[:, None]
-        best = np.empty((size, live.size))
-        # live is sorted, so each field's pairs are one run of it
-        bounds = np.searchsorted(live, edges).tolist() if depth > 1 else [0, live.size]
-        for i in range(depth):
-            for lo in range(bounds[i], bounds[i + 1], chunk):
-                part = slice(lo, min(lo + chunk, bounds[i + 1]))
-                products = values[:, :, part] * patches[i][:, :, None]
-                products.max(axis=0, out=best[:, part])
-        np.maximum(best, out.take(live, axis=1), out=best)
-        out[:, live] = best
-        floor.put(live, best.min(axis=0))
-        pairs += live.size
-    shaped = out.reshape((b,) * dim + (depth,) + (nb,) * dim).transpose(np.argsort(to_blocks))
-    return shaped.reshape(u.shape), pairs
+    weight scale scales[i], each its own piece, and the number of block
+    pairs evaluated."""
+    scan = _BlockScan(grid, exponent)
+    out = np.zeros((scan.size, len(scales) * scan.count))
+    pairs = scan.add(u, scales, np.arange(len(scales)), out, np.zeros(out.shape[1]))
+    return scan.unblock(out), pairs
 
 
 def weighted_offset_sup(
@@ -169,11 +239,15 @@ def weighted_offset_sup(
     grid: GridSpec,
     scale: float | np.ndarray,
     exponent: float,
+    pieces: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Exact sup over lattice offsets z of u(x-z) (1 + scale |z|)^(-exponent).
 
     Leading axes of field_magnitudes stack fields, each with its own weight
     scale: scale has the shape of those axes, a scalar for one field.
+    pieces, if given, splits the flattened stack into runs of consecutive
+    fields, labelled 0, 1, ... in order; the result then has one row per
+    run, the max of its fields' sups.
     """
     scales = np.asarray(scale, dtype=np.float64)
     if np.shape(field_magnitudes) != scales.shape + grid.shape:
@@ -182,12 +256,33 @@ def weighted_offset_sup(
         raise InvalidExponent("weight scale and exponent must be nonnegative")
     u = np.asarray(field_magnitudes, dtype=np.float64).reshape((-1,) + grid.shape)
     scales = scales.reshape(-1)
-    out = np.empty(u.shape)
+    if pieces is None:
+        labels = np.arange(len(scales))
+    else:
+        labels = np.asarray(pieces, dtype=np.intp)
+        if (labels.shape != scales.shape or (labels.size and labels[0] != 0)
+                or not np.isin(np.diff(labels), (0, 1)).all()):
+            raise ShapeMismatch("pieces must number runs of consecutive fields 0, 1, ...")
+    result = np.empty((labels[-1] + 1 if labels.size else 0,) + grid.shape)
+    scan = _BlockScan(grid, exponent)
+    count = scan.count
     depth = max(1, _STACK_POINTS // grid.num_points)
+    held = None  # blocked maximum and floor of the piece going on into the next stack
     for lo in range(0, len(scales), depth):
-        out[lo : lo + depth] = _block_pruned_sup(
-            u[lo : lo + depth], grid, scales[lo : lo + depth], exponent)[0]
-    return out.reshape(np.shape(field_magnitudes))
+        rows = labels[lo : lo + depth]
+        first, last = int(rows[0]), int(rows[-1])
+        out = np.zeros((scan.size, (last - first + 1) * count))
+        floor = np.zeros(out.shape[1])
+        if held is not None:
+            out[:, :count], floor[:count] = held
+        scan.add(u[lo : lo + depth], scales[lo : lo + depth], rows - first, out, floor)
+        if lo + depth < len(scales) and labels[lo + depth] == last:
+            held = out[:, -count:].copy(), floor[-count:].copy()
+            out = out[:, :-count]
+        else:
+            held = None
+        result[first : first + out.shape[1] // count] = scan.unblock(out)
+    return result.reshape(np.shape(field_magnitudes)) if pieces is None else result
 
 
 def peetre_max(field: SampledField, t: float, r: float) -> SampledField:
@@ -267,52 +362,173 @@ def annulus_radii(radial_count: int = DEFAULT_ANNULUS_RADII) -> np.ndarray:
     return 2.0 ** ((np.arange(radial_count) + 0.5) / radial_count)
 
 
+class Scale(NamedTuple):
+    """The scale top 2^(numerator / denominator), the exponent in lowest
+    terms.
+
+    Mean ladders may give their scales this way instead of as floats.  The
+    sphere-mean radii of one top are then keyed by their exact exponent, so
+    a shell ladder builds each sphere-mean symbol once wherever its radii
+    t r_j meet, and a sphere ladder on the same lattice can hand its
+    symbols on (:func:`share_sphere_symbols`).
+    """
+
+    top: float
+    numerator: int = 0
+    denominator: int = 1
+
+    def __float__(self) -> float:
+        return self.top * 2.0 ** (self.numerator / self.denominator)
+
+    def times_power(self, numerator: int, denominator: int) -> Scale:
+        """This scale times 2^(numerator / denominator)."""
+        num = self.numerator * denominator + numerator * self.denominator
+        den = self.denominator * denominator
+        common = math.gcd(num, den)
+        return Scale(self.top, num // common, den // common)
+
+
 def sphere_mean_max(
     field: SampledField,
-    ladder: Sequence[float],
+    ladder: Sequence[float | Scale],
     r: float,
     order: int,
     sphere_count: int | None = None,
     *,
     engine: StepEngine | None = None,
+    pieces: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Weighted sups of the spherical means of the t-scaled differences.
 
     At each scale t of the ladder the base field is |average over unit
     directions z of diff(f, t z, L)| and the sup weight is
     (1 + |y|/t)^(-dim/r).  Returns the real stack of maximal fields, one
-    row per scale, from one stacked scan.  engine, built from field, lets
-    several calls share one forward transform.
+    row per scale, from one stacked scan, or with pieces one row per
+    piece, as in :func:`weighted_offset_sup`.  engine, built from field,
+    lets several calls share one forward transform.
     """
     if field.grid.dim < 2:
         raise DimensionTooLow("sphere means need dim >= 2")
-    nodes = unit_sphere_nodes(field.grid.dim, sphere_count)
-    weights = np.full(nodes.shape[0], 1.0 / nodes.shape[0])
-    return _mean_max(field, ladder, r, order, nodes, weights, engine)
+    return _mean_max(field, ladder, r, order, sphere_count, None, engine, pieces)
 
 
 def annulus_mean_max(
     field: SampledField,
-    ladder: Sequence[float],
+    ladder: Sequence[float | Scale],
     r: float,
     order: int,
     sphere_count: int | None = None,
     radial_count: int = DEFAULT_ANNULUS_RADII,
     *,
     engine: StepEngine | None = None,
+    pieces: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Weighted sups of the shell-volume means of the t-scaled differences,
-    one row per scale of the ladder, as in :func:`sphere_mean_max`."""
-    points, weights = annulus_nodes(field.grid.dim, sphere_count, radial_count)
-    return _mean_max(field, ladder, r, order, points, weights, engine)
+    one row per scale of the ladder (or per piece), as in
+    :func:`sphere_mean_max`.
+
+    The shell mean at t is sum_j w_j M(t r_j): M(rho) the sphere mean at
+    radius rho, and r_j and w_j the radii and radial weights of
+    :func:`annulus_nodes`, r_j = 2^((j + 1/2) / radial_count) and
+    w_j = r_j^dim / sum r^dim.
+    """
+    if radial_count < 2:
+        raise QuadratureTooCoarse(f"need at least 2 annulus radii, got {radial_count}")
+    return _mean_max(field, ladder, r, order, sphere_count, radial_count, engine, pieces)
 
 
-def _mean_max(field, ladder, r, order, nodes, weights, engine) -> np.ndarray:
-    """Weighted sups of |sum_m w_m diff(f, t z_m, L)| over the scales t."""
+def share_sphere_symbols(
+    engine: StepEngine,
+    sphere_ladder: Sequence[float | Scale],
+    shell_ladder: Sequence[float | Scale],
+    order: int,
+    sphere_count: int | None = None,
+    radial_count: int = DEFAULT_ANNULUS_RADII,
+) -> None:
+    """Let a :func:`sphere_mean_max` call on sphere_ladder hand the
+    symbols of the radii that a later :func:`annulus_mean_max` call on
+    shell_ladder, on the same engine, also needs to that call."""
+    sphere = {radius for radii in _radii(sphere_ladder, None) for radius in radii}
+    shell = {radius for radii in _radii(shell_ladder, radial_count) for radius in radii}
+    count = unit_sphere_nodes(engine.grid.dim, sphere_count).shape[0]
+    engine.keep_mean_symbols((radius, count, order) for radius in sphere & shell)
+
+
+def _radii(ladder, radial_count: int | None) -> list[list[Scale]]:
+    """Each scale t of a ladder as the exact sphere radii of its mean: t
+    for a sphere mean (radial_count None), t r_j for a shell mean."""
+    scales = [t if isinstance(t, Scale) else Scale(float(t)) for t in ladder]
+    if radial_count is None:
+        return [[t] for t in scales]
+    return [[t.times_power(2 * j + 1, 2 * radial_count) for j in range(radial_count)]
+            for t in scales]
+
+
+def _mean_max(field, ladder, r, order, sphere_count, radial_count, engine, pieces):
+    """Weighted sups over the scales t of the ladder of
+    |sum_j w_j M(t r_j)|, the sphere means M at the radii t r_j of t's mean
+    (t alone, w = 1, for a sphere mean).
+
+    A radius that serves several means of the ladder, or whose symbol the
+    engine keeps (`share_sphere_symbols`), gets one sphere-mean symbol,
+    added into each of its means with weight w_j.  The other radii of a
+    mean make one symbol together, over all their nodes with the weights of
+    :func:`annulus_nodes`, as a mean without shared radii always has.  The
+    symbols are built in increasing order of radius and a mean's field is
+    formed as soon as its last symbol is in, so only the means whose radii
+    straddle the current one are held, never a table of symbols.
+    """
     grid = field.grid
     engine = engine or StepEngine(field)
-    ladder = np.asarray(ladder, dtype=np.float64)
-    mags = np.empty((ladder.size,) + grid.shape)
-    for i, t in enumerate(ladder):
-        mags[i] = engine.mean_magnitude(t * nodes, weights, order)
-    return weighted_offset_sup(mags, grid, 1.0 / ladder, grid.dim / r)
+    nodes = unit_sphere_nodes(grid.dim, sphere_count)
+    m = nodes.shape[0]
+    node_w = np.full(m, 1.0 / m)
+    if radial_count is None:
+        points, weights, radial_w = nodes, node_w, [1.0]
+    else:
+        points, weights = annulus_nodes(grid.dim, sphere_count, radial_count)
+        radial_w = annulus_radii(radial_count) ** grid.dim
+        radial_w = (radial_w / radial_w.sum()).tolist()
+    blocks = np.arange(points.shape[0]).reshape(len(radial_w), m)  # the nodes of each radius
+    means = _radii(ladder, radial_count)
+    users = Counter(radius for radii in means for radius in radii)
+    shared: dict[Scale, list[tuple[int, float]]] = {}
+    own: dict[Scale, tuple[int, list[int]]] = {}  # by its least radius
+    missing = []
+    for row, radii in enumerate(means):
+        alone = [j for j, radius in enumerate(radii)
+                 if users[radius] == 1 and not engine.keeps((radius, m, order))]
+        for j, radius in enumerate(radii):
+            if j not in alone:
+                shared.setdefault(radius, []).append((row, radial_w[j]))
+        if alone:
+            own[radii[alone[0]]] = row, alone
+        missing.append(len(radii) - len(alone) + bool(alone))
+    sums: dict[int, np.ndarray] = {}
+    mags = np.empty((len(means),) + grid.shape)
+    for radius in sorted(shared.keys() | own.keys(), key=float):
+        if radius in shared:
+            symbol = engine.mean_symbol(float(radius) * nodes, node_w, order,
+                                        key=(radius, m, order))
+            parts = shared[radius]
+        else:
+            row, alone = own[radius]
+            block = blocks[alone].reshape(-1)
+            symbol = engine.mean_symbol(float(ladder[row]) * points[block], weights[block], order)
+            parts = [(row, 1.0)]
+        done = []
+        for row, w in parts:
+            if row in sums:
+                sums[row] += w * symbol
+            else:
+                sums[row] = symbol if w == 1.0 else w * symbol
+            missing[row] -= 1
+            if missing[row] == 0:
+                done.append(row)
+        del symbol  # before the inverse transforms, which hold two grids each
+        for row in done:
+            mags[row] = engine.symbol_magnitude(sums.pop(row))
+    weight_scales = 1.0 / np.array([float(t) for t in ladder])
+    if pieces is None:
+        return weighted_offset_sup(mags, grid, weight_scales, grid.dim / r)
+    return weighted_offset_sup(mags, grid, weight_scales, grid.dim / r, pieces)

@@ -44,8 +44,10 @@ from .fields import (
     translate,
 )
 from .maximal import (
+    Scale,
     annulus_mean_max,
     annulus_radii,
+    share_sphere_symbols,
     sphere_mean_max,
     unit_sphere_nodes,
     weighted_offset_sup,
@@ -756,19 +758,38 @@ def _point_sup_field(
     r: float,
     order: int,
     directions: np.ndarray,
+    pieces: list[int] | None,
 ) -> np.ndarray:
     """Largest single-step weighted sup over directions at each step length.
 
     The sup weight depends only on |h|, so the direction maximum commutes
     with the offset sup and one weighted sup covers all directions.
-    Returns one row per length, from one stacked scan.
+    Returns one row per length, or per piece, from one stacked scan.
     """
     lengths = np.asarray(lengths, dtype=np.float64)
     grid = engine.grid
     direction_max = np.empty((lengths.size,) + grid.shape)
     for i, h_len in enumerate(lengths):
         direction_max[i] = engine.max_magnitude(h_len * directions, order)
-    return weighted_offset_sup(direction_max, grid, 1.0 / lengths, grid.dim / r)
+    return weighted_offset_sup(direction_max, grid, 1.0 / lengths, grid.dim / r, pieces)
+
+
+def _band_pieces(keys: list, group, bands: range):
+    """Split a ladder into pieces: runs of consecutive keys of one group.
+
+    group(key) is the pair (key, if a variant reads its scale alone, else
+    None; the bands whose sup ladders hold it).  Returns the piece of each
+    key (None when every piece is one key), the piece of each key read
+    alone, and the pieces of each band's sup ladder.
+    """
+    labels, groups = [], []
+    for key in keys:
+        if not groups or groups[-1] != group(key):
+            groups.append(group(key))
+        labels.append(len(groups) - 1)
+    alone = {key: p for p, (key, _) in enumerate(groups) if key is not None}
+    sups = {k: [p for p, (_, in_sups) in enumerate(groups) if k in in_sups] for k in bands}
+    return (labels if len(groups) < len(labels) else None), alone, sups
 
 
 def maximal_quasinorm_set(
@@ -784,10 +805,13 @@ def maximal_quasinorm_set(
     with tau in (0, 2); D_SUP maximizes single-step weighted sups over
     steps h with |h| in shell-radius ladders below 2^(1-k).
 
-    A maximal field at scale u serves every band k whose ladder contains
-    u, and the plain scales 2^(-k) sit on the sup ladders, so each distinct
-    scale is computed once and shared across bands and variants; this also
-    makes S <= S_SUP and V <= V_SUP hold pointwise by construction.
+    Each family's ladder holds every scale a band and variant reads, once,
+    and is split into pieces: an exact scale 2^(-k) that S or V reads on
+    its own, then runs of scales that lie in the same bands' sup ladders.
+    One stacked call per family returns the maximal field of each piece,
+    the max over its scales, so a sup variant of band k is the max over
+    the pieces in its ladder.  The plain scales sit on the sup ladders, so
+    S <= S_SUP and V <= V_SUP hold pointwise by construction.
     """
     for variant in variants:
         if variant not in MAXIMAL_VARIANTS:
@@ -804,10 +828,10 @@ def maximal_quasinorm_set(
     eta = quad.tau_nodes_per_octave
     bands = range(k_lo, j_max + 1)
 
-    def scale_of(i: int) -> float:
+    def scale_of(i: int) -> Scale:
         # absolute scales u_i = 2^(1 - k_lo - i/eta); u is exactly 2^(-k)
         # when i = eta (k + 1 - k_lo)
-        return 2.0 ** (1 - k_lo) * 2.0 ** (-i / eta)
+        return Scale(2.0 ** (1 - k_lo)).times_power(-i, eta)
 
     def exact_index(k: int) -> int:
         return eta * (k + 1 - k_lo)
@@ -815,55 +839,49 @@ def maximal_quasinorm_set(
     def sup_indices(k: int) -> range:
         return range(eta * (k - k_lo) + 1, eta * (k - k_lo + quad.tau_octaves) + 1)
 
-    needed_sphere: set[int] = set()
-    needed_shell: set[int] = set()
-    for k in bands:
-        if "S" in variants:
-            needed_sphere.add(exact_index(k))
-        if "S_SUP" in variants:
-            needed_sphere.update(sup_indices(k))
-        if "V" in variants:
-            needed_shell.add(exact_index(k))
-        if "V_SUP" in variants:
-            needed_shell.update(sup_indices(k))
+    # family -> its ladder of exact scales, and its pieces
+    ladders, pieces = {}, {}
+    for family, exact_variant, sup_variant in (("sphere", "S", "S_SUP"), ("shell", "V", "V_SUP")):
+        exact = {exact_index(k) for k in bands} if exact_variant in variants else set()
+        sups = {k: sup_indices(k) for k in bands} if sup_variant in variants else {}
+        indices = sorted(exact.union(*sups.values()))
+        if indices:
+            ladders[family] = [scale_of(i) for i in indices]
+            pieces[family] = _band_pieces(indices, lambda i: (
+                i if i in exact else None, frozenset(k for k, sup in sups.items() if i in sup)),
+                bands)
     engine = StepEngine(field)
-    # one stacked call per family; a row serves every band and variant
-    # whose ladder holds its scale
-    sphere_fields, shell_fields, point_fields = {}, {}, {}
-    if needed_sphere:
-        ladder = sorted(needed_sphere)
-        sphere_fields = dict(zip(ladder, sphere_mean_max(
-            field, [scale_of(i) for i in ladder], r, L, sphere_count, engine=engine)))
-    if needed_shell:
-        ladder = sorted(needed_shell)
-        shell_fields = dict(zip(ladder, annulus_mean_max(
-            field, [scale_of(i) for i in ladder], r, L, sphere_count, engine=engine)))
+    if len(ladders) == 2:
+        # the shell radii t r_j lie on the lattice of the sphere scales
+        share_sphere_symbols(engine, ladders["sphere"], ladders["shell"], L, sphere_count)
+    rows = {}  # family -> maximal field of each piece
+    for family, mean_max in (("sphere", sphere_mean_max), ("shell", annulus_mean_max)):
+        if family in ladders:
+            rows[family] = mean_max(field, ladders[family], r, L, sphere_count, engine=engine,
+                                    pieces=pieces[family][0])
     if "D_SUP" in variants:
         radii = annulus_radii()
         keys = [(m, ridx) for m in range(k_lo, j_max + quad.tau_octaves)
                 for ridx in range(radii.size)]
-        point_fields = dict(zip(keys, _point_sup_field(
+        pieces["point"] = _band_pieces(keys, lambda key: (None, frozenset(
+            k for k in bands if k <= key[0] < k + quad.tau_octaves)), bands)
+        rows["point"] = _point_sup_field(
             engine, [radii[ridx] * 2.0**-m for m, ridx in keys], r, L,
-            unit_sphere_nodes(grid.dim, sphere_count))))
+            unit_sphere_nodes(grid.dim, sphere_count), pieces["point"][0])
 
     results: dict[str, QuasinormResult] = {}
     for variant in variants:
+        family = {"S": "sphere", "S_SUP": "sphere", "V": "shell", "V_SUP": "shell",
+                  "D_SUP": "point"}[variant]
+        _, alone, sups = pieces[family]
         agg = _ScaleAggregator(grid, params)
         for k in bands:
-            if variant == "S":
-                x_k = sphere_fields[exact_index(k)]
-            elif variant == "V":
-                x_k = shell_fields[exact_index(k)]
-            elif variant in ("S_SUP", "V_SUP"):
-                source = sphere_fields if variant == "S_SUP" else shell_fields
+            if variant in ("S", "V"):
+                x_k = rows[family][alone[exact_index(k)]]
+            else:
                 x_k = np.zeros(grid.shape)
-                for i in sup_indices(k):
-                    np.maximum(x_k, source[i], out=x_k)
-            else:  # D_SUP: |h| ladders spanning tau_octaves octaves below 2^(1-k)
-                x_k = np.zeros(grid.shape)
-                for m in range(k, k + quad.tau_octaves):
-                    for ridx in range(annulus_radii().size):
-                        np.maximum(x_k, point_fields[(m, ridx)], out=x_k)
+                for p in sups[k]:
+                    np.maximum(x_k, rows[family][p], out=x_k)
             agg.add(k, 2.0 ** (k * params.s) * x_k)
         value, masses = agg.finish()
         results[variant] = _result(value, masses, params, _tail_report(masses, params.q))

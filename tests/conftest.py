@@ -66,20 +66,14 @@ def full_grid_symbol(grid: GridSpec, step, order: int) -> np.ndarray:
 
 
 class FullGridMeans(StepEngine):
-    """A StepEngine whose weighted means add one full-grid symbol per node
-    and pay one complex inverse transform: the oracle of the low-rank
-    mean symbols."""
+    """A StepEngine whose weighted-mean symbols add one full-grid symbol per
+    node: the oracle of the low-rank mean symbols."""
 
-    def __init__(self, field: SampledField):
-        super().__init__(field)
-        self._spectrum = np.fft.fftn(field.data)
-
-    def mean_magnitude(self, steps, weights, order):
-        steps = self._count(steps, order)
+    def _mean_symbol(self, steps, weights, order):
         symbol = np.zeros(self.grid.shape, dtype=complex)
         for step, w in zip(steps, weights):
             symbol += w * full_grid_symbol(self.grid, step, order)
-        return np.abs(np.fft.ifftn(self._spectrum * symbol))
+        return symbol
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lplab import cli
 from lplab.cli import CSV_HEADER, load_field, main, save_field
 from lplab.errors import IoError
 from lplab.fields import GridSpec, SampledField, TestFunctionSpec, sample_family
@@ -185,6 +186,35 @@ class TestExitCodes:
         assert len(lines) == 2, lines
         assert lines[0].startswith("computation error: DimensionTooLow")
         assert lines[1].startswith("cannot write ") and "error_summary.json" in lines[1]
+
+    def test_internal_error_serialized(self, tmp_path, capsys, monkeypatch):
+        # an exception that is not an LplabError, here a MemoryError raised
+        # inside a handler, ends in one line, error_summary.json and exit 1
+        def out_of_memory(opts):
+            raise MemoryError("cannot allocate 16.0 GiB")
+
+        monkeypatch.setitem(cli._HANDLERS, "maximal", out_of_memory)
+        code, out = run(tmp_path, "maximal", "--grid-dim", "2", "--grid-n", "32",
+                        "--function", "gauss_mid")
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["internal error: MemoryError: cannot allocate 16.0 GiB"]
+        with open(out / "error_summary.json", "r", encoding="utf-8") as fh:
+            summary = json.load(fh)
+        assert summary["command"] == "maximal"
+        assert summary["error"] == {"type": "MemoryError", "message": "cannot allocate 16.0 GiB"}
+        assert summary["traceback"][0].startswith("Traceback")
+        assert summary["traceback"][-1] == "MemoryError: cannot allocate 16.0 GiB\n"
+
+    def test_keyboard_interrupt_ends_the_run(self, tmp_path, monkeypatch):
+        def interrupted(opts):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._HANDLERS, "maximal", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(tmp_path, "maximal", "--grid-dim", "2", "--grid-n", "32",
+                "--function", "gauss_mid")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cid", ["axis:x", "axis:", "axis:1.5"])
     def test_non_integer_axis_is_config_error(self, tmp_path, capsys, cid):
@@ -612,3 +642,21 @@ class TestLibraryParity:
         [row] = read_rows(tmp, "norm")
         assert float(row.split(",")[6]) == pytest.approx(want.value, rel=1e-12)
         assert row.split(",")[7] == want.flag
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
+def test_import_keeps_blas_to_one_thread(preset, want):
+    # in a fresh interpreter, importing lplab before numpy sets one OpenBLAS
+    # thread, and keeps a count the environment already gives
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import os, lplab, numpy; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == want

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lplab.differences import StepEngine, difference_coefficients, iterated_difference
 from lplab.errors import InvalidExponent, MisalignedStep, ShapeMismatch
 from lplab.fields import GridSpec, SampledField, translate
-from lplab.maximal import annulus_nodes, unit_sphere_nodes
+from lplab.maximal import annulus_mean_max, annulus_nodes, unit_sphere_nodes
 
 from conftest import field_of_kind, full_grid_symbol, random_complex_field
 
@@ -303,16 +303,20 @@ class TestMeanSymbolAccuracy:
     GRIDS = [GridSpec(2, 32), GridSpec(3, 16), GridSpec(2, 128), GridSpec(3, 32)]
 
     @pytest.mark.parametrize("direction", ["first", "last", "diagonal"])
-    @pytest.mark.parametrize("mean", ["sphere", "annulus"])
+    @pytest.mark.parametrize("mean", ["sphere", "annulus", "shell"])
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.dim}d-n{g.n}")
     def test_single_mode(self, grid, mean, direction):
+        # "shell" is the annulus mean as annulus_mean_max forms it, a radial
+        # sum of 16-node sphere-mean symbols; with r = 1e-9 every weight
+        # but the zero offset's underflows to 0, so its sup is the mean field
         axes = {"first": [0], "last": [grid.dim - 1], "diagonal": range(grid.dim)}[direction]
         k = np.zeros(grid.dim)
         k[list(axes)] = grid.n // 4
         turns = sum(np.indices(grid.shape)[a] for a in axes) % 4
         real = grid.num_points >= 8192  # the cosine on the larger grids
         data = QUARTER_TURNS[turns].real if real else QUARTER_TURNS[turns]
-        engine = StepEngine(SampledField(grid, data))
+        engine_field = SampledField(grid, data)
+        engine = StepEngine(engine_field)
         if mean == "sphere":
             points = unit_sphere_nodes(grid.dim, 16)
             weights = np.full(len(points), 1.0 / len(points))
@@ -322,5 +326,8 @@ class TestMeanSymbolAccuracy:
             for t in (0.25, grid.spacing, grid.spacing / 32, grid.spacing / 128):
                 symbol = long_double_mean_symbol(k, t * points, weights, order, grid.box)
                 want = np.abs((QUARTER_TURNS[turns] * symbol).real if real else symbol)
-                got = engine.mean_magnitude(t * points, weights, order)
+                if mean == "shell":
+                    got = annulus_mean_max(engine_field, [t], 1e-9, order, 16, engine=engine)[0]
+                else:
+                    got = engine.mean_magnitude(t * points, weights, order)
                 assert np.max(np.abs(got - want)) <= 1e-13 * abs(symbol), (order, t)

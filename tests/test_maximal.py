@@ -14,6 +14,7 @@ from lplab.errors import (
 from lplab import maximal
 from lplab.fields import GridSpec, SampledField, sample_family
 from lplab.maximal import (
+    Scale,
     _block_pruned_sup,
     annulus_mean_max,
     annulus_nodes,
@@ -24,7 +25,13 @@ from lplab.maximal import (
     unit_sphere_nodes,
     weighted_offset_sup,
 )
-from lplab.quasinorms import SpaceParams, default_quadrature, maximal_quasinorm_set
+from lplab import quasinorms
+from lplab.quasinorms import (
+    MAXIMAL_VARIANTS,
+    SpaceParams,
+    default_quadrature,
+    maximal_quasinorm_set,
+)
 from lplab.verify import default_corpus
 
 from conftest import random_complex_field
@@ -183,6 +190,70 @@ class TestWeightedSup:
         twice, pairs_twice = _block_pruned_sup(np.stack([mag, mag]), grid, np.array([8.0, 8.0]), 2.0)
         assert pairs_twice == 2 * pairs
         assert np.array_equal(twice, np.concatenate([out, out]))
+
+    @pytest.mark.parametrize(
+        "dim, n, sizes",
+        [
+            (2, 32, (3, 11, 1, 9, 1)),  # scans of 8 fields: pieces span up to 3
+            (2, 64, (5, 1, 4)),  # scans of 2 fields
+            (3, 8, (1, 20, 19, 1)),  # scans of 16 fields
+            (1, 256, (40,)),  # scans of 32 fields, one piece
+        ],
+    )
+    def test_pieces_match_member_oracle(self, dim, n, sizes):
+        # each piece is the max of its members' sups, bit for bit, also when
+        # its floor carries over from one scan of the stack to the next
+        grid = GridSpec(dim, n, 1.0)
+        rng = np.random.default_rng(dim * 10 + n)
+        total = sum(sizes)
+        scales = np.resize([0.5, 3.0, 40.0, 1.0, 0.0, 8.0], total)
+        density = np.resize([1.0, 1.0, 0.05], total).reshape((total,) + (1,) * dim)
+        mags = np.abs(rng.standard_normal((total,) + grid.shape)) * (
+            rng.random((total,) + grid.shape) < density)
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        out = weighted_offset_sup(mags, grid, scales, 1.5, labels)
+        assert out.shape == (len(sizes),) + grid.shape
+        rows = weighted_offset_sup(mags, grid, scales, 1.5)
+        for p, row in enumerate(out):
+            members = np.flatnonzero(labels == p)
+            assert np.array_equal(row, rows[members].max(axis=0))
+            oracle = np.zeros(grid.shape)
+            for i in members:
+                np.maximum(oracle, brute_weighted_sup(mags[i], grid, scales[i], 1.5), out=oracle)
+            assert np.array_equal(row, oracle)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 0], [1, 1, 1], [-1, 0, 0], [0, 2, 2], [0, 0]])
+    def test_pieces_must_be_consecutive_runs(self, labels):
+        grid = GridSpec(2, 8, 1.0)
+        mags = np.ones((3,) + grid.shape)
+        with pytest.raises(ShapeMismatch):
+            weighted_offset_sup(mags, grid, np.ones(3), 1.0, labels)
+
+    def test_five_variant_pieces_halve_block_pairs(self, monkeypatch):
+        # the band pieces of the 2-D n=32 five-variant call change no value
+        # and evaluate under half the block pairs of one output per scale
+        grid = GridSpec(2, 32)
+        f = sample_family(default_corpus(grid)[0], grid)
+        params = SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5)
+        counted = [0]
+        add = maximal._BlockScan.add
+
+        def counting(self, *args):
+            pairs = add(self, *args)
+            counted[0] += pairs
+            return pairs
+
+        monkeypatch.setattr(maximal._BlockScan, "add", counting)
+        pieced = maximal_quasinorm_set(f, params, MAXIMAL_VARIANTS, default_quadrature(grid))
+        pieced_pairs, counted[0] = counted[0], 0
+        # a group of its own for every scale: one output per scale
+        band_pieces = quasinorms._band_pieces
+        monkeypatch.setattr(quasinorms, "_band_pieces", lambda keys, group, bands: band_pieces(
+            keys, lambda key: (group(key)[0], group(key)[1] | {("scale", key)}), bands))
+        single = maximal_quasinorm_set(f, params, MAXIMAL_VARIANTS, default_quadrature(grid))
+        assert 0 < 2 * pieced_pairs <= counted[0]
+        for variant in MAXIMAL_VARIANTS:
+            assert pieced[variant].value == single[variant].value
 
     def test_zero_field_gives_zero(self):
         grid = GridSpec(1, 64, 1.0)
@@ -409,6 +480,47 @@ class TestMeanDifferenceMax:
             assert stack.shape == (len(ladder),) + grid2d.shape
             for t, row in zip(ladder, stack):
                 assert np.array_equal(row, mean_max(f, [t], 1.5, 2, 8, **kwargs)[0])
+
+    def test_scale_ladders_match_per_scale_means(self):
+        # sphere rows are one engine mean per scale then one stacked sup, bit
+        # for bit; shell rows, summed from the sphere-mean symbols shared on
+        # the 2^(1/16) lattice, match the 256-node annulus mean of each scale
+        # (with r = 1e-9 the sups collapse onto the mean fields)
+        grid = GridSpec(2, 32)
+        f = random_complex_field(grid, seed=25)
+        ladder = [Scale(0.5).times_power(-i, 16) for i in range(1, 60, 3)]
+        scales = np.array([float(t) for t in ladder])
+        assert np.array_equal(scales, 0.5 * 2.0 ** (-np.arange(1, 60, 3) / 16))
+        nodes, points = unit_sphere_nodes(2, 32), annulus_nodes(2, 32)
+        engine = StepEngine(f)
+        for order in (1, 2, 3):
+            means = np.stack([engine.mean_magnitude(t * nodes, np.full(32, 1 / 32), order)
+                              for t in scales])
+            want = weighted_offset_sup(means, grid, 1 / scales, 2 / 1.5)
+            assert np.array_equal(sphere_mean_max(f, ladder, 1.5, order, 32), want)
+            shells = np.stack([engine.mean_magnitude(t * points[0], points[1], order)
+                               for t in scales])
+            got = annulus_mean_max(f, ladder, 1e-9, order, 32)
+            assert np.all(np.abs(got - shells).max(axis=(1, 2))
+                          <= 1e-14 * shells.max(axis=(1, 2)))
+        # shells an octave apart share no radius: each is the 256-node
+        # annulus mean, bit for bit
+        apart = [Scale(0.5).times_power(-i, 16) for i in (16, 32, 48)]
+        shells = np.stack([engine.mean_magnitude(float(t) * points[0], points[1], 2)
+                           for t in apart])
+        assert np.array_equal(annulus_mean_max(f, apart, 1e-9, 2, 32), shells)
+
+    def test_shell_ladder_builds_each_radius_once(self):
+        # shells 3 lattice steps apart on the 2^(1/16) lattice share most of
+        # their 8 sphere radii t 2^((2j + 1) / 16); each distinct radius is
+        # one 32-node symbol, built once
+        grid = GridSpec(2, 32)
+        f = random_complex_field(grid, seed=26)
+        ladder = [Scale(0.5).times_power(-i, 16) for i in range(1, 60, 3)]
+        radii = {i - (2 * j + 1) for i in range(1, 60, 3) for j in range(8)}
+        engine = StepEngine(f)
+        annulus_mean_max(f, ladder, 1.5, 1, 32, engine=engine)
+        assert engine.steps == len(radii) * 32 < len(ladder) * 8 * 32
 
     def test_sphere_mean_symbol_matches_explicit_differences(self, grid2d):
         # Oracle for the accumulated-symbol path: average explicit

@@ -553,12 +553,14 @@ class TestStepEngineSweep:
     def test_benchmark_maximal_work_counts(self, tmp_path, monkeypatch, recorded_engines,
                                            fft_calls):
         # the `maximal` calls of the benchmark's maximal-2d workload, with the
-        # CLI defaults: S,V at 2-D n=64 (3 bands of a 32-node sphere and a
-        # 256-node annulus mean) and all five variants at n=32 (96-scale
-        # sphere and shell ladders, 48 D_SUP step lengths); every mean pays
-        # one complex inverse transform and each step length one per chunk
-        # of 8 of its 32 directions, so the transformed 2-D slices stay one
-        # per mean and one per step
+        # CLI defaults: S,V at 2-D n=64 (3 bands of a 32-node sphere mean and
+        # a shell mean over 8 sphere radii) and all five variants at n=32
+        # (96-scale sphere and shell ladders, 48 D_SUP step lengths of 32
+        # directions); the sphere scales and shell radii of the n=32 call lie
+        # on one 2^(1/16) lattice of 111 radii, each a 32-node symbol built
+        # once; every mean pays one complex inverse transform and each step
+        # length one per chunk of 8 of its 32 directions, so the transformed
+        # 2-D slices stay one per mean and one per step
         inverse, slices, points = [], [], []
         counted = np.fft.ifftn
         monkeypatch.setattr(np.fft, "ifftn",
@@ -573,9 +575,51 @@ class TestStepEngineSweep:
                          str(n), "--in", str(path), "--out", str(tmp_path / f"out{n}")]) == 0
             inverse.append(dict(fft_calls))
             slices.append(sum(points) // n**2)
-        assert [(e.forward_ffts, e.steps) for e in recorded_engines] == [(1, 864), (1, 29184)]
+        assert [(e.forward_ffts, e.steps) for e in recorded_engines] == [(1, 864),
+                                                                         (1, 111 * 32 + 48 * 32)]
         assert inverse == [{"ifftn": 6}, {"ifftn": 2 * 96 + 48 * 4}]
         assert slices == [6, 1728]
+
+    def test_five_variant_call_builds_each_radius_once(self, monkeypatch):
+        # at 2-D n=32 the 96 sphere scales and the radii t r_j of the 96
+        # shells lie on one 2^(1/16) lattice of 111 radii: each 32-node
+        # symbol is built once and serves both families
+        radii = []
+
+        class Recording(StepEngine):
+            def _mean_symbol(self, steps, weights, order):
+                radii.append(float(np.linalg.norm(steps[0])))
+                return super()._mean_symbol(steps, weights, order)
+
+        monkeypatch.setattr(quasinorms, "StepEngine", Recording)
+        grid = GridSpec(2, 32)
+        maximal_quasinorm_set(gaussian(grid, 1 / 8), SpaceParams(s=0.5, p=2, q=2), MAXIMAL_VARIANTS,
+                              default_quadrature(grid))
+        lattice = np.log2(radii) * 16
+        assert np.allclose(lattice, np.round(lattice), rtol=0, atol=1e-9)
+        assert len(radii) == len(set(np.round(lattice).tolist())) == 111
+
+    @pytest.mark.parametrize("member, want", [
+        (0, {"S": "0x1.9cc5f1163b547p+1", "S_SUP": "0x1.116778c1e997ep+3",
+             "V": "0x1.380ab3c92a1b1p+2", "V_SUP": "0x1.1baf3541a165fp+3",
+             "D_SUP": "0x1.f1932dcd179f3p+4"}),
+        (5, {"S": "0x1.6847be8f06527p+2", "S_SUP": "0x1.1c112b950c4aap+3",
+             "V": "0x1.786fdcddc8989p+2", "V_SUP": "0x1.18a63515c1d15p+3",
+             "D_SUP": "0x1.08c180ae82a9ap+5"}),
+    ])
+    def test_maximal_values_frozen(self, member, want):
+        # values of the one-output-per-scale layer that formed each shell
+        # symbol from its 256 nodes: S, S_SUP and D_SUP stay bit for bit,
+        # V and V_SUP (shell symbols now sums of sphere symbols) within 2e-15
+        grid = GridSpec(2, 32)
+        f = sample_family(default_corpus(grid)[member], grid)
+        got = maximal_quasinorm_set(f, SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5),
+                                    MAXIMAL_VARIANTS, default_quadrature(grid))
+        for variant, value in want.items():
+            if variant in ("V", "V_SUP"):
+                assert got[variant].value == pytest.approx(float.fromhex(value), rel=2e-15)
+            else:
+                assert got[variant].value == float.fromhex(value), variant
 
     @pytest.mark.parametrize("n,variants,bound_mb", [(32, MAXIMAL_VARIANTS, 4.5),
                                                      (64, ("S", "V"), 2.7)],
