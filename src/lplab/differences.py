@@ -17,6 +17,7 @@ spectrum by Plancherel and pays no inverse transform.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -113,10 +114,9 @@ class StepEngine:
     exponential.  A weighted sum of steps also costs one inverse transform
     (`symbol_magnitude`), its symbol built as low-rank real matrix products
     (`mean_symbol`), and `max_magnitude` sends a chunk of steps through one
-    inverse transform.  A mean symbol built under a key announced by
-    `keep_mean_symbols` is held for one later request, so two callers can
-    share it.  The spectrum X is the full `np.fft.fftn` of the field, real
-    or complex; `norms` reads |X|^2 off it with no inverse transform.
+    inverse transform.  The spectrum X is the full `np.fft.fftn` of the
+    field, real or complex; `norms` reads |X|^2 off it with no inverse
+    transform.
 
     `steps` counts the step symbols formed and `forward_ffts` the forward
     transforms of the whole field, which stays 1.
@@ -125,9 +125,9 @@ class StepEngine:
     def __init__(self, field: SampledField):
         self.grid = field.grid
         self._k = self.grid.frequency_integers().astype(np.float64)
+        self._fold = np.abs(self.grid.frequency_integers())  # the |k| of each k
         self._coeffs = np.fft.fftn(field.data)
         self._power = None
-        self._kept = {}  # key -> held mean symbol, None until built
         self.forward_ffts = 1
         self.steps = 0
 
@@ -139,33 +139,23 @@ class StepEngine:
         """|sum_m w_m diff(f, h_m, L)| on the grid, checked finite."""
         return self.symbol_magnitude(self.mean_symbol(steps, weights, order))
 
-    def mean_symbol(self, steps: np.ndarray, weights: np.ndarray, order: int,
-                    key=None) -> np.ndarray:
+    def mean_symbol(self, steps: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
         """The multiplier sum_m w_m S_m of a weighted mean of steps, in `fftn`
-        order; the steps count toward `steps`.
+        order; the steps count toward `steps`."""
+        return next(self.mean_symbols(np.asarray(steps)[None], weights, order))
 
-        A symbol built under a key of `keep_mean_symbols` is held, and the
-        next request of that key takes it without building or counting it.
+    def mean_symbols(self, steps: np.ndarray, weights: np.ndarray,
+                     order: int) -> Iterator[np.ndarray]:
+        """Yield the multiplier of each mean of steps, (means, nodes, dim),
+        with weights (nodes,) or (means, nodes), as `mean_symbol` does.
+
+        Means of few nodes are built together, so they share each node
+        chunk's array operations; the steps count when called.
         """
-        held = self._kept.get(key)
-        if held is not None:
-            del self._kept[key]
-            return held
-        steps = self._count(steps, order)
-        symbol = self._mean_symbol(steps, np.asarray(weights, dtype=np.float64), order)
-        if key in self._kept:
-            self._kept[key] = symbol
-        return symbol
-
-    def keeps(self, key) -> bool:
-        """Whether a mean symbol is held, or will be held, under key."""
-        return key in self._kept
-
-    def keep_mean_symbols(self, keys) -> None:
-        """Hold the mean symbol next built under each of these keys for one
-        later request of the same key."""
-        for key in keys:
-            self._kept.setdefault(key, None)
+        steps = np.asarray(steps, dtype=np.float64)
+        weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), steps.shape[:2])
+        self._count(steps.reshape(-1, steps.shape[-1]), order)
+        return self._mean_symbols(steps, weights, order)
 
     @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
     def symbol_magnitude(self, symbol: np.ndarray) -> np.ndarray:
@@ -297,8 +287,10 @@ class StepEngine:
                 phase = phase * np.exp(2j * np.pi * (self._k * (h / self.grid.box))).reshape(shape)
         return _power(phase - 1.0, order)
 
-    def _mean_symbol(self, steps: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
-        """sum_m w_m S_m on the grid, in `fftn` order.
+    def _mean_symbols(self, steps: np.ndarray, weights: np.ndarray,
+                      order: int) -> Iterator[np.ndarray]:
+        """Yield sum_m w_m S_m on the grid, in `fftn` order, for each mean of
+        steps (means, nodes, dim) with weights (means, nodes).
 
         Split the phase as phi = phi' phi_d, phi' the product over the axes
         before the last.  Then phi - 1 = (phi' - 1) phi_d + (phi_d - 1), so
@@ -309,47 +301,64 @@ class StepEngine:
         last axis.  The j = 0 terms of all nodes add up to one row over the
         last axis.  The others are the columns of A, C(L, j) w_m
         (phi'_m - 1)^j, and the rows of B, phi_d^j (phi_d - 1)^(L - j), of
-        one product A B per node chunk.  phi' - 1 comes from the same split
-        applied axis by axis, and each phi_a - 1 = -2 sin^2(theta_a / 2)
-        + i sin(theta_a), so no factor loses digits to cancellation at
-        small steps, as expanding (phi - 1)^L in powers of phi would.
+        one product A B per node chunk and mean.  phi' - 1 comes from the
+        same split applied axis by axis, and each phi_a - 1 =
+        -2 sin^2(theta_a / 2) + i sin(theta_a), so no factor loses digits to
+        cancellation at small steps, as expanding (phi - 1)^L in powers of
+        phi would.
         """
         grid = self.grid
         last = grid.n
         plane = grid.num_points // grid.n
+        means, nodes = steps.shape[:2]
         binomials = [math.comb(order, j) for j in range(order + 1)]
-        row = np.zeros(last, dtype=complex)  # the j = 0 terms
-        total = np.zeros((plane, last), dtype=complex)
+        negative = slice((last + 1) // 2, None)  # the k < 0 in `fftn` order
         chunk = max(1, _MEAN_CHUNK_POINTS // plane)
-        for lo in range(0, len(steps), chunk):
-            part, w = steps[lo : lo + chunk], weights[lo : lo + chunk]
-            # pi k h_a / B, indexed (axis, k, node)
-            half = np.pi * (self._k[:, None] * (part.T[:, None, :] / grid.box))
-            sine = np.sin(half)
-            minus = -2.0 * sine * sine + 1j * np.sin(2.0 * half)  # phi_a - 1
-            phase = minus + 1.0
-            # (phi_d - 1)^i for i = 0 .. L on the last axis, indexed (node, k)
-            minus_d = [1.0, minus[-1].T]
-            for _ in range(order - 1):
-                minus_d.append(minus_d[-1] * minus_d[1])
-            row += np.einsum("m,mk->k", w, minus_d[order])  # no BLAS: zgemv threads
-            if grid.dim > 1:
-                lead = minus[0]  # phi' - 1, indexed (flattened plane, node)
+        group = max(1, chunk // nodes)  # means per chunk, when a mean fits
+        for first in range(0, means, group):
+            size = min(group, means - first)
+            row = np.zeros((size, last), dtype=complex)  # the j = 0 terms
+            total = np.zeros((size, plane, last), dtype=complex)
+            for lo in range(0, nodes, chunk):
+                part = steps[first : first + group, lo : lo + chunk]
+                w = weights[first : first + group, lo : lo + chunk]
+                count = part.shape[1]
+                # pi |k| h_a / B, indexed (axis, |k|, mean, node); phi_a - 1
+                # at -k is the conjugate of its value at k, so the sines, the
+                # largest cost of a mean, are taken for k >= 0 only
+                half = np.pi * (np.arange(last // 2 + 1.0)[:, None, None]
+                                * (part.transpose(2, 0, 1)[:, None] / grid.box))
+                sine = np.sin(half)
+                minus = (-2.0 * sine * sine + 1j * np.sin(2.0 * half)).take(self._fold, axis=1)
+                np.conjugate(minus[:, negative], out=minus[:, negative])  # phi_a - 1
+                phase = minus + 1.0
+                # (phi_d - 1)^i for i = 0 .. L on the last axis, indexed
+                # (mean, node, k)
+                minus_d = [1.0, minus[-1].transpose(1, 2, 0)]
+                for _ in range(order - 1):
+                    minus_d.append(minus_d[-1] * minus_d[1])
+                for i in range(size):  # no BLAS: zgemv threads
+                    row[i] += np.einsum("m,mk->k", w[i], minus_d[order][i])
+                if grid.dim == 1:
+                    continue
+                lead = minus[0]  # phi' - 1, indexed (flattened plane, mean, node)
                 for a in range(1, grid.dim - 1):
-                    lead = (lead[:, None] * phase[a] + minus[a]).reshape(-1, len(part))
-                phase_d = phase[-1].T
-                cols = np.empty((plane, order, len(part)), dtype=complex)
-                rows = np.empty((order, len(part), last), dtype=complex)
+                    lead = (lead[:, None] * phase[a] + minus[a]).reshape(-1, size, count)
+                phase_d = phase[-1].transpose(1, 2, 0)
+                cols = np.empty((size, plane, order, count), dtype=complex)
+                rows = np.empty((size, order, count, last), dtype=complex)
                 lead_j, phase_j = lead, phase_d
                 for j in range(1, order + 1):
                     if j > 1:
                         lead_j = lead_j * lead
                         phase_j = phase_j * phase_d
-                    np.multiply(lead_j, binomials[j] * w, out=cols[:, j - 1])
-                    np.multiply(phase_j, minus_d[order - j], out=rows[j - 1])
-                _add_product(total, cols.reshape(plane, -1), rows.reshape(-1, last))
-        total += row
-        return total.reshape(grid.shape)
+                    np.multiply(lead_j.transpose(1, 0, 2), (binomials[j] * w)[:, None],
+                                out=cols[:, :, j - 1])
+                    np.multiply(phase_j, minus_d[order - j], out=rows[:, j - 1])
+                for i in range(size):
+                    _add_product(total[i], cols[i].reshape(plane, -1), rows[i].reshape(-1, last))
+            total += row[:, None]
+            yield from total.reshape((size,) + grid.shape)
 
 
 def iterated_difference(

@@ -25,17 +25,17 @@ earlier fields have already beaten.
 The mean-difference forms take a ladder of scales and return the maximal
 fields of its scales, or of its pieces, from one such call.  A shell mean
 is a radial sum of sphere means, sum_j w_j M(t r_j), so its symbol is the
-same sum of sphere-mean symbols.  Ladders of exact scales (`Scale`, top
-times a rational power of 2) key those symbols by their exact radius:
-each is built once, in increasing order of radius, and dropped as soon as
-the means that use it are complete; `share_sphere_symbols` hands a sphere
-ladder's symbols on to a shell ladder on the same lattice.
+same sum of sphere-mean symbols.  One walk over the radii of a call's
+shell and sphere means builds each distinct radius's symbol once, keyed by
+the exact radius when the ladders give exact scales (`Scale`, top times a
+rational power of 2), in increasing order of radius, and forms a mean's
+field as soon as its last radius is in, so only the shells straddling the
+current radius are held.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -58,8 +58,11 @@ _BLOCK = 4  # block edge of the pruned supremum, in samples per axis
 # measurable gain in speed.
 _STACK_POINTS = 1 << 13
 # Most products formed by one numpy operation of the scan: 64 block pairs
-# at 2-D, so each temporary (the products and the pairs' patches) stays at
-# 128 KB whatever the stack or grid.
+# at 2-D, so each temporary stays at 128 KB whatever the stack or grid.
+# Stacks of more than two fields gather each pair's patch, fewer broadcast
+# each field's patch over its run of pairs: on a 2-vCPU x86 VM the gather
+# made the sups of the 2-D n = 32 five-variant call (stacks of 8) 14 %
+# faster, and those of S,V at n = 64 (stacks of 2) 5 % slower.
 _PRODUCT_CHUNK = 1 << 14
 
 DEFAULT_SPHERE_COUNT = {1: 2, 2: 64, 3: 256}
@@ -164,14 +167,18 @@ class _BlockScan:
         patch_max = patch_max.T[:, :, None].copy()
         first_block = np.arange(depth).reshape((depth,) + (1,) * dim) * count
         tables = tables.reshape(depth, -1)
-        # target[i count + T]: the column of out that field i's block T feeds
+        # target[i count + T]: the column of out that field i's block T feeds;
+        # None when that is i count + T, each field its own piece
         rows = np.asarray(rows)
-        target = (rows[:, None] * count + np.arange(count)).reshape(-1)
+        target = None
+        if not np.array_equal(rows, np.arange(depth)):
+            target = (rows[:, None] * count + np.arange(count)).reshape(-1)
         shared = len(set(rows.tolist())) < depth  # some piece has several fields here
         chunk = self.chunk
+        edges = np.arange(depth + 1) * count
         pairs = 0
         for step, delta in enumerate(order.tolist()):
-            floors = floor.take(target).reshape(depth, count)
+            floors = (floor if target is None else floor.take(target)).reshape(depth, count)
             if (reach[step] <= floors.min(axis=1)).all():
                 break
             shift = self.coords[delta]
@@ -185,18 +192,26 @@ class _BlockScan:
             index = sum(term[d] for term, d in zip(self.terms, shift)).reshape(size, size)
             patches = tables.take(index, axis=1)
             values = cols.take(source.take(live), axis=1)[:, None]
-            # field i's pairs take its patch, patches[i][c_s, c_t]
-            fields = live // count
             best = np.empty((size, live.size))
-            for lo in range(0, live.size, chunk):
-                part = slice(lo, lo + chunk)
-                if depth == 1:
-                    patch = patches[0][:, :, None]
-                else:
+            if depth > 2:
+                # each pair takes its field's patch, patches[i][c_s, c_t],
+                # gathered: one numpy operation per chunk whatever the fields
+                fields = live // count
+                for lo in range(0, live.size, chunk):
+                    part = slice(lo, lo + chunk)
                     patch = patches.take(fields[part], axis=0).transpose(1, 2, 0)
-                products = values[:, :, part] * patch
-                products.max(axis=0, out=best[:, part])
-            columns = target.take(live)
+                    products = values[:, :, part] * patch
+                    products.max(axis=0, out=best[:, part])
+            else:
+                # live is sorted, so each field's pairs are one run of it,
+                # and the field's patch broadcasts over the run
+                bounds = np.searchsorted(live, edges).tolist() if depth > 1 else [0, live.size]
+                for i in range(depth):
+                    for lo in range(bounds[i], bounds[i + 1], chunk):
+                        part = slice(lo, min(lo + chunk, bounds[i + 1]))
+                        products = values[:, :, part] * patches[i][:, :, None]
+                        products.max(axis=0, out=best[:, part])
+            columns = live if target is None else target.take(live)
             if shared:
                 # pairs of one piece's fields may share a target column: max
                 # them into one column each
@@ -368,9 +383,8 @@ class Scale(NamedTuple):
 
     Mean ladders may give their scales this way instead of as floats.  The
     sphere-mean radii of one top are then keyed by their exact exponent, so
-    a shell ladder builds each sphere-mean symbol once wherever its radii
-    t r_j meet, and a sphere ladder on the same lattice can hand its
-    symbols on (:func:`share_sphere_symbols`).
+    a call builds each sphere-mean symbol once wherever its shell radii
+    t r_j and sphere scales meet.
     """
 
     top: float
@@ -407,9 +421,8 @@ def sphere_mean_max(
     piece, as in :func:`weighted_offset_sup`.  engine, built from field,
     lets several calls share one forward transform.
     """
-    if field.grid.dim < 2:
-        raise DimensionTooLow("sphere means need dim >= 2")
-    return _mean_max(field, ladder, r, order, sphere_count, None, engine, pieces)
+    return _mean_max(field, [], ladder, r, order, sphere_count, DEFAULT_ANNULUS_RADII,
+                     engine, pieces)
 
 
 def annulus_mean_max(
@@ -420,115 +433,82 @@ def annulus_mean_max(
     sphere_count: int | None = None,
     radial_count: int = DEFAULT_ANNULUS_RADII,
     *,
+    spheres: Sequence[float | Scale] = (),
     engine: StepEngine | None = None,
     pieces: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Weighted sups of the shell-volume means of the t-scaled differences,
-    one row per scale of the ladder (or per piece), as in
-    :func:`sphere_mean_max`.
+    one row per scale of the ladder, then one per scale of spheres with
+    the sphere means of :func:`sphere_mean_max` (or one row per piece of
+    the two ladders in that order), as in :func:`sphere_mean_max`.
 
     The shell mean at t is sum_j w_j M(t r_j): M(rho) the sphere mean at
     radius rho, and r_j and w_j the radii and radial weights of
     :func:`annulus_nodes`, r_j = 2^((j + 1/2) / radial_count) and
-    w_j = r_j^dim / sum r^dim.
+    w_j = r_j^dim / sum r^dim.  The shell and sphere means are formed in
+    one walk over their radii, so a radius that several of them use gets
+    one sphere-mean symbol.
     """
     if radial_count < 2:
         raise QuadratureTooCoarse(f"need at least 2 annulus radii, got {radial_count}")
-    return _mean_max(field, ladder, r, order, sphere_count, radial_count, engine, pieces)
+    return _mean_max(field, ladder, spheres, r, order, sphere_count, radial_count, engine, pieces)
 
 
-def share_sphere_symbols(
-    engine: StepEngine,
-    sphere_ladder: Sequence[float | Scale],
-    shell_ladder: Sequence[float | Scale],
-    order: int,
-    sphere_count: int | None = None,
-    radial_count: int = DEFAULT_ANNULUS_RADII,
-) -> None:
-    """Let a :func:`sphere_mean_max` call on sphere_ladder hand the
-    symbols of the radii that a later :func:`annulus_mean_max` call on
-    shell_ladder, on the same engine, also needs to that call."""
-    sphere = {radius for radii in _radii(sphere_ladder, None) for radius in radii}
-    shell = {radius for radii in _radii(shell_ladder, radial_count) for radius in radii}
-    count = unit_sphere_nodes(engine.grid.dim, sphere_count).shape[0]
-    engine.keep_mean_symbols((radius, count, order) for radius in sphere & shell)
+def _mean_max(field, shells, spheres, r, order, sphere_count, radial_count, engine, pieces):
+    """Weighted sups of |sum_j w_j M(t r_j)| over the scales t of shells,
+    then of |M(t)| over the scales of spheres, M(rho) the sphere mean at
+    radius rho.
 
-
-def _radii(ladder, radial_count: int | None) -> list[list[Scale]]:
-    """Each scale t of a ladder as the exact sphere radii of its mean: t
-    for a sphere mean (radial_count None), t r_j for a shell mean."""
-    scales = [t if isinstance(t, Scale) else Scale(float(t)) for t in ladder]
-    if radial_count is None:
-        return [[t] for t in scales]
-    return [[t.times_power(2 * j + 1, 2 * radial_count) for j in range(radial_count)]
-            for t in scales]
-
-
-def _mean_max(field, ladder, r, order, sphere_count, radial_count, engine, pieces):
-    """Weighted sups over the scales t of the ladder of
-    |sum_j w_j M(t r_j)|, the sphere means M at the radii t r_j of t's mean
-    (t alone, w = 1, for a sphere mean).
-
-    A radius that serves several means of the ladder, or whose symbol the
-    engine keeps (`share_sphere_symbols`), gets one sphere-mean symbol,
-    added into each of its means with weight w_j.  The other radii of a
-    mean make one symbol together, over all their nodes with the weights of
-    :func:`annulus_nodes`, as a mean without shared radii always has.  The
-    symbols are built in increasing order of radius and a mean's field is
-    formed as soon as its last symbol is in, so only the means whose radii
-    straddle the current one are held, never a table of symbols.
+    Each distinct radius gets one sphere-mean symbol, added into every mean
+    that uses it.  The symbols are built in increasing order of radius, and
+    a mean's field is formed as soon as its last symbol is in, so only the
+    shells whose radii straddle the current one are held, never a table of
+    symbols.
     """
     grid = field.grid
+    if spheres and grid.dim < 2:
+        raise DimensionTooLow("sphere means need dim >= 2")
     engine = engine or StepEngine(field)
     nodes = unit_sphere_nodes(grid.dim, sphere_count)
-    m = nodes.shape[0]
-    node_w = np.full(m, 1.0 / m)
-    if radial_count is None:
-        points, weights, radial_w = nodes, node_w, [1.0]
-    else:
-        points, weights = annulus_nodes(grid.dim, sphere_count, radial_count)
-        radial_w = annulus_radii(radial_count) ** grid.dim
-        radial_w = (radial_w / radial_w.sum()).tolist()
-    blocks = np.arange(points.shape[0]).reshape(len(radial_w), m)  # the nodes of each radius
-    means = _radii(ladder, radial_count)
-    users = Counter(radius for radii in means for radius in radii)
-    shared: dict[Scale, list[tuple[int, float]]] = {}
-    own: dict[Scale, tuple[int, list[int]]] = {}  # by its least radius
-    missing = []
-    for row, radii in enumerate(means):
-        alone = [j for j, radius in enumerate(radii)
-                 if users[radius] == 1 and not engine.keeps((radius, m, order))]
-        for j, radius in enumerate(radii):
-            if j not in alone:
-                shared.setdefault(radius, []).append((row, radial_w[j]))
-        if alone:
-            own[radii[alone[0]]] = row, alone
-        missing.append(len(radii) - len(alone) + bool(alone))
+    node_w = np.full(nodes.shape[0], 1.0 / nodes.shape[0])
+    radial_w = annulus_radii(radial_count) ** grid.dim
+    radial_w = (radial_w / radial_w.sum()).tolist()
+    ladder = [t if isinstance(t, Scale) else Scale(float(t)) for t in (*shells, *spheres)]
+    # the (radius, weight) terms of each row's mean
+    means = [[(t.times_power(2 * j + 1, 2 * radial_count), w) for j, w in enumerate(radial_w)]
+             for t in ladder[: len(shells)]]
+    means += [[(t, 1.0)] for t in ladder[len(shells) :]]
+    users: dict[Scale, list[tuple[int, float]]] = {}
+    for row, mean in enumerate(means):
+        for radius, w in mean:
+            users.setdefault(radius, []).append((row, w))
+    missing = [len(mean) for mean in means]
     sums: dict[int, np.ndarray] = {}
     mags = np.empty((len(means),) + grid.shape)
-    for radius in sorted(shared.keys() | own.keys(), key=float):
-        if radius in shared:
-            symbol = engine.mean_symbol(float(radius) * nodes, node_w, order,
-                                        key=(radius, m, order))
-            parts = shared[radius]
-        else:
-            row, alone = own[radius]
-            block = blocks[alone].reshape(-1)
-            symbol = engine.mean_symbol(float(ladder[row]) * points[block], weights[block], order)
-            parts = [(row, 1.0)]
+    radii = sorted(users, key=float)
+    scaled = np.array([float(radius) for radius in radii])[:, None, None] * nodes
+    for radius, symbol in zip(radii, engine.mean_symbols(scaled, node_w, order)):
         done = []
-        for row, w in parts:
+        for row, w in users[radius]:
             if row in sums:
                 sums[row] += w * symbol
-            else:
+            else:  # w is 1 only for a sphere mean, whose one term this is
                 sums[row] = symbol if w == 1.0 else w * symbol
             missing[row] -= 1
             if missing[row] == 0:
                 done.append(row)
-        del symbol  # before the inverse transforms, which hold two grids each
         for row in done:
             mags[row] = engine.symbol_magnitude(sums.pop(row))
     weight_scales = 1.0 / np.array([float(t) for t in ladder])
-    if pieces is None:
-        return weighted_offset_sup(mags, grid, weight_scales, grid.dim / r)
-    return weighted_offset_sup(mags, grid, weight_scales, grid.dim / r, pieces)
+    labels = np.arange(len(ladder)) if pieces is None else np.asarray(pieces, dtype=np.intp)
+    cut = len(shells)
+    if labels.shape != (len(ladder),) or 0 < cut < len(ladder) and labels[cut - 1] == labels[cut]:
+        raise ShapeMismatch("pieces must number runs of shell scales, then of sphere scales")
+    # one scan per family: a stack that pairs the smallest shell scales with
+    # the largest sphere scales keeps visiting offsets for its wide weights
+    # while its narrow ones are done (7 % more sup time in S,V calls at
+    # 2-D n = 64)
+    return np.concatenate([np.empty((0,) + grid.shape)] + [
+        weighted_offset_sup(mags[lo:hi], grid, weight_scales[lo:hi], grid.dim / r,
+                            labels[lo:hi] - labels[lo])
+        for lo, hi in ((0, cut), (cut, len(ladder))) if hi > lo])

@@ -47,8 +47,6 @@ from .maximal import (
     Scale,
     annulus_mean_max,
     annulus_radii,
-    share_sphere_symbols,
-    sphere_mean_max,
     unit_sphere_nodes,
     weighted_offset_sup,
 )
@@ -758,7 +756,7 @@ def _point_sup_field(
     r: float,
     order: int,
     directions: np.ndarray,
-    pieces: list[int] | None,
+    pieces: list[int],
 ) -> np.ndarray:
     """Largest single-step weighted sup over directions at each step length.
 
@@ -779,8 +777,8 @@ def _band_pieces(keys: list, group, bands: range):
 
     group(key) is the pair (key, if a variant reads its scale alone, else
     None; the bands whose sup ladders hold it).  Returns the piece of each
-    key (None when every piece is one key), the piece of each key read
-    alone, and the pieces of each band's sup ladder.
+    key, the piece of each key read alone, and the pieces of each band's
+    sup ladder.
     """
     labels, groups = [], []
     for key in keys:
@@ -789,7 +787,7 @@ def _band_pieces(keys: list, group, bands: range):
         labels.append(len(groups) - 1)
     alone = {key: p for p, (key, _) in enumerate(groups) if key is not None}
     sups = {k: [p for p, (_, in_sups) in enumerate(groups) if k in in_sups] for k in bands}
-    return (labels if len(groups) < len(labels) else None), alone, sups
+    return labels, alone, sups
 
 
 def maximal_quasinorm_set(
@@ -808,10 +806,11 @@ def maximal_quasinorm_set(
     Each family's ladder holds every scale a band and variant reads, once,
     and is split into pieces: an exact scale 2^(-k) that S or V reads on
     its own, then runs of scales that lie in the same bands' sup ladders.
-    One stacked call per family returns the maximal field of each piece,
-    the max over its scales, so a sup variant of band k is the max over
-    the pieces in its ladder.  The plain scales sit on the sup ladders, so
-    S <= S_SUP and V <= V_SUP hold pointwise by construction.
+    One call for the two mean families, and one for D_SUP, returns the
+    maximal field of each piece, the max over its scales, so a sup variant
+    of band k is the max over the pieces in its ladder.  The plain scales
+    sit on the sup ladders, so S <= S_SUP and V <= V_SUP hold pointwise by
+    construction.
     """
     for variant in variants:
         if variant not in MAXIMAL_VARIANTS:
@@ -851,14 +850,17 @@ def maximal_quasinorm_set(
                 i if i in exact else None, frozenset(k for k, sup in sups.items() if i in sup)),
                 bands)
     engine = StepEngine(field)
-    if len(ladders) == 2:
-        # the shell radii t r_j lie on the lattice of the sphere scales
-        share_sphere_symbols(engine, ladders["sphere"], ladders["shell"], L, sphere_count)
     rows = {}  # family -> maximal field of each piece
-    for family, mean_max in (("sphere", sphere_mean_max), ("shell", annulus_mean_max)):
-        if family in ladders:
-            rows[family] = mean_max(field, ladders[family], r, L, sphere_count, engine=engine,
-                                    pieces=pieces[family][0])
+    if ladders:
+        # one walk over the radii of both families: the shell radii t r_j
+        # lie on the lattice of the sphere scales
+        labels = pieces["shell"][0] if "shell" in ladders else []
+        split = labels[-1] + 1 if labels else 0
+        if "sphere" in ladders:
+            labels = labels + [split + p for p in pieces["sphere"][0]]
+        out = annulus_mean_max(field, ladders.get("shell", []), r, L, sphere_count,
+                               spheres=ladders.get("sphere", []), engine=engine, pieces=labels)
+        rows["shell"], rows["sphere"] = out[:split], out[split:]
     if "D_SUP" in variants:
         radii = annulus_radii()
         keys = [(m, ridx) for m in range(k_lo, j_max + quad.tau_octaves)

@@ -69,11 +69,12 @@ class FullGridMeans(StepEngine):
     """A StepEngine whose weighted-mean symbols add one full-grid symbol per
     node: the oracle of the low-rank mean symbols."""
 
-    def _mean_symbol(self, steps, weights, order):
-        symbol = np.zeros(self.grid.shape, dtype=complex)
-        for step, w in zip(steps, weights):
-            symbol += w * full_grid_symbol(self.grid, step, order)
-        return symbol
+    def _mean_symbols(self, steps, weights, order):
+        for mean, mean_w in zip(steps, weights):
+            symbol = np.zeros(self.grid.shape, dtype=complex)
+            for step, w in zip(mean, mean_w):
+                symbol += w * full_grid_symbol(self.grid, step, order)
+            yield symbol
 
 
 @pytest.fixture

@@ -180,6 +180,25 @@ class TestStepEngine:
                 np.maximum(want, engine.magnitude(tuple(step), order), out=want)
             assert np.array_equal(engine.max_magnitude(steps, order), want)
 
+    @pytest.mark.parametrize("grid", [GridSpec(1, 64), GridSpec(2, 32), GridSpec(2, 64),
+                                      GridSpec(3, 16)], ids=lambda g: f"{g.dim}d-n{g.n}")
+    def test_stacked_means_match_single_means(self, grid):
+        # means of 7 and 32 nodes share node chunks, 100 nodes span several;
+        # each stacked symbol is the single mean's, bit for bit, and counts
+        # its steps once
+        engine = StepEngine(random_complex_field(grid, seed=49))
+        rng = np.random.default_rng(grid.dim * grid.n)
+        for nodes in (7, 32, 100):
+            steps = rng.standard_normal((5, nodes, grid.dim)) * np.array([[[1e-4]], [[0.01]], [[0.05]],
+                                                                        [[0.3]], [[2.0]]])
+            weights = rng.random((5, nodes))
+            for order in (1, 2, 3):
+                before = engine.steps
+                stacked = list(engine.mean_symbols(steps, weights, order))
+                assert engine.steps - before == 5 * nodes
+                for i in range(5):
+                    assert np.array_equal(stacked[i], engine.mean_symbol(steps[i], weights[i], order))
+
     def test_zero_step_annihilates(self, grid2d):
         engine = StepEngine(random_complex_field(grid2d, seed=43))
         assert not np.any(engine.magnitude((0.0, 0.0), 2))

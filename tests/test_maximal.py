@@ -157,8 +157,9 @@ class TestWeightedSup:
         grid = GridSpec(2, n, 1.0)
         rows = []
 
-        def recording(mag, grid, scale, exponent):
-            out = weighted_offset_sup(mag, grid, scale, exponent)
+        def recording(mag, grid, scale, exponent, pieces=None):
+            out = weighted_offset_sup(mag, grid, scale, exponent, pieces)
+            assert pieces is None or list(pieces) == list(range(len(scale)))  # S, V: one each
             rows.extend(zip(mag, scale, [exponent] * len(scale), out))
             return out
 
@@ -483,9 +484,10 @@ class TestMeanDifferenceMax:
 
     def test_scale_ladders_match_per_scale_means(self):
         # sphere rows are one engine mean per scale then one stacked sup, bit
-        # for bit; shell rows, summed from the sphere-mean symbols shared on
-        # the 2^(1/16) lattice, match the 256-node annulus mean of each scale
-        # (with r = 1e-9 the sups collapse onto the mean fields)
+        # for bit, also after the shell rows of a joint call; shell rows,
+        # summed from the sphere-mean symbols shared on the 2^(1/16)
+        # lattice, match the 256-node annulus mean of each scale (with
+        # r = 1e-9 the sups collapse onto the mean fields)
         grid = GridSpec(2, 32)
         f = random_complex_field(grid, seed=25)
         ladder = [Scale(0.5).times_power(-i, 16) for i in range(1, 60, 3)]
@@ -503,12 +505,14 @@ class TestMeanDifferenceMax:
             got = annulus_mean_max(f, ladder, 1e-9, order, 32)
             assert np.all(np.abs(got - shells).max(axis=(1, 2))
                           <= 1e-14 * shells.max(axis=(1, 2)))
-        # shells an octave apart share no radius: each is the 256-node
-        # annulus mean, bit for bit
-        apart = [Scale(0.5).times_power(-i, 16) for i in (16, 32, 48)]
-        shells = np.stack([engine.mean_magnitude(float(t) * points[0], points[1], 2)
-                           for t in apart])
-        assert np.array_equal(annulus_mean_max(f, apart, 1e-9, 2, 32), shells)
+            joint = annulus_mean_max(f, ladder, 1.5, order, 32, spheres=ladder)
+            assert np.array_equal(joint[len(ladder) :], want)
+            assert np.array_equal(joint[: len(ladder)], annulus_mean_max(f, ladder, 1.5, order, 32))
+        # a piece may not hold both a shell and a sphere scale
+        with pytest.raises(ShapeMismatch):
+            annulus_mean_max(f, ladder[:2], 1.5, 1, 32, spheres=ladder[:1], pieces=[0, 1, 1])
+        assert annulus_mean_max(f, ladder[:2], 1.5, 1, 32, spheres=ladder[:1],
+                                pieces=[0, 0, 1]).shape == (2,) + grid.shape
 
     def test_shell_ladder_builds_each_radius_once(self):
         # shells 3 lattice steps apart on the 2^(1/16) lattice share most of
@@ -521,6 +525,10 @@ class TestMeanDifferenceMax:
         engine = StepEngine(f)
         annulus_mean_max(f, ladder, 1.5, 1, 32, engine=engine)
         assert engine.steps == len(radii) * 32 < len(ladder) * 8 * 32
+        # sphere means on the same ladder add only the radii no shell uses
+        joint = StepEngine(f)
+        annulus_mean_max(f, ladder, 1.5, 1, 32, spheres=ladder, engine=joint)
+        assert joint.steps == len(radii | set(range(1, 60, 3))) * 32 < (len(radii) + len(ladder)) * 32
 
     def test_sphere_mean_symbol_matches_explicit_differences(self, grid2d):
         # Oracle for the accumulated-symbol path: average explicit

@@ -587,9 +587,9 @@ class TestStepEngineSweep:
         radii = []
 
         class Recording(StepEngine):
-            def _mean_symbol(self, steps, weights, order):
-                radii.append(float(np.linalg.norm(steps[0])))
-                return super()._mean_symbol(steps, weights, order)
+            def _mean_symbols(self, steps, weights, order):
+                radii.extend(np.linalg.norm(steps[:, 0], axis=1).tolist())
+                return super()._mean_symbols(steps, weights, order)
 
         monkeypatch.setattr(quasinorms, "StepEngine", Recording)
         grid = GridSpec(2, 32)
