@@ -7,10 +7,14 @@ annulus multiplier psi_hat(xi) = chi(|xi|) - chi(2|xi|) is supported in
 psi_hat(2^-j xi) telescope to an exact partition of unity away from zero
 frequency.  kappa (transition_sharpness) reshapes the crossover without
 moving its endpoints.
+
+`decompose` splits a sequence of fields on one grid in one call: the band
+multipliers depend only on the grid, so each is built once for them all.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,11 +172,11 @@ class BandDecomposition:
 
 
 def decompose(
-    field: SampledField,
+    field: SampledField | Sequence[SampledField],
     system: DyadicBandSystem,
     homogeneous: bool = True,
     unresolved_tol: float = 1e-10,
-) -> BandDecomposition:
+) -> BandDecomposition | list[BandDecomposition]:
     """Split a field into its dyadic bands.
 
     Homogeneous mode drops the zero mode (the quotiented constant) and
@@ -180,58 +184,63 @@ def decompose(
     below unresolved_tol.  Inhomogeneous mode keeps a lowpass field covering
     everything below band j_min and only energy above 2^(j_max+1) counts as
     unresolved.  The measured fraction is stored either way.
+
+    A sequence of fields on the system's grid gives one decomposition per
+    field, in order, with each multiplier built once for all of them.  The
+    fields are checked in order, so the first that fails raises, as one
+    call per field would.
     """
-    if field.grid != system.grid:
+    fields = [field] if isinstance(field, SampledField) else list(field)
+    if any(f.grid != system.grid for f in fields):
         raise GridMismatch("field and band system live on different grids")
     grid = system.grid
-    spec = to_spectral(field)
     radii = grid.frequency_radii()
-    # the fraction is scale-invariant, so square the coefficients over their
-    # largest component, where no square can overflow
-    peak = float(np.abs(spec.coeffs.view(np.float64)).max())
-    power = np.abs(spec.coeffs / peak if peak > 0.0 else spec.coeffs) ** 2
     nonzero = radii > 0.0
     lo_edge = 2.0 ** (system.j_min - 1)
     hi_edge = 2.0 ** (system.j_max + 1)
-
-    if homogeneous:
-        total = stable_sum(power[nonzero])
-        outside = nonzero & ((radii < lo_edge) | (radii >= hi_edge))
-        lost = stable_sum(power[outside]) if np.any(outside) else 0.0
-        fraction = lost / total if total > 0.0 else 0.0
-        if fraction > unresolved_tol:
-            raise UnresolvedEnergy(
-                f"{fraction:.3e} of the nonzero-frequency energy lies outside "
-                f"[{lo_edge:g}, {hi_edge:g}); tolerance {unresolved_tol:g}"
-            )
-        coeffs = np.where(nonzero, spec.coeffs, 0.0 + 0.0j)
-        lowpass = None
-    else:
-        total = stable_sum(power)
-        outside = radii >= hi_edge
-        lost = stable_sum(power[outside]) if np.any(outside) else 0.0
-        fraction = lost / total if total > 0.0 else 0.0
-        if fraction > unresolved_tol:
-            raise UnresolvedEnergy(
-                f"{fraction:.3e} of the energy lies above |xi| = {hi_edge:g}; "
-                f"tolerance {unresolved_tol:g}"
-            )
-        coeffs = spec.coeffs
-        lowpass = to_sampled(
-            SpectralField(grid, coeffs * system.lowpass_multiplier())
-        )
-
-    bands = []
-    for j in system.band_indices:
-        fj = to_sampled(SpectralField(grid, coeffs * system.band_multiplier(j)))
-        bands.append((j, fj))
-    return BandDecomposition(
-        system=system,
-        bands=tuple(bands),
-        lowpass=lowpass,
-        truncated_energy=float(fraction),
-        homogeneous=homogeneous,
-    )
+    multipliers = [(j, system.band_multiplier(j)) for j in system.band_indices]
+    lowpass_multiplier = None if homogeneous else system.lowpass_multiplier()
+    out = []
+    for f in fields:
+        spec = to_spectral(f)
+        # the fraction is scale-invariant, so square the coefficients over
+        # their largest component, where no square can overflow
+        peak = float(np.abs(spec.coeffs.view(np.float64)).max())
+        power = np.abs(spec.coeffs / peak if peak > 0.0 else spec.coeffs) ** 2
+        if homogeneous:
+            total = stable_sum(power[nonzero])
+            outside = nonzero & ((radii < lo_edge) | (radii >= hi_edge))
+            lost = stable_sum(power[outside]) if np.any(outside) else 0.0
+            fraction = lost / total if total > 0.0 else 0.0
+            if fraction > unresolved_tol:
+                raise UnresolvedEnergy(
+                    f"{fraction:.3e} of the nonzero-frequency energy lies outside "
+                    f"[{lo_edge:g}, {hi_edge:g}); tolerance {unresolved_tol:g}"
+                )
+            coeffs = np.where(nonzero, spec.coeffs, 0.0 + 0.0j)
+            lowpass = None
+        else:
+            total = stable_sum(power)
+            outside = radii >= hi_edge
+            lost = stable_sum(power[outside]) if np.any(outside) else 0.0
+            fraction = lost / total if total > 0.0 else 0.0
+            if fraction > unresolved_tol:
+                raise UnresolvedEnergy(
+                    f"{fraction:.3e} of the energy lies above |xi| = {hi_edge:g}; "
+                    f"tolerance {unresolved_tol:g}"
+                )
+            coeffs = spec.coeffs
+            lowpass = to_sampled(SpectralField(grid, coeffs * lowpass_multiplier))
+        bands = tuple((j, to_sampled(SpectralField(grid, coeffs * multiplier)))
+                      for j, multiplier in multipliers)
+        out.append(BandDecomposition(
+            system=system,
+            bands=bands,
+            lowpass=lowpass,
+            truncated_energy=float(fraction),
+            homogeneous=homogeneous,
+        ))
+    return out[0] if isinstance(field, SampledField) else out
 
 
 def reconstruct(decomposition: BandDecomposition) -> SampledField:

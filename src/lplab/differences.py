@@ -12,16 +12,23 @@ through a :class:`StepEngine`, which transforms its field forward once with
 `fftn` and then pays one `ifftn` per step.  Where only the L^2 norm of each
 difference is needed, :meth:`StepEngine.norms` reads it off the power
 spectrum by Plancherel and pays no inverse transform.
+
+An engine may hold a stack of fields on one grid.  Step symbols, mean
+symbols and step energies depend only on the grid, so each is formed once
+for the whole stack: a mean's magnitudes come from one batched `ifftn`,
+and a chunk of step energies meets every field's power spectrum in one
+matrix product.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
+    GridMismatch,
     InvalidExponent,
     MisalignedStep,
     NonFiniteSample,
@@ -105,28 +112,42 @@ def _power(base, order: int):
 
 
 class StepEngine:
-    """Spectral L-fold differences of one field, for any number of steps.
+    """Spectral L-fold differences of one field, or of a stack of fields on
+    one grid, for any number of steps.
 
-    The engine transforms the field forward once.  A step symbol
+    The engine transforms its fields forward once.  A step symbol
     S(k) = (exp(2 pi i h.k / B) - 1)^L is the broadcast product of one 1-D
     phase factor exp(2 pi i k_a h_a / B) per axis with a nonzero step
     component, so each step costs one inverse transform and no full-grid
     exponential.  A weighted sum of steps also costs one inverse transform
     (`symbol_magnitude`), its symbol built as low-rank real matrix products
     (`mean_symbol`), and `max_magnitude` sends a chunk of steps through one
-    inverse transform.  The spectrum X is the full `np.fft.fftn` of the
+    inverse transform.  The spectrum X is the full `np.fft.fftn` of each
     field, real or complex; `norms` reads |X|^2 off it with no inverse
     transform.
 
-    `steps` counts the step symbols formed and `forward_ffts` the forward
-    transforms of the whole field, which stays 1.
+    Built from a sequence of fields, the engine holds their spectra as one
+    stack, and every result gains a leading axis of one row per field; a
+    symbol is formed once and serves the whole stack.  Built from one
+    field, results have no stack axis.  `steps` counts the step symbols
+    formed and `forward_ffts` the forward transforms, which stays 1.
     """
 
-    def __init__(self, field: SampledField):
-        self.grid = field.grid
+    def __init__(self, field: SampledField | Sequence[SampledField]):
+        if isinstance(field, SampledField):
+            self.grid, self.stack, data = field.grid, (), field.data
+        else:
+            fields = list(field)
+            if not fields:
+                raise ShapeMismatch("a step engine needs at least one field")
+            self.grid, self.stack = fields[0].grid, (len(fields),)
+            if any(f.grid != self.grid for f in fields):
+                raise GridMismatch("stacked fields live on different grids")
+            data = np.stack([f.data for f in fields])
+        self._axes = tuple(range(-self.grid.dim, 0))
         self._k = self.grid.frequency_integers().astype(np.float64)
         self._fold = np.abs(self.grid.frequency_integers())  # the |k| of each k
-        self._coeffs = np.fft.fftn(field.data)
+        self._coeffs = np.fft.fftn(data, axes=self._axes)
         self._power = None
         self.forward_ffts = 1
         self.steps = 0
@@ -159,9 +180,10 @@ class StepEngine:
 
     @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
     def symbol_magnitude(self, symbol: np.ndarray) -> np.ndarray:
-        """|ifftn(X symbol)|, the modulus of the field with multiplier symbol,
-        checked finite."""
-        mag = np.abs(np.fft.ifftn(self._coeffs * symbol))
+        """|ifftn(X symbol)|, the modulus of each field with multiplier
+        symbol, from one transform of the stack, checked finite."""
+        spectra = self._coeffs * symbol
+        mag = np.abs(np.fft.ifftn(spectra, axes=self._axes, out=spectra))
         if not np.isfinite(mag).all():
             raise NonFiniteSample("difference samples contain NaN or infinity")
         return mag
@@ -175,9 +197,10 @@ class StepEngine:
         """
         grid = self.grid
         steps = self._count(steps, order)
-        chunk = max(1, _MAX_CHUNK_POINTS // grid.num_points)
-        axes = tuple(range(1, grid.dim + 1))
-        out = np.zeros(grid.shape)
+        chunk = max(1, _MAX_CHUNK_POINTS // (grid.num_points * math.prod(self.stack)))
+        step_axis = len(self.stack)  # of the products, indexed stack + (step,) + grid
+        coeffs = np.expand_dims(self._coeffs, step_axis)
+        out = np.zeros(self.stack + grid.shape)
         for lo in range(0, len(steps), chunk):
             part = steps[lo : lo + chunk]
             # exp(2 pi i k h_a / B), indexed (step, axis, k)
@@ -187,35 +210,41 @@ class StepEngine:
                 shape = [len(part)] + [1] * grid.dim
                 shape[1 + a] = -1
                 phase = phase * factors[:, a].reshape(shape)
-            spectra = _power(phase - 1.0, order)
-            np.multiply(self._coeffs, spectra, out=spectra)  # this operand order, bit for bit
-            np.maximum(out, np.abs(np.fft.ifftn(spectra, axes=axes)).max(axis=0), out=out)
+            # this operand order, bit for bit
+            spectra = np.multiply(coeffs, _power(phase - 1.0, order))
+            np.fft.ifftn(spectra, axes=self._axes, out=spectra)
+            np.maximum(out, np.abs(spectra).max(axis=step_axis), out=out)
         if not np.isfinite(out).all():
             raise NonFiniteSample("difference samples contain NaN or infinity")
         return out
 
     @np.errstate(over="ignore", invalid="ignore")  # SampledField rejects non-finite samples
     def difference(self, step: tuple[float, ...], order: int) -> SampledField:
-        """The L-fold difference with step h as a validated field."""
+        """The L-fold difference with step h as a validated field, for an
+        engine of one field."""
         return SampledField(self.grid, np.fft.ifftn(self._coeffs * self._step_symbol(step, order)))
 
     @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
     def norms(self, steps, order: int) -> np.ndarray:
-        """||diff(f, h_m, L)||_2 for each row h_m of steps, checked finite.
+        """||diff(f, h_m, L)||_2 for each row h_m of steps, checked finite,
+        shape stack + (steps,).
 
         By Plancherel the squared norm is cell_volume / N times
         sum_k |X(k)|^2 u(k)^(2L) with u(k) = 2 sin(pi h.k / B), so no
         inverse transform is needed.  sin(pi h.k / B) comes from per-axis
         sines and cosines by angle addition, in real arithmetic; only the
-        last axis's product is grid-sized.
+        last axis's product is grid-sized.  Each chunk's energies u^(2L)
+        are formed once and meet every field's |X|^2 in one real matrix
+        product, split over the fields to stay within _SERIAL_GEMM.
         """
         grid = self.grid
         steps = self._count(steps, order)
-        power = self._power_spectrum().reshape(-1, grid.n)
+        power = self._power_spectrum().reshape(-1, grid.num_points)  # (fields, points)
         chunk = max(1, _NORM_CHUNK_POINTS // grid.num_points)
+        per_product = max(1, _SERIAL_GEMM // (chunk * grid.num_points))  # fields
         # grid-sized work arrays, reused by every chunk
         work = np.empty((2, min(chunk, len(steps)), grid.num_points // grid.n, grid.n))
-        sums = np.empty(len(steps))
+        sums = np.empty((len(steps), len(power)))
         for lo in range(0, len(steps), chunk):
             part = steps[lo : lo + chunk]
             u, spare = work[:, : len(part)]
@@ -246,9 +275,12 @@ class StepEngine:
                 energy = np.multiply(u, u, out=spare)
                 for _ in range(order - 2):
                     energy *= u
-            energy *= power
-            sums[lo : lo + chunk] = energy.reshape(len(part), -1).sum(axis=1)
-        out = np.sqrt(sums * (grid.cell_volume / grid.num_points))
+            energy = energy.reshape(len(part), -1)
+            for first in range(0, len(power), per_product):
+                np.matmul(energy, power[first : first + per_product].T,
+                          out=sums[lo : lo + chunk, first : first + per_product])
+        out = np.sqrt(sums.T * (grid.cell_volume / grid.num_points)).reshape(
+            self.stack + (len(steps),))
         if not np.isfinite(out).all():
             raise NonFiniteSample("difference norms contain NaN or infinity")
         return out

@@ -30,7 +30,9 @@ shell and sphere means builds each distinct radius's symbol once, keyed by
 the exact radius when the ladders give exact scales (`Scale`, top times a
 rational power of 2), in increasing order of radius, and forms a mean's
 field as soon as its last radius is in, so only the shells straddling the
-current radius are held.
+current radius are held.  Given a stack of fields on one grid, a call
+builds each symbol once for the whole stack and runs one scan per family
+over all its fields, each field's pieces its own.
 """
 
 from __future__ import annotations
@@ -176,6 +178,8 @@ class _BlockScan:
         shared = len(set(rows.tolist())) < depth  # some piece has several fields here
         chunk = self.chunk
         edges = np.arange(depth + 1) * count
+        # the gathered patches of one chunk of pairs, reused by every chunk
+        gathered = np.empty((chunk, size, size)) if depth > 2 else None
         pairs = 0
         for step, delta in enumerate(order.tolist()):
             floors = (floor if target is None else floor.take(target)).reshape(depth, count)
@@ -199,8 +203,10 @@ class _BlockScan:
                 fields = live // count
                 for lo in range(0, live.size, chunk):
                     part = slice(lo, lo + chunk)
-                    patch = patches.take(fields[part], axis=0).transpose(1, 2, 0)
-                    products = values[:, :, part] * patch
+                    products = patches.take(fields[part], axis=0, mode="clip",
+                                            out=gathered[: fields[part].size])
+                    products = products.transpose(1, 2, 0)
+                    np.multiply(values[:, :, part], products, out=products)
                     products.max(axis=0, out=best[:, part])
             else:
                 # live is sorted, so each field's pairs are one run of it,
@@ -260,9 +266,10 @@ def weighted_offset_sup(
 
     Leading axes of field_magnitudes stack fields, each with its own weight
     scale: scale has the shape of those axes, a scalar for one field.
-    pieces, if given, splits the flattened stack into runs of consecutive
-    fields, labelled 0, 1, ... in order; the result then has one row per
-    run, the max of its fields' sups.
+    pieces, if given, splits the last stack axis into runs of consecutive
+    fields, labelled 0, 1, ... in order, the same runs for every index of
+    the axes before it; the result then has one row per run along that
+    axis, the max of its fields' sups.
     """
     scales = np.asarray(scale, dtype=np.float64)
     if np.shape(field_magnitudes) != scales.shape + grid.shape:
@@ -270,14 +277,18 @@ def weighted_offset_sup(
     if (scales < 0).any() or exponent < 0:
         raise InvalidExponent("weight scale and exponent must be nonnegative")
     u = np.asarray(field_magnitudes, dtype=np.float64).reshape((-1,) + grid.shape)
+    stack = scales.shape
     scales = scales.reshape(-1)
     if pieces is None:
         labels = np.arange(len(scales))
     else:
-        labels = np.asarray(pieces, dtype=np.intp)
-        if (labels.shape != scales.shape or (labels.size and labels[0] != 0)
-                or not np.isin(np.diff(labels), (0, 1)).all()):
+        runs = np.asarray(pieces, dtype=np.intp)
+        if (runs.shape != stack[-1:] or (runs.size and runs[0] != 0)
+                or not np.isin(np.diff(runs), (0, 1)).all()):
             raise ShapeMismatch("pieces must number runs of consecutive fields 0, 1, ...")
+        per_row = runs[-1] + 1 if runs.size else 0
+        # the runs of each index of the leading axes, numbered on from the last
+        labels = (runs + per_row * np.arange(math.prod(stack[:-1]))[:, None]).reshape(-1)
     result = np.empty((labels[-1] + 1 if labels.size else 0,) + grid.shape)
     scan = _BlockScan(grid, exponent)
     count = scan.count
@@ -297,7 +308,9 @@ def weighted_offset_sup(
         else:
             held = None
         result[first : first + out.shape[1] // count] = scan.unblock(out)
-    return result.reshape(np.shape(field_magnitudes)) if pieces is None else result
+    if pieces is None:
+        return result.reshape(np.shape(field_magnitudes))
+    return result.reshape(stack[:-1] + (per_row,) + grid.shape)
 
 
 def peetre_max(field: SampledField, t: float, r: float) -> SampledField:
@@ -403,7 +416,7 @@ class Scale(NamedTuple):
 
 
 def sphere_mean_max(
-    field: SampledField,
+    field: SampledField | Sequence[SampledField],
     ladder: Sequence[float | Scale],
     r: float,
     order: int,
@@ -420,13 +433,17 @@ def sphere_mean_max(
     row per scale, from one stacked scan, or with pieces one row per
     piece, as in :func:`weighted_offset_sup`.  engine, built from field,
     lets several calls share one forward transform.
+
+    field may be a sequence of fields on one grid: the result then has a
+    leading axis of one such stack per field, each mean symbol is built
+    once for all of them, and one scan covers them all.
     """
     return _mean_max(field, [], ladder, r, order, sphere_count, DEFAULT_ANNULUS_RADII,
                      engine, pieces)
 
 
 def annulus_mean_max(
-    field: SampledField,
+    field: SampledField | Sequence[SampledField],
     ladder: Sequence[float | Scale],
     r: float,
     order: int,
@@ -447,7 +464,8 @@ def annulus_mean_max(
     :func:`annulus_nodes`, r_j = 2^((j + 1/2) / radial_count) and
     w_j = r_j^dim / sum r^dim.  The shell and sphere means are formed in
     one walk over their radii, so a radius that several of them use gets
-    one sphere-mean symbol.
+    one sphere-mean symbol.  A sequence of fields gives one stack of rows
+    per field, as in :func:`sphere_mean_max`, from one scan per family.
     """
     if radial_count < 2:
         raise QuadratureTooCoarse(f"need at least 2 annulus radii, got {radial_count}")
@@ -459,16 +477,18 @@ def _mean_max(field, shells, spheres, r, order, sphere_count, radial_count, engi
     then of |M(t)| over the scales of spheres, M(rho) the sphere mean at
     radius rho.
 
-    Each distinct radius gets one sphere-mean symbol, added into every mean
-    that uses it.  The symbols are built in increasing order of radius, and
-    a mean's field is formed as soon as its last symbol is in, so only the
-    shells whose radii straddle the current one are held, never a table of
-    symbols.
+    Each distinct radius gets one sphere-mean symbol, added into the mean
+    of every field of the engine's stack that uses it.  The symbols are
+    built in increasing order of radius, and a mean's field is formed as
+    soon as its last symbol is in, so only the shells whose radii straddle
+    the current one are held, never a table of symbols.  An engine built
+    here is dropped before the sups run, so its spectra are not held
+    beside their scan.
     """
-    grid = field.grid
+    engine = engine or StepEngine(field)
+    grid, stack = engine.grid, engine.stack
     if spheres and grid.dim < 2:
         raise DimensionTooLow("sphere means need dim >= 2")
-    engine = engine or StepEngine(field)
     nodes = unit_sphere_nodes(grid.dim, sphere_count)
     node_w = np.full(nodes.shape[0], 1.0 / nodes.shape[0])
     radial_w = annulus_radii(radial_count) ** grid.dim
@@ -484,7 +504,9 @@ def _mean_max(field, shells, spheres, r, order, sphere_count, radial_count, engi
             users.setdefault(radius, []).append((row, w))
     missing = [len(mean) for mean in means]
     sums: dict[int, np.ndarray] = {}
-    mags = np.empty((len(means),) + grid.shape)
+    axis = len(stack)  # the rows axis of each field's ladder
+    mags = np.empty(stack + (len(means),) + grid.shape)
+    by_row = np.moveaxis(mags, axis, 0)
     radii = sorted(users, key=float)
     scaled = np.array([float(radius) for radius in radii])[:, None, None] * nodes
     for radius, symbol in zip(radii, engine.mean_symbols(scaled, node_w, order)):
@@ -498,17 +520,19 @@ def _mean_max(field, shells, spheres, r, order, sphere_count, radial_count, engi
             if missing[row] == 0:
                 done.append(row)
         for row in done:
-            mags[row] = engine.symbol_magnitude(sums.pop(row))
+            by_row[row] = engine.symbol_magnitude(sums.pop(row))
+    del engine
     weight_scales = 1.0 / np.array([float(t) for t in ladder])
     labels = np.arange(len(ladder)) if pieces is None else np.asarray(pieces, dtype=np.intp)
     cut = len(shells)
     if labels.shape != (len(ladder),) or 0 < cut < len(ladder) and labels[cut - 1] == labels[cut]:
         raise ShapeMismatch("pieces must number runs of shell scales, then of sphere scales")
-    # one scan per family: a stack that pairs the smallest shell scales with
-    # the largest sphere scales keeps visiting offsets for its wide weights
-    # while its narrow ones are done (7 % more sup time in S,V calls at
-    # 2-D n = 64)
-    return np.concatenate([np.empty((0,) + grid.shape)] + [
-        weighted_offset_sup(mags[lo:hi], grid, weight_scales[lo:hi], grid.dim / r,
-                            labels[lo:hi] - labels[lo])
-        for lo, hi in ((0, cut), (cut, len(ladder))) if hi > lo])
+    # one scan per family, over all fields of the stack: a scan stack that
+    # pairs the smallest shell scales with the largest sphere scales keeps
+    # visiting offsets for its wide weights while its narrow ones are done
+    # (7 % more sup time in S,V calls at 2-D n = 64)
+    return np.concatenate([np.empty(stack + (0,) + grid.shape)] + [
+        weighted_offset_sup(np.moveaxis(by_row[lo:hi], 0, axis), grid,
+                            np.broadcast_to(weight_scales[lo:hi], stack + (hi - lo,)),
+                            grid.dim / r, labels[lo:hi] - labels[lo])
+        for lo, hi in ((0, cut), (cut, len(ladder))) if hi > lo], axis=axis)

@@ -11,6 +11,10 @@ by m, and multiplies L^p norms by the cell-volume factor 2^(-mn/p), so the
 measured scaling exponent of a quasinorm with smoothness s is s - n/p.  A
 same-box spectral remap would instead preserve discrete L^p norms and miss
 the measure factor.
+
+The equivalence experiment evaluates its corpus as one stack per grid:
+each characterization runs once on all members (see `quasinorm`), then
+once on their dilations, which are computed on their own grid.
 """
 
 from __future__ import annotations
@@ -256,6 +260,13 @@ def equivalence_experiment(
     """Ratios value_A/value_B per corpus function, their spread, and the
     drift of each ratio under one dyadic dilation.
 
+    The corpus is sampled and projected first; then each characterization
+    evaluates it as one stack on the grid, and again on the dilated grid,
+    so the tables that depend only on the grid are built once per grid.
+    A member that cannot be sampled, or whose quasinorm fails, raises the
+    typed error a loop over the members would: sampling comes before any
+    quasinorm, and within a stack the first failing field raises.
+
     A PASS verdict needs the hypothesis window satisfied AND spread within
     spread_limit AND drift within drift_limit; an unsatisfied window yields
     NO-VERDICT regardless of the measurements.  Entries flagged DIVERGENT
@@ -266,24 +277,24 @@ def equivalence_experiment(
         raise UnresolvableSpec("equivalence experiment needs a nonempty corpus")
     hypothesis = hypothesis_window(theorem, params, grid.dim)
     dilated_quad = scaled_quadrature(quad, 1) if quad is not None else None
+    # each side evaluates the whole corpus as one stack per grid; only one
+    # grid's fields are held at a time
+    fields = [_shell_projection(sample_family(spec, grid)) for spec in corpus]
+    res_a, res_b = (quasinorm(fields, cid, params, quad) for cid in pair)
+    fields = [rescaled_dilate(f, 1) for f in fields]
+    dil_a, dil_b = (quasinorm(fields, cid, params, dilated_quad) for cid in pair)
     entries: list[FunctionRatio] = []
-    for spec in corpus:
-        f = _shell_projection(sample_family(spec, grid))
-        res_a = quasinorm(f, pair[0], params, quad)
-        res_b = quasinorm(f, pair[1], params, quad)
-        moved = rescaled_dilate(f, 1)
-        dil_a = quasinorm(moved, pair[0], params, dilated_quad)
-        dil_b = quasinorm(moved, pair[1], params, dilated_quad)
-        ratio = res_a.value / res_b.value if res_b.value > 0.0 else math.inf
-        dil_ratio = dil_a.value / dil_b.value if dil_b.value > 0.0 else math.inf
+    for spec, a, b, moved_a, moved_b in zip(corpus, res_a, res_b, dil_a, dil_b):
+        ratio = a.value / b.value if b.value > 0.0 else math.inf
+        dil_ratio = moved_a.value / moved_b.value if moved_b.value > 0.0 else math.inf
         entries.append(
             FunctionRatio(
                 label=spec.label or spec.family,
-                value_a=res_a.value,
-                value_b=res_b.value,
+                value_a=a.value,
+                value_b=b.value,
                 ratio=ratio,
                 dilated_ratio=dil_ratio,
-                flags=(res_a.flag, res_b.flag),
+                flags=(a.flag, b.flag),
             )
         )
     usable = [e for e in entries if e.usable]

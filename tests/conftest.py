@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lplab import quasinorms
+from lplab import maximal, quasinorms
 from lplab.differences import StepEngine
 from lplab.fields import GridSpec, SampledField
 
@@ -79,7 +79,8 @@ class FullGridMeans(StepEngine):
 
 @pytest.fixture
 def recorded_engines(monkeypatch):
-    """Every StepEngine the quasinorm layer builds, in order."""
+    """Every StepEngine the quasinorm layer builds, in order, in its own
+    module and in the maximal means it calls."""
     engines = []
 
     class RecordingEngine(StepEngine):
@@ -88,4 +89,5 @@ def recorded_engines(monkeypatch):
             engines.append(self)
 
     monkeypatch.setattr(quasinorms, "StepEngine", RecordingEngine)
+    monkeypatch.setattr(maximal, "StepEngine", RecordingEngine)
     return engines

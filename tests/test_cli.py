@@ -330,6 +330,23 @@ class TestEquivalenceCommand:
         assert code == 0
         assert read_summary(out, "verify_equivalence")["verdict"] == "NO-VERDICT"
 
+    def test_failing_member_exit_and_summary(self, tmp_path, capsys):
+        # a member that cannot be sampled, after five that can: exit 1, one
+        # typed line and the summary the one-member-at-a-time loop wrote
+        corpus = [{"family": "gaussian", "width": 0.05, "label": f"g{i}"} for i in range(5)]
+        corpus.append({"family": "gaussian", "width": 0.001, "label": "too_narrow"})
+        cfg = tmp_path / "corpus.json"
+        cfg.write_text(json.dumps({"corpus": corpus}))
+        code, out = run(tmp_path, "verify", "equivalence", "--grid-dim", "1", "--grid-n", "256",
+                        "--pair", "lp,diff", "--theorem", "T2i", "--config", str(cfg))
+        message = "width 0.001 outside grid capability [0.015625, 0.125]"
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"computation error: UnresolvableSpec: {message}"]
+        assert json.loads((out / "error_summary.json").read_text()) == {
+            "command": "verify", "error": {"type": "UnresolvableSpec", "message": message}}
+        assert not (out / "verify_equivalence.csv").exists()
+
 
 class TestVerifyCommands:
     def test_scaling_pass(self, tmp_path):

@@ -153,14 +153,17 @@ class TestWeightedSup:
     @pytest.mark.parametrize("n, members", [(32, tuple(range(12))), (64, (1, 4, 7, 10))])
     def test_corpus_scale_ladders_match_array_oracle(self, monkeypatch, n, members):
         # every sup of the S and V ladders on corpus members, as the
-        # pipeline calls it on stacks of sphere and shell mean fields
+        # pipeline calls it on stacks of sphere and shell mean fields, one
+        # ladder per field of the (here one-field) stack
         grid = GridSpec(2, n, 1.0)
         rows = []
 
         def recording(mag, grid, scale, exponent, pieces=None):
             out = weighted_offset_sup(mag, grid, scale, exponent, pieces)
-            assert pieces is None or list(pieces) == list(range(len(scale)))  # S, V: one each
-            rows.extend(zip(mag, scale, [exponent] * len(scale), out))
+            assert list(pieces) == list(range(np.shape(scale)[-1]))  # S, V: one each
+            flat = (-1,) + grid.shape
+            rows.extend(zip(mag.reshape(flat), np.ravel(scale), [exponent] * np.size(scale),
+                            out.reshape(flat)))
             return out
 
         monkeypatch.setattr(maximal, "weighted_offset_sup", recording)

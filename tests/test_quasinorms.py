@@ -18,6 +18,7 @@ from lplab.errors import (
     ConfigParseError,
     DimensionTooLow,
     EmptyDecomposition,
+    GridMismatch,
     InvalidAxis,
     InvalidExponent,
     NonFiniteSample,
@@ -673,11 +674,11 @@ class TestEnergyPath:
         params = SpaceParams(s=0.5 + 0.4 * order, p=2, q=q, L=order, scale=scale)
         quad = default_quadrature(grid, radial_nodes_per_octave=2, sphere_nodes=6)
         theta, theta_w = quasinorms.sphere_quadrature(grid.dim, quad.sphere_nodes)
-        engine = StepEngine(f)
-        args = (f, params, quad, quad.radial_nodes_per_octave, theta, theta_w,
+        engine = StepEngine([f])
+        args = ([f], params, quad, quad.radial_nodes_per_octave, theta, theta_w,
                 lambda step: engine.magnitude(step, order))
-        energy = quasinorms._step_quasinorm(*args, lambda steps: engine.norms(steps, order))
-        magnitude = quasinorms._step_quasinorm(*args)
+        [energy] = quasinorms._step_quasinorm(*args, lambda steps: engine.norms(steps, order))
+        [magnitude] = quasinorms._step_quasinorm(*args)
         assert energy.value == pytest.approx(magnitude.value, rel=1e-12)
         assert energy.truncation_report["refinement_growth"] == pytest.approx(
             magnitude.truncation_report["refinement_growth"], rel=1e-12)
@@ -692,10 +693,10 @@ class TestEnergyPath:
         params = SpaceParams(s=1.5, p=2, q=2, L=2)
         quads = [default_quadrature(grid1d, h_min=grid1d.spacing / 2**i, allow_subgrid=True)
                  for i in range(3)]
-        engine = StepEngine(f)
+        engine = StepEngine([f])
         theta, theta_w = quasinorms.sphere_quadrature(1)
-        magnitude = quasinorms._step_sweep(
-            f, params, quads, 4, theta, theta_w, lambda step: engine.magnitude(step, 2))
+        [magnitude] = quasinorms._step_sweep(
+            [f], params, quads, 4, theta, theta_w, lambda step: engine.magnitude(step, 2))
         values = quasinorms.difference_values(f, params, quads)
         assert values == pytest.approx([v for v, _ in magnitude], rel=1e-12)
 
@@ -986,3 +987,131 @@ class TestDispatcher:
         res = quasinorm(f, "diff", SpaceParams(s=0.5, p=2, q=2))
         ks = [k for k, _ in res.per_scale]
         assert ks == sorted(ks)
+
+
+def projected_corpus(grid: GridSpec) -> list[SampledField]:
+    """The default corpus as the equivalence experiment evaluates it."""
+    from lplab.verify import _shell_projection
+
+    return [_shell_projection(sample_family(spec, grid)) for spec in default_corpus(grid)]
+
+
+def assert_rows_match(stacked, fields, evaluate, rel: float) -> None:
+    """Each row of a stacked evaluation against the same call on its field
+    alone: values equal (rel = 0) or within rel, shares likewise, flags
+    equal."""
+    assert len(stacked) == len(fields)
+    for field, got in zip(fields, stacked):
+        want = evaluate(field)
+        assert got.flag == want.flag
+        assert [k for k, _ in got.per_scale] == [k for k, _ in want.per_scale]
+        pairs = [(got.value, want.value)] + [
+            (a, b) for (_, a), (_, b) in zip(got.per_scale, want.per_scale)]
+        for a, b in pairs:
+            if rel == 0.0:
+                assert a == b
+            else:
+                assert a == pytest.approx(b, rel=rel)
+
+
+class TestStackedQuasinorms:
+    """A sequence of fields on one grid against one call per field."""
+
+    @pytest.mark.parametrize("dilated", [False, True], ids=["grid", "dilated"])
+    @pytest.mark.parametrize("cid, rel", [("lp", 0.0), ("diff", 1e-13)])
+    def test_t2i_corpus(self, cid, rel, dilated):
+        # the 1-D n=512 corpus of a T2i experiment; the stacked step norms
+        # come from one matrix product per chunk, so diff agrees to 1e-13
+        grid = GridSpec(1, 512)
+        fields = projected_corpus(grid)
+        quad = None
+        if dilated:
+            fields = [rescaled_box(f, 1) for f in fields]
+            quad = default_quadrature(fields[0].grid)
+        params = SpaceParams(s=0.5, p=2, q=2, L=1)
+        assert_rows_match(quasinorm(fields, cid, params, quad), fields,
+                          lambda f: quasinorm(f, cid, params, quad), rel)
+
+    @pytest.mark.parametrize("stack_points", [None, 5 * 1024], ids=["one-stack", "stacks-of-5"])
+    @pytest.mark.parametrize("cid", ["lp", "max:V"])
+    def test_t4_corpus_bit_identical(self, monkeypatch, cid, stack_points):
+        # the 2-D n=32 corpus of a T4 experiment, as one stack and as stacks
+        # of 5, 5 and 2 fields
+        if stack_points is not None:
+            monkeypatch.setattr(quasinorms, "_FIELD_STACK_POINTS", stack_points)
+        grid = GridSpec(2, 32)
+        fields = projected_corpus(grid)
+        params = SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5)
+        assert_rows_match(quasinorm(fields, cid, params), fields,
+                          lambda f: quasinorm(f, cid, params), 0.0)
+
+    def test_five_variants_3d_across_stacks(self, monkeypatch):
+        # at 3-D n=16 a stack of three fields spans two field stacks of two
+        # and scans of two fields; every variant stays bit for bit
+        monkeypatch.setattr(quasinorms, "_FIELD_STACK_POINTS", 2 * 16**3)
+        grid = GridSpec(3, 16)
+        fields = [random_complex_field(grid, seed) for seed in range(3)]
+        params = SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5)
+        quad = default_quadrature(grid, sphere_nodes=8, tau_nodes_per_octave=2, tau_octaves=1)
+        stacked = maximal_quasinorm_set(fields, params, MAXIMAL_VARIANTS, quad)
+        for field, got in zip(fields, stacked):
+            want = maximal_quasinorm_set(field, params, MAXIMAL_VARIANTS, quad)
+            for variant in MAXIMAL_VARIANTS:
+                assert got[variant].value == want[variant].value, variant
+                assert got[variant].flag == want[variant].flag
+        assert len(stacked) == len(fields)
+
+    @pytest.mark.parametrize("cid, params, rel", [
+        ("diff", SpaceParams(s=0.5, p=1, q=1), 0.0),
+        ("diff", SpaceParams(s=0.5, p=2, q=math.inf, scale="B"), 1e-13),
+        ("gagliardo", SpaceParams(s=0.5, p=2, q=2), 0.0),
+        ("axis", SpaceParams(s=0.5, p=2, q=2, L=2), 1e-13),
+        ("axis:2", SpaceParams(s=0.5, p=1, q=2), 0.0),
+        ("max:S_SUP", SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5), 0.0),
+    ], ids=["diff-p1", "diff-B", "gagliardo", "axis", "axis:2", "max:S_SUP"])
+    def test_other_paths(self, cid, params, rel):
+        # the magnitude path (p = 1) and the translate form are bit for bit;
+        # step norms agree to 1e-13
+        grid = GridSpec(2, 32)
+        fields = [field_of_kind(grid, kind) for kind in ("noise", "gaussian", "modulated")]
+        quad = default_quadrature(grid, radial_nodes_per_octave=2, sphere_nodes=6,
+                                  tau_nodes_per_octave=4, tau_octaves=2)
+        assert_rows_match(quasinorm(fields, cid, params, quad), fields,
+                          lambda f: quasinorm(f, cid, params, quad), rel)
+
+    @pytest.mark.parametrize("cid", ["lp", "diff", "max:V"])
+    def test_one_field_stack_is_the_field(self, cid):
+        grid = GridSpec(2, 32)
+        f = projected_corpus(grid)[4]
+        params = SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5)
+        [got] = quasinorm([f], cid, params)
+        assert got == quasinorm(f, cid, params)
+
+    def test_empty_and_mixed_stacks(self, grid1d):
+        params = SpaceParams(s=0.5, p=2, q=2)
+        assert quasinorm([], "lp", params) == []
+        assert maximal_quasinorm_set([], params, ("V",), default_quadrature(grid1d)) == []
+        with pytest.raises(GridMismatch):
+            quasinorm([gaussian(grid1d), gaussian(GridSpec(1, 128))], "diff", params)
+
+    @pytest.mark.parametrize("cid,q", [("lp", 2), ("diff", 2), ("diff", 1), ("gagliardo", 2),
+                                       ("axis", 2), ("max:V", 2)])
+    def test_failing_member_raises_as_alone(self, cid, q):
+        # the overflowing fields of TestOverflow inside a stack of finite
+        # ones: the same typed error and message as the member alone
+        grid = GridSpec(2, 32)
+        fine = projected_corpus(grid)[0]
+        if cid == "lp":
+            band = TestFunctionSpec(family="random_band", band_index=2, seed=4)
+            huge = SampledField(grid, 1e160 * sample_family(band, grid).data.real)
+        else:
+            noise = np.random.default_rng(54).standard_normal(grid.shape)
+            huge = SampledField(grid, 1e160 * noise)
+        params = SpaceParams(s=0.5, p=2, q=q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            quasinorm(fine, cid, params)
+            with pytest.raises(NonFiniteSample) as alone:
+                quasinorm(huge, cid, params)
+            with pytest.raises(NonFiniteSample) as stacked:
+                quasinorm([fine, huge, fine], cid, params)
+        assert str(stacked.value) == str(alone.value)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -502,3 +503,114 @@ class TestSliceSupportCheck:
         grid, system, band = setup2d
         with pytest.raises(BandOutOfRange):
             slice_support_check(band, system, 3, 3)
+
+
+def per_member_loop(corpus, pair, params, grid, quad=None):
+    """The equivalence experiment's four quasinorms per member, one call per
+    member and grid: [(a, b, dilated a, dilated b)] in corpus order."""
+    dilated_quad = scaled_quadrature(quad, 1) if quad is not None else None
+    rows = []
+    for spec in corpus:
+        f = verify._shell_projection(sample_family(spec, grid))
+        moved = rescaled_dilate(f, 1)
+        rows.append([quasinorm(f, cid, params, quad) for cid in pair]
+                    + [quasinorm(moved, cid, params, dilated_quad) for cid in pair])
+    return rows
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Engine steps, weighted_offset_sup calls and band multipliers built."""
+    from lplab import maximal, quasinorms
+    from lplab.bands import DyadicBandSystem
+    from lplab.differences import StepEngine
+
+    counts = {"steps": 0, "sups": 0, "multipliers": 0}
+    count, sup, multiplier = (StepEngine._count, maximal.weighted_offset_sup,
+                              DyadicBandSystem.band_multiplier)
+
+    def counted_steps(self, steps, order):
+        out = count(self, steps, order)
+        counts["steps"] += len(out)
+        return out
+
+    def counted_sup(*args, **kwargs):
+        counts["sups"] += 1
+        return sup(*args, **kwargs)
+
+    def counted_multiplier(self, j):
+        counts["multipliers"] += 1
+        return multiplier(self, j)
+
+    monkeypatch.setattr(StepEngine, "_count", counted_steps)
+    monkeypatch.setattr(maximal, "weighted_offset_sup", counted_sup)
+    monkeypatch.setattr(quasinorms, "weighted_offset_sup", counted_sup)
+    monkeypatch.setattr(DyadicBandSystem, "band_multiplier", counted_multiplier)
+    return counts
+
+
+T4_CASE = (GridSpec(2, 32), ("lp", "max:V"), SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5), "T4")
+T2I_CASE = (GridSpec(1, 512), ("lp", "diff"), SpaceParams(s=0.5, p=2, q=2, L=1), "T2i")
+
+
+class TestCorpusStacks:
+    """The equivalence experiment evaluates its corpus as one stack per grid."""
+
+    @pytest.mark.parametrize("case", [T4_CASE, T2I_CASE], ids=["T4", "T2i"])
+    def test_matches_per_member_loop(self, case):
+        # T4 and every lp value bit for bit; diff (stacked step norms) to 1e-13
+        grid, pair, params, theorem = case
+        corpus = default_corpus(grid)
+        rep = equivalence_experiment(corpus, pair, params, grid, theorem)
+        for entry, (a, b, moved_a, moved_b) in zip(rep.per_function, per_member_loop(
+                corpus, pair, params, grid)):
+            assert entry.flags == (a.flag, b.flag)
+            assert entry.value_a == a.value
+            if pair[1] == "diff":
+                assert entry.value_b == pytest.approx(b.value, rel=1e-13)
+                assert entry.dilated_ratio == pytest.approx(moved_a.value / moved_b.value,
+                                                            rel=1e-13)
+            else:
+                assert entry.value_b == b.value
+                assert entry.dilated_ratio == moved_a.value / moved_b.value
+
+    @pytest.mark.parametrize("case, loop, stacked", [
+        (T4_CASE, {"steps": 12288, "sups": 24, "multipliers": 72},
+         {"steps": 1024, "sups": 2, "multipliers": 6}),
+        (T2I_CASE, {"multipliers": 168, "sups": 0}, {"multipliers": 14, "sups": 0}),
+    ], ids=["T4", "T2i"])
+    def test_work_counts(self, work_counts, case, loop, stacked):
+        # per grid: the T4 call's 16 shell radii of 32 nodes, one sup scan,
+        # 3 band multipliers (T2i: 7); the member loop pays each per member
+        grid, pair, params, theorem = case
+        corpus = default_corpus(grid)
+        per_member_loop(corpus, pair, params, grid)
+        loop_steps = work_counts["steps"]
+        assert {k: work_counts[k] for k in loop} == loop
+        work_counts.update(dict.fromkeys(work_counts, 0))
+        equivalence_experiment(corpus, pair, params, grid, theorem)
+        assert {k: work_counts[k] for k in stacked} == stacked
+        assert work_counts["steps"] * len(corpus) == loop_steps
+
+    def test_failing_member_raises_as_in_the_loop(self):
+        grid, pair, params, theorem = T4_CASE
+        corpus = list(default_corpus(grid))
+        corpus.insert(5, TestFunctionSpec(family="gaussian", width=0.001, label="too_narrow"))
+        with pytest.raises(UnresolvableSpec) as looped:
+            per_member_loop(corpus, pair, params, grid)
+        with pytest.raises(UnresolvableSpec) as stacked:
+            equivalence_experiment(corpus, pair, params, grid, theorem)
+        assert str(stacked.value) == str(looped.value)
+
+    def test_t4_traced_peak(self):
+        # one grid's stack at a time; a prototype that held both grids' fields
+        # and wide scan stacks peaked at 1.8-1.9 MB, the member loop at 0.7 MB
+        grid, pair, params, theorem = T4_CASE
+        corpus = default_corpus(grid)
+        tracemalloc.start()
+        try:
+            equivalence_experiment(corpus, pair, params, grid, theorem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
