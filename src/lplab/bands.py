@@ -1,12 +1,11 @@
 """Dyadic Littlewood-Paley band systems on the frequency lattice.
 
 The radial profile chi is exactly 1 below 1, exactly 0 above 2, and on
-(1, 2) equals s(2-u) / (s(2-u) + s(u-1)) with s(t) = exp(-kappa/t), so the
+(1, 2) equals s(2-u) / (s(2-u) + s(u-1)) with s(t) = exp(-1/t), so the
 annulus multiplier psi_hat(xi) = chi(|xi|) - chi(2|xi|) is supported in
 {1/2 <= |xi| < 2}, takes values in [0, 1], and the shifted copies
 psi_hat(2^-j xi) telescope to an exact partition of unity away from zero
-frequency.  kappa (transition_sharpness) reshapes the crossover without
-moving its endpoints.
+frequency.
 
 `decompose` splits a sequence of fields on one grid in one call: the band
 multipliers depend only on the grid, so each is built once for them all.
@@ -38,8 +37,11 @@ from .fields import (
     to_spectral,
 )
 
+# Largest relative spectral energy a decomposition may leave unrepresented.
+_UNRESOLVED_TOL = 1e-10
 
-def dyadic_profile(u, sharpness: float = 1.0) -> np.ndarray:
+
+def dyadic_profile(u) -> np.ndarray:
     """Radial cutoff chi: 1 on [0, 1], 0 on [2, inf), smooth crossover."""
     u = np.asarray(u, dtype=np.float64)
     out = np.ones(u.shape)
@@ -48,26 +50,25 @@ def dyadic_profile(u, sharpness: float = 1.0) -> np.ndarray:
     if np.any(mid):
         t_fall = 2.0 - u[mid]
         t_rise = u[mid] - 1.0
-        s_fall = np.exp(-sharpness / t_fall)
-        s_rise = np.exp(-sharpness / t_rise)
+        s_fall = np.exp(-1.0 / t_fall)
+        s_rise = np.exp(-1.0 / t_rise)
         out[mid] = s_fall / (s_fall + s_rise)
     return out
 
 
-def band_profile(u, sharpness: float = 1.0) -> np.ndarray:
+def band_profile(u) -> np.ndarray:
     """Annulus multiplier psi_hat(u) = chi(u) - chi(2u), supported in [1/2, 2)."""
     u = np.asarray(u, dtype=np.float64)
-    return dyadic_profile(u, sharpness) - dyadic_profile(2.0 * u, sharpness)
+    return dyadic_profile(u) - dyadic_profile(2.0 * u)
 
 
 @dataclass(frozen=True)
 class DyadicBandSystem:
-    """Band indices [j_min, j_max] realizable on a grid, with the profile knob."""
+    """Band indices [j_min, j_max] realizable on a grid."""
 
     grid: GridSpec
     j_min: int
     j_max: int
-    sharpness: float = 1.0
 
     def __post_init__(self) -> None:
         if self.j_min > self.j_max:
@@ -81,8 +82,6 @@ class DyadicBandSystem:
             raise RangeTooNarrow(
                 f"grid supports only {self.j_max - self.j_min + 1} bands, need >= 3"
             )
-        if not (self.sharpness > 0):
-            raise BandRangeEmpty(f"sharpness must be positive, got {self.sharpness}")
 
     @property
     def band_indices(self) -> range:
@@ -91,28 +90,18 @@ class DyadicBandSystem:
     def band_multiplier(self, j: int) -> np.ndarray:
         """psi_hat(2^-j |xi|) on the FFT-ordered lattice."""
         radii = self.grid.frequency_radii()
-        return band_profile(radii * 2.0 ** (-j), self.sharpness)
+        return band_profile(radii * 2.0 ** (-j))
 
     def lowpass_multiplier(self) -> np.ndarray:
         """chi(2^-(j_min-1) |xi|), covering |xi| <= 2^(j_min-1) exactly."""
         radii = self.grid.frequency_radii()
-        return dyadic_profile(radii * 2.0 ** (-(self.j_min - 1)), self.sharpness)
+        return dyadic_profile(radii * 2.0 ** (-(self.j_min - 1)))
 
 
-def build_band_system(
-    grid: GridSpec,
-    j_min: int | None = None,
-    j_max: int | None = None,
-    sharpness: float = 1.0,
-) -> DyadicBandSystem:
-    """Band system with grid-derived defaults for the index range."""
+def build_band_system(grid: GridSpec) -> DyadicBandSystem:
+    """Band system over every band index the grid can represent."""
     lo, hi = resolvable_band_range(grid)
-    return DyadicBandSystem(
-        grid=grid,
-        j_min=lo if j_min is None else j_min,
-        j_max=hi if j_max is None else j_max,
-        sharpness=sharpness,
-    )
+    return DyadicBandSystem(grid=grid, j_min=lo, j_max=hi)
 
 
 def band_project(field: SampledField, system: DyadicBandSystem, j: int) -> SampledField:
@@ -149,39 +138,17 @@ class BandDecomposition:
         if any(b <= a for a, b in zip(js, js[1:])):
             raise EmptyDecomposition(f"band indices must strictly increase, got {js}")
 
-    def band(self, j: int) -> SampledField:
-        for jj, f in self.bands:
-            if jj == j:
-                return f
-        raise BandOutOfRange(f"band {j} not in decomposition")
-
-    def validate_supports(self, tol: float = 1e-14) -> None:
-        """Check each band's spectrum vanishes off its annulus to tol * peak."""
-        for j, f in self.bands:
-            coeffs = to_spectral(f).coeffs
-            peak = float(np.max(np.abs(coeffs)))
-            if peak == 0.0:
-                continue
-            radii = self.system.grid.frequency_radii()
-            outside = (radii < 2.0 ** (j - 1)) | (radii >= 2.0 ** (j + 1))
-            leak = float(np.max(np.abs(coeffs[outside]))) if np.any(outside) else 0.0
-            if leak > tol * peak:
-                raise UnresolvedEnergy(
-                    f"band {j} leaks {leak / peak:.2e} of its peak outside the annulus"
-                )
-
 
 def decompose(
     field: SampledField | Sequence[SampledField],
     system: DyadicBandSystem,
     homogeneous: bool = True,
-    unresolved_tol: float = 1e-10,
 ) -> BandDecomposition | list[BandDecomposition]:
     """Split a field into its dyadic bands.
 
     Homogeneous mode drops the zero mode (the quotiented constant) and
     requires the relative energy outside [2^(j_min-1), 2^(j_max+1)) to stay
-    below unresolved_tol.  Inhomogeneous mode keeps a lowpass field covering
+    below 1e-10.  Inhomogeneous mode keeps a lowpass field covering
     everything below band j_min and only energy above 2^(j_max+1) counts as
     unresolved.  The measured fraction is stored either way.
 
@@ -212,10 +179,10 @@ def decompose(
             outside = nonzero & ((radii < lo_edge) | (radii >= hi_edge))
             lost = stable_sum(power[outside]) if np.any(outside) else 0.0
             fraction = lost / total if total > 0.0 else 0.0
-            if fraction > unresolved_tol:
+            if fraction > _UNRESOLVED_TOL:
                 raise UnresolvedEnergy(
                     f"{fraction:.3e} of the nonzero-frequency energy lies outside "
-                    f"[{lo_edge:g}, {hi_edge:g}); tolerance {unresolved_tol:g}"
+                    f"[{lo_edge:g}, {hi_edge:g}); tolerance {_UNRESOLVED_TOL:g}"
                 )
             coeffs = np.where(nonzero, spec.coeffs, 0.0 + 0.0j)
             lowpass = None
@@ -224,10 +191,10 @@ def decompose(
             outside = radii >= hi_edge
             lost = stable_sum(power[outside]) if np.any(outside) else 0.0
             fraction = lost / total if total > 0.0 else 0.0
-            if fraction > unresolved_tol:
+            if fraction > _UNRESOLVED_TOL:
                 raise UnresolvedEnergy(
                     f"{fraction:.3e} of the energy lies above |xi| = {hi_edge:g}; "
-                    f"tolerance {unresolved_tol:g}"
+                    f"tolerance {_UNRESOLVED_TOL:g}"
                 )
             coeffs = spec.coeffs
             lowpass = to_sampled(SpectralField(grid, coeffs * lowpass_multiplier))

@@ -121,7 +121,7 @@ class StepEngine:
     component, so each step costs one inverse transform and no full-grid
     exponential.  A weighted sum of steps also costs one inverse transform
     (`symbol_magnitude`), its symbol built as low-rank real matrix products
-    (`mean_symbol`), and `max_magnitude` sends a chunk of steps through one
+    (`mean_symbols`), and `max_magnitude` sends a chunk of steps through one
     inverse transform.  The spectrum X is the full `np.fft.fftn` of each
     field, real or complex; `norms` reads |X|^2 off it with no inverse
     transform.
@@ -156,19 +156,11 @@ class StepEngine:
         """|diff(f, h, L)| on the grid, checked finite."""
         return self.symbol_magnitude(self._step_symbol(step, order))
 
-    def mean_magnitude(self, steps: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
-        """|sum_m w_m diff(f, h_m, L)| on the grid, checked finite."""
-        return self.symbol_magnitude(self.mean_symbol(steps, weights, order))
-
-    def mean_symbol(self, steps: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
-        """The multiplier sum_m w_m S_m of a weighted mean of steps, in `fftn`
-        order; the steps count toward `steps`."""
-        return next(self.mean_symbols(np.asarray(steps)[None], weights, order))
-
     def mean_symbols(self, steps: np.ndarray, weights: np.ndarray,
                      order: int) -> Iterator[np.ndarray]:
-        """Yield the multiplier of each mean of steps, (means, nodes, dim),
-        with weights (nodes,) or (means, nodes), as `mean_symbol` does.
+        """Yield the multiplier sum_m w_m S_m of each mean of steps h_m,
+        (means, nodes, dim), with weights (nodes,) or (means, nodes), in
+        `fftn` order.
 
         Means of few nodes are built together, so they share each node
         chunk's array operations; the steps count when called.

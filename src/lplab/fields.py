@@ -8,8 +8,7 @@ the convention
     F f(xi) = integral f(x) exp(-2 pi i x.xi) dx,
 
 realized on the grid as the DFT scaled by the cell volume, so spectral
-coefficients approximate the continuum transform.  Energy bookkeeping uses
-the matching 1/B^dim normalization on the spectral side.
+coefficients approximate the continuum transform.
 """
 
 from __future__ import annotations
@@ -131,10 +130,6 @@ class SampledField:
             raise NonFiniteSample("samples contain NaN or infinity")
         object.__setattr__(self, "data", arr)
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        scale = float(np.max(np.abs(self.data))) or 1.0
-        return float(np.max(np.abs(self.data.imag))) <= tol * scale
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
@@ -153,10 +148,6 @@ class SpectralField:
             raise NonFiniteSample("spectral coefficients contain NaN or infinity")
         object.__setattr__(self, "coeffs", arr)
 
-    def energy(self) -> float:
-        """Spectral energy under the 1/box^dim normalization."""
-        return stable_sum(np.abs(self.coeffs) ** 2) / self.grid.box**self.grid.dim
-
 
 def to_spectral(field: SampledField) -> SpectralField:
     """Forward transform; coefficients approximate integral f e^{-2pi i x.xi} dx."""
@@ -168,11 +159,6 @@ def to_sampled(spectral: SpectralField) -> SampledField:
     """Inverse transform matching :func:`to_spectral`."""
     data = np.fft.ifftn(spectral.coeffs) / spectral.grid.cell_volume
     return SampledField(spectral.grid, data)
-
-
-def sample_energy(field: SampledField) -> float:
-    """Riemann-sum L2 energy, comparable to :meth:`SpectralField.energy`."""
-    return stable_sum(np.abs(field.data) ** 2) * field.grid.cell_volume
 
 
 def stable_sum(values: np.ndarray) -> float:

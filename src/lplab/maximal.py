@@ -67,8 +67,7 @@ _STACK_POINTS = 1 << 13
 # faster, and those of S,V at n = 64 (stacks of 2) 5 % slower.
 _PRODUCT_CHUNK = 1 << 14
 
-DEFAULT_SPHERE_COUNT = {1: 2, 2: 64, 3: 256}
-DEFAULT_ANNULUS_RADII = 8
+_ANNULUS_RADII = 8  # shell radii of an annulus mean
 
 
 class _BlockScan:
@@ -343,14 +342,13 @@ def hardy_littlewood_max(field: SampledField) -> SampledField:
     return SampledField(grid, out.astype(complex))
 
 
-def unit_sphere_nodes(dim: int, count: int | None = None) -> np.ndarray:
+def unit_sphere_nodes(dim: int, count: int) -> np.ndarray:
     """Quadrature nodes on the unit sphere, shape (count, dim).
 
-    dim 1 uses the two-point sphere {+1, -1}; dim 2 uniform angles; dim 3 a
-    Fibonacci spiral.  Node weights are uniform in all three cases.
+    dim 1 uses the two-point sphere {+1, -1} whatever the count; dim 2
+    uniform angles; dim 3 a Fibonacci spiral.  Node weights are uniform in
+    all three cases.
     """
-    if count is None:
-        count = DEFAULT_SPHERE_COUNT[dim]
     if dim == 1:
         return np.array([[1.0], [-1.0]])
     if count < 4:
@@ -367,27 +365,25 @@ def unit_sphere_nodes(dim: int, count: int | None = None) -> np.ndarray:
     raise DimensionTooLow(f"no sphere nodes for dim {dim}")
 
 
-def annulus_nodes(
-    dim: int, sphere_count: int | None = None, radial_count: int = DEFAULT_ANNULUS_RADII
-) -> tuple[np.ndarray, np.ndarray]:
-    """Volume-quadrature nodes for the shell {1 <= |z| < 2}.
+def annulus_nodes(dim: int, sphere_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Volume-quadrature nodes for the shell {1 <= |z| < 2}: sphere_count
+    directions on each radius of :func:`annulus_radii`.
 
     Returns (points, weights); weights sum to 1 so weighting realizes the
     volume average over the shell.
     """
-    if radial_count < 2:
-        raise QuadratureTooCoarse(f"need at least 2 annulus radii, got {radial_count}")
     sphere = unit_sphere_nodes(dim, sphere_count)
-    radii = annulus_radii(radial_count)
+    radii = annulus_radii()
     radial_w = radii**dim  # volume density against d(log rho)
     points = (radii[:, None, None] * sphere[None, :, :]).reshape(-1, dim)
     weights = np.repeat(radial_w, sphere.shape[0])
     return points, weights / weights.sum()
 
 
-def annulus_radii(radial_count: int = DEFAULT_ANNULUS_RADII) -> np.ndarray:
-    """The log-spaced shell radii used by :func:`annulus_nodes`."""
-    return 2.0 ** ((np.arange(radial_count) + 0.5) / radial_count)
+def annulus_radii() -> np.ndarray:
+    """The 8 log-spaced shell radii 2^((j + 1/2) / 8) used by
+    :func:`annulus_nodes`."""
+    return 2.0 ** ((np.arange(_ANNULUS_RADII) + 0.5) / _ANNULUS_RADII)
 
 
 class Scale(NamedTuple):
@@ -420,15 +416,15 @@ def sphere_mean_max(
     ladder: Sequence[float | Scale],
     r: float,
     order: int,
-    sphere_count: int | None = None,
+    sphere_count: int,
     *,
     engine: StepEngine | None = None,
     pieces: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Weighted sups of the spherical means of the t-scaled differences.
 
-    At each scale t of the ladder the base field is |average over unit
-    directions z of diff(f, t z, L)| and the sup weight is
+    At each scale t of the ladder the base field is |average over the
+    sphere_count unit directions z of diff(f, t z, L)| and the sup weight is
     (1 + |y|/t)^(-dim/r).  Returns the real stack of maximal fields, one
     row per scale, from one stacked scan, or with pieces one row per
     piece, as in :func:`weighted_offset_sup`.  engine, built from field,
@@ -438,8 +434,7 @@ def sphere_mean_max(
     leading axis of one such stack per field, each mean symbol is built
     once for all of them, and one scan covers them all.
     """
-    return _mean_max(field, [], ladder, r, order, sphere_count, DEFAULT_ANNULUS_RADII,
-                     engine, pieces)
+    return _mean_max(field, [], ladder, r, order, sphere_count, engine, pieces)
 
 
 def annulus_mean_max(
@@ -447,8 +442,7 @@ def annulus_mean_max(
     ladder: Sequence[float | Scale],
     r: float,
     order: int,
-    sphere_count: int | None = None,
-    radial_count: int = DEFAULT_ANNULUS_RADII,
+    sphere_count: int,
     *,
     spheres: Sequence[float | Scale] = (),
     engine: StepEngine | None = None,
@@ -461,18 +455,16 @@ def annulus_mean_max(
 
     The shell mean at t is sum_j w_j M(t r_j): M(rho) the sphere mean at
     radius rho, and r_j and w_j the radii and radial weights of
-    :func:`annulus_nodes`, r_j = 2^((j + 1/2) / radial_count) and
+    :func:`annulus_nodes`, r_j = 2^((j + 1/2) / 8) and
     w_j = r_j^dim / sum r^dim.  The shell and sphere means are formed in
     one walk over their radii, so a radius that several of them use gets
     one sphere-mean symbol.  A sequence of fields gives one stack of rows
     per field, as in :func:`sphere_mean_max`, from one scan per family.
     """
-    if radial_count < 2:
-        raise QuadratureTooCoarse(f"need at least 2 annulus radii, got {radial_count}")
-    return _mean_max(field, ladder, spheres, r, order, sphere_count, radial_count, engine, pieces)
+    return _mean_max(field, ladder, spheres, r, order, sphere_count, engine, pieces)
 
 
-def _mean_max(field, shells, spheres, r, order, sphere_count, radial_count, engine, pieces):
+def _mean_max(field, shells, spheres, r, order, sphere_count, engine, pieces):
     """Weighted sups of |sum_j w_j M(t r_j)| over the scales t of shells,
     then of |M(t)| over the scales of spheres, M(rho) the sphere mean at
     radius rho.
@@ -491,11 +483,11 @@ def _mean_max(field, shells, spheres, r, order, sphere_count, radial_count, engi
         raise DimensionTooLow("sphere means need dim >= 2")
     nodes = unit_sphere_nodes(grid.dim, sphere_count)
     node_w = np.full(nodes.shape[0], 1.0 / nodes.shape[0])
-    radial_w = annulus_radii(radial_count) ** grid.dim
+    radial_w = annulus_radii() ** grid.dim
     radial_w = (radial_w / radial_w.sum()).tolist()
     ladder = [t if isinstance(t, Scale) else Scale(float(t)) for t in (*shells, *spheres)]
     # the (radius, weight) terms of each row's mean
-    means = [[(t.times_power(2 * j + 1, 2 * radial_count), w) for j, w in enumerate(radial_w)]
+    means = [[(t.times_power(2 * j + 1, 2 * _ANNULUS_RADII), w) for j, w in enumerate(radial_w)]
              for t in ladder[: len(shells)]]
     means += [[(t, 1.0)] for t in ladder[len(shells) :]]
     users: dict[Scale, list[tuple[int, float]]] = {}

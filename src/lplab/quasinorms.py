@@ -27,6 +27,7 @@ import dataclasses
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -286,7 +287,8 @@ class QuadratureSpec:
 
     Radial and t nodes are log-spaced between h_min and h_max with
     log-trapezoid weights; sphere nodes carry uniform weights summing to
-    the sphere measure.  tau_* control the ladder sampling the suprema of
+    the sphere measure, QUADRATURE_SPHERE_COUNT of them unless sphere_nodes
+    is set.  tau_* control the ladder sampling the suprema of
     the _SUP maximal variants over (0, 2).  allow_subgrid permits h_min
     below the grid spacing (steps act on the trigonometric interpolant).
     """
@@ -317,6 +319,11 @@ class QuadratureSpec:
         if self.h_max > grid.box / 4.0 * tol:
             raise QuadratureTooCoarse(
                 f"h_max {self.h_max} above box/4 = {grid.box / 4.0}"
+            )
+        # a 1-D sphere is the two points +1 and -1 whatever the count
+        if grid.dim >= 2 and self.sphere_nodes is not None and self.sphere_nodes < 4:
+            raise QuadratureTooCoarse(
+                f"need at least 4 sphere nodes, got {self.sphere_nodes}"
             )
 
 
@@ -709,14 +716,6 @@ def _step_quasinorm(
     return results
 
 
-def _engine_steps(fields: list[SampledField], order: int):
-    """The step magnitude and step norm maps of one StepEngine of the
-    stacked fields."""
-    engine = StepEngine(fields)
-    return (lambda step: engine.magnitude(step, order),
-            lambda steps: engine.norms(steps, order))
-
-
 def difference_values(
     field: SampledField, params: SpaceParams, quads: list[QuadratureSpec]
 ) -> list[float]:
@@ -727,76 +726,12 @@ def difference_values(
     refined ladder is stepped.
     """
     theta, theta_w = sphere_quadrature(field.grid.dim, quads[0].sphere_nodes)
+    engine = StepEngine([field])
     [results] = _step_sweep(
         [field], params, quads, quads[0].radial_nodes_per_octave, theta, theta_w,
-        *_engine_steps([field], params.L),
+        partial(engine.magnitude, order=params.L), partial(engine.norms, order=params.L),
     )
     return [value for value, _ in results]
-
-
-def _difference_core(
-    fields: list[SampledField],
-    params: SpaceParams,
-    quad: QuadratureSpec,
-    step_magnitudes,
-    step_norms=None,
-) -> list[QuasinormResult]:
-    """Polar-quadrature aggregate of |h|^(-s) |Delta_h f|, one result per
-    field.
-
-    F scale: L^p over x of the polar step aggregate; B scale: the polar
-    step aggregate of L^p norms.
-    """
-    theta, theta_w = sphere_quadrature(fields[0].grid.dim, quad.sphere_nodes)
-    return _step_quasinorm(
-        fields, params, quad, quad.radial_nodes_per_octave, theta, theta_w,
-        step_magnitudes, step_norms,
-    )
-
-
-def gagliardo_seminorm(
-    field: SampledField | Sequence[SampledField], s: float, p: float, q: float,
-    quad: QuadratureSpec,
-) -> QuasinormResult | list[QuasinormResult]:
-    """Double-integral seminorm via the translate-and-subtract step form.
-
-    Uses literal f(x+h) - f(x) on the same polar nodes as the
-    order-1 F-scale difference quasinorm, to which it is equal up to
-    floating-point roundoff.  A sequence of fields on one grid gives one
-    result per field, from one sweep.
-    """
-    if not (p < math.inf and q < math.inf):
-        raise InvalidExponent("gagliardo_seminorm needs p, q < inf")
-    params = SpaceParams(s=s, p=p, q=q, L=1, scale="F")
-    fields = _as_stack(field)
-    return _unstack(field, _difference_core(
-        fields, params, quad,
-        lambda step: np.stack([np.abs(translate(f, step).data - f.data) for f in fields]),
-    ))
-
-
-def axis_quasinorm(
-    field: SampledField | Sequence[SampledField],
-    params: SpaceParams,
-    axis: int,
-    quad: QuadratureSpec,
-) -> QuasinormResult | list[QuasinormResult]:
-    """One-axis step aggregate of t^(-s) Delta^L_(t e_axis) f.
-
-    axis is 1-based following the coordinate-direction convention; the t
-    ladder is log-spaced in [h_min, h_max] against dt/t.  A sequence of
-    fields on one grid gives one result per field, from one sweep.
-    """
-    fields = _as_stack(field)
-    grid = fields[0].grid
-    if not (1 <= axis <= grid.dim):
-        raise InvalidAxis(f"axis {axis} outside 1..{grid.dim}")
-    unit = np.zeros((1, grid.dim))
-    unit[0, axis - 1] = 1.0
-    return _unstack(field, _step_quasinorm(
-        fields, params, quad, quad.t_nodes_per_octave, unit, np.ones(1),
-        *_engine_steps(fields, params.L),
-    ))
 
 
 MAXIMAL_VARIANTS = ("S", "S_SUP", "V", "V_SUP", "D_SUP")
@@ -885,7 +820,7 @@ def maximal_quasinorm_set(
     k_lo = max(j_min, math.ceil(math.log2(4.0 / grid.box)))
     if k_lo > j_max:
         raise BandRangeEmpty("no band scale fits difference steps in the box")
-    sphere_count = quad.sphere_nodes or QUADRATURE_SPHERE_COUNT[grid.dim]
+    directions, _ = sphere_quadrature(grid.dim, quad.sphere_nodes)
     L, r = params.L, params.r
     eta = quad.tau_nodes_per_octave
     bands = range(k_lo, j_max + 1)
@@ -931,14 +866,14 @@ def maximal_quasinorm_set(
         engine = StepEngine(group) if "D_SUP" in variants else None
         rows = {}  # family -> maximal field of each piece, (fields, pieces) + grid shape
         if ladders:
-            out = annulus_mean_max(group, ladders.get("shell", []), r, L, sphere_count,
+            out = annulus_mean_max(group, ladders.get("shell", []), r, L, len(directions),
                                    spheres=ladders.get("sphere", []), engine=engine,
                                    pieces=labels)
             rows["shell"], rows["sphere"] = out[:, :split], out[:, split:]
         if "D_SUP" in variants:
             rows["point"] = _point_sup_field(
                 engine, [radii[ridx] * 2.0**-m for m, ridx in keys], r, L,
-                unit_sphere_nodes(grid.dim, sphere_count), pieces["point"][0])
+                directions, pieces["point"][0])
         for i in range(len(group)):
             results.append({})
             for variant in variants:
@@ -994,7 +929,17 @@ def _stack_quasinorms(
     params: SpaceParams,
     quad: QuadratureSpec | None,
 ) -> list[QuasinormResult]:
-    """The quasinorm of each field of one stack."""
+    """The quasinorm of each field of one stack.
+
+    diff, gagliardo and each axis of axis are step aggregates of
+    |h|^(-s) |Delta_h f|: diff and gagliardo over polar steps, with
+    radial_nodes_per_octave lengths and the sphere quadrature's
+    directions, axis over t e_J for each axis J, with t_nodes_per_octave
+    lengths.  gagliardo forms each step's difference as f(x + h) - f(x)
+    by translation; the others share one StepEngine for all their steps.
+    F scale: L^p over x of the step aggregate; B scale: the step
+    aggregate of L^p norms.
+    """
     grid = fields[0].grid
     if characterization == "lp":
         system = build_band_system(grid)
@@ -1002,13 +947,18 @@ def _stack_quasinorms(
                 for decomp in decompose(fields, system, homogeneous=params.homogeneous)]
     if quad is None:
         quad = default_quadrature(grid)
-    if characterization == "diff":
-        return _difference_core(fields, params, quad, *_engine_steps(fields, params.L))
-    if characterization == "gagliardo":
-        if params.L != 1:
-            raise InvalidExponent("gagliardo characterization is order 1")
-        return gagliardo_seminorm(fields, params.s, params.p, params.q, quad)
-    if characterization == "axis" or characterization.startswith("axis:"):
+    if characterization.startswith("max:"):
+        variant = characterization[4:]
+        return [res[variant] for res in maximal_quasinorm_set(fields, params, (variant,), quad)]
+    if characterization in ("diff", "gagliardo"):
+        if characterization == "gagliardo":
+            if params.L != 1:
+                raise InvalidExponent("gagliardo characterization is order 1")
+            if not (params.p < math.inf and params.q < math.inf):
+                raise InvalidExponent("gagliardo characterization needs p, q < inf")
+        per_octave = quad.radial_nodes_per_octave
+        direction_sets = [sphere_quadrature(grid.dim, quad.sphere_nodes)]
+    elif characterization == "axis" or characterization.startswith("axis:"):
         if characterization == "axis":
             axes = range(1, grid.dim + 1)
         else:
@@ -1017,12 +967,23 @@ def _stack_quasinorms(
             except ValueError as exc:
                 raise ConfigParseError(
                     f"axis:J needs an integer J, got {characterization!r}") from exc
-        per_axis = [axis_quasinorm(fields, params, a, quad) for a in axes]
-        return [_axis_sum(results, params) for results in zip(*per_axis)]
-    if characterization.startswith("max:"):
-        variant = characterization[4:]
-        return [res[variant] for res in maximal_quasinorm_set(fields, params, (variant,), quad)]
-    raise ConfigParseError(f"unknown characterization {characterization!r}")
+            if not (1 <= axes[0] <= grid.dim):
+                raise InvalidAxis(f"axis {axes[0]} outside 1..{grid.dim}")
+        per_octave = quad.t_nodes_per_octave
+        direction_sets = [(np.eye(grid.dim)[a - 1 : a], np.ones(1)) for a in axes]
+    else:
+        raise ConfigParseError(f"unknown characterization {characterization!r}")
+    if characterization == "gagliardo":
+        steps = (lambda step: np.stack([np.abs(translate(f, step).data - f.data) for f in fields]),
+                 None)
+    else:
+        engine = StepEngine(fields)
+        steps = (partial(engine.magnitude, order=params.L), partial(engine.norms, order=params.L))
+    per_set = [_step_quasinorm(fields, params, quad, per_octave, directions, weights, *steps)
+               for directions, weights in direction_sets]
+    if characterization in ("diff", "gagliardo"):
+        return per_set[0]
+    return [_axis_sum(results, params) for results in zip(*per_set)]
 
 
 def _axis_sum(results: tuple[QuasinormResult, ...], params: SpaceParams) -> QuasinormResult:

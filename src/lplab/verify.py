@@ -494,6 +494,12 @@ def directional_window(
     return window
 
 
+# the projected-frequency range |theta.xi| of a directional window, and the
+# step h of the kernel probe's differences, tau h for each tau
+_KERNEL_SUPPORT = (0.25, 2.0)
+_KERNEL_STEP = 0.125
+
+
 @dataclass(frozen=True)
 class KernelDecayReport:
     """Fitted spatial decay of windowed inverse step symbols."""
@@ -514,24 +520,23 @@ def kernel_decay_probe(
     tau_list: Sequence[float],
     theta: Sequence[float],
     grid: GridSpec,
-    support: tuple[float, float] = (0.25, 2.0),
-    step_scale: float = 0.125,
 ) -> KernelDecayReport:
-    """Decay of the kernel window(xi) / (e^(2 pi i tau step theta.xi) - 1)^L.
+    """Decay of the kernel window(xi) / (e^(2 pi i tau h theta.xi) - 1)^L.
 
     The window lives on the directional annulus piece where |theta.xi|
-    stays within `support`; the difference step tau*step_scale is small
-    enough that tau * step_scale * |theta.xi| < 1/2 for every tau in
-    [1, 2], so the step symbol has no zeros on the support and the
-    quotient inherits the window's smoothness class.  Fits log of the
-    dyadic-shell envelope of the peak-normalized |kernel| against
-    log(1 + |x|) over 1 <= |x| <= box/4 and reports slope and amplitude
+    stays within [1/4, 2], as that of :func:`directional_window` does; the
+    difference step tau h, h = 1/8, is small enough that
+    tau h |theta.xi| < 1/2 for every tau in [1, 2], so the step symbol has
+    no zeros on the support and the quotient inherits the window's
+    smoothness class.  Fits log of the dyadic-shell envelope of the
+    peak-normalized |kernel| against log(1 + |x|) over
+    1 <= |x| <= box/4 and reports slope and amplitude
     (the exponential of the fit intercept, i.e. the constant of the
     fitted decay law) per tau.  Passes when every slope is at most
     -(N - 1/2) for the decay order N the window's smoothness promises;
     the amplitudes measure how uniform the decay constant stays across
     tau and direction.  Raises GeometryViolated if the window has support
-    where |theta.xi| leaves `support` or if the step symbol vanishes
+    where |theta.xi| leaves [1/4, 2] or if the step symbol vanishes
     somewhere on the support.
     """
     if order < 1:
@@ -546,13 +551,13 @@ def kernel_decay_probe(
         raise UnresolvableSpec("window vanishes on the whole frequency lattice")
     proj = sum(th[a] * xi[a] for a in range(grid.dim))
     mask = np.abs(w) > 1e-13 * np.abs(w).max()
-    lo, hi = support
+    lo, hi = _KERNEL_SUPPORT
     tol = 1e-9
     if np.any((np.abs(proj)[mask] < lo - tol) | (np.abs(proj)[mask] > hi + tol)):
         raise GeometryViolated(
             "window support leaves the declared projected-frequency range"
         )
-    steps = [tau * step_scale for tau in tau_list]
+    steps = [tau * _KERNEL_STEP for tau in tau_list]
     if any(s * (hi + tol) >= 1.0 for s in steps):
         raise GeometryViolated(
             "difference step reaches a zero of the step symbol on the support"

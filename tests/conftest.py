@@ -65,6 +65,13 @@ def full_grid_symbol(grid: GridSpec, step, order: int) -> np.ndarray:
     return (np.exp(2j * np.pi * phase) - 1.0) ** order
 
 
+def mean_magnitude(engine: StepEngine, steps, weights, order: int) -> np.ndarray:
+    """|sum_m w_m diff(f, h_m, L)| of one weighted mean of the steps h_m, as
+    the engine forms a mean of the maximal fields."""
+    symbol = next(engine.mean_symbols(np.asarray(steps)[None], weights, order))
+    return engine.symbol_magnitude(symbol)
+
+
 class FullGridMeans(StepEngine):
     """A StepEngine whose weighted-mean symbols add one full-grid symbol per
     node: the oracle of the low-rank mean symbols."""

@@ -597,6 +597,23 @@ class TestExplicitZeros:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["maximal", "diff"])
+    @pytest.mark.parametrize("nodes", ["0", "3"])
+    def test_too_few_sphere_nodes_rejected(self, tmp_path, capsys, command, nodes):
+        # 0 once fell back to the default 32 nodes, 3 ended in a computation
+        # error; both are bad configuration on a 2-D grid
+        code, out = run(tmp_path, command, "--grid-dim", "2", "--grid-n", "32",
+                        "--sphere-nodes", nodes)
+        assert_one_config_error(code, capsys)
+        assert not (out / "error_summary.json").exists()
+
+    def test_sphere_nodes_ignored_in_one_dimension(self, tmp_path):
+        # the 1-D sphere is the two points +1 and -1 whatever the count
+        code, out = run(tmp_path, "diff", "--grid-dim", "1", "--grid-n", "64",
+                        "--function", "gauss_mid", "--sphere-nodes", "0")
+        assert code == 0
+        assert len(read_rows(out, "diff")) == 1
+
     def test_false_string_homogeneous_reads_false(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"space": {"homogeneous": "false"}}))

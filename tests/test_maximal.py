@@ -34,7 +34,7 @@ from lplab.quasinorms import (
 )
 from lplab.verify import default_corpus
 
-from conftest import random_complex_field
+from conftest import mean_magnitude, random_complex_field
 
 
 def brute_weighted_sup(mag, grid, scale, exponent):
@@ -416,7 +416,7 @@ class TestDomination:
 
 class TestNodes:
     def test_one_dimensional_sphere_is_two_points(self):
-        nodes = unit_sphere_nodes(1)
+        nodes = unit_sphere_nodes(1, 8)
         assert np.array_equal(nodes, np.array([[1.0], [-1.0]]))
 
     def test_circle_nodes_unit_norm(self):
@@ -436,19 +436,20 @@ class TestNodes:
         with pytest.raises(QuadratureTooCoarse):
             unit_sphere_nodes(2, 3)
         with pytest.raises(QuadratureTooCoarse):
-            annulus_nodes(2, 8, 1)
+            annulus_nodes(2, 3)
 
     def test_annulus_nodes_cover_shell(self):
-        points, weights = annulus_nodes(2, 8, 4)
+        points, weights = annulus_nodes(2, 4)
         assert points.shape == (32, 2)
         assert abs(weights.sum() - 1.0) <= 1e-12
         radii = np.linalg.norm(points, axis=1)
         assert radii.min() >= 1.0 and radii.max() < 2.0
-        assert np.allclose(np.unique(np.round(radii, 12)), np.round(annulus_radii(4), 12))
+        assert np.allclose(np.unique(np.round(radii, 12)), np.round(annulus_radii(), 12))
+        assert annulus_radii().size == 8
 
     def test_annulus_weights_favor_outer_shells(self):
-        _, weights = annulus_nodes(2, 4, 4)
-        per_radius = weights.reshape(4, 4).sum(axis=1)
+        _, weights = annulus_nodes(2, 4)
+        per_radius = weights.reshape(8, 4).sum(axis=1)
         assert np.all(np.diff(per_radius) > 0)
 
 
@@ -463,13 +464,13 @@ class TestMeanDifferenceMax:
     def test_sphere_mean_needs_two_dimensions(self, grid1d):
         f = random_complex_field(grid1d)
         with pytest.raises(DimensionTooLow):
-            sphere_mean_max(f, [0.1], 2.0, 1)
+            sphere_mean_max(f, [0.1], 2.0, 1, 8)
 
     def test_constants_are_annihilated(self, grid2d):
         f = SampledField(grid2d, np.full(grid2d.shape, 3.0, dtype=complex))
         for out in (
             sphere_mean_max(f, [0.1], 2.0, 1, sphere_count=8),
-            annulus_mean_max(f, [0.1], 2.0, 1, sphere_count=8, radial_count=2),
+            annulus_mean_max(f, [0.1], 2.0, 1, sphere_count=8),
         ):
             assert np.abs(out).max() <= 1e-12
         assert point_sup(f, (0.1, 0.0), 2.0, 1).max() <= 1e-12
@@ -479,11 +480,11 @@ class TestMeanDifferenceMax:
         f = random_complex_field(grid2d, seed=24)
         ladder = [0.3, 0.07, 0.011, 0.05]
         engine = StepEngine(f)
-        for mean_max, kwargs in ((sphere_mean_max, {}), (annulus_mean_max, {"radial_count": 2})):
-            stack = mean_max(f, ladder, 1.5, 2, 8, engine=engine, **kwargs)
+        for mean_max in (sphere_mean_max, annulus_mean_max):
+            stack = mean_max(f, ladder, 1.5, 2, 8, engine=engine)
             assert stack.shape == (len(ladder),) + grid2d.shape
             for t, row in zip(ladder, stack):
-                assert np.array_equal(row, mean_max(f, [t], 1.5, 2, 8, **kwargs)[0])
+                assert np.array_equal(row, mean_max(f, [t], 1.5, 2, 8)[0])
 
     def test_scale_ladders_match_per_scale_means(self):
         # sphere rows are one engine mean per scale then one stacked sup, bit
@@ -499,11 +500,11 @@ class TestMeanDifferenceMax:
         nodes, points = unit_sphere_nodes(2, 32), annulus_nodes(2, 32)
         engine = StepEngine(f)
         for order in (1, 2, 3):
-            means = np.stack([engine.mean_magnitude(t * nodes, np.full(32, 1 / 32), order)
+            means = np.stack([mean_magnitude(engine, t * nodes, np.full(32, 1 / 32), order)
                               for t in scales])
             want = weighted_offset_sup(means, grid, 1 / scales, 2 / 1.5)
             assert np.array_equal(sphere_mean_max(f, ladder, 1.5, order, 32), want)
-            shells = np.stack([engine.mean_magnitude(t * points[0], points[1], order)
+            shells = np.stack([mean_magnitude(engine, t * points[0], points[1], order)
                                for t in scales])
             got = annulus_mean_max(f, ladder, 1e-9, order, 32)
             assert np.all(np.abs(got - shells).max(axis=(1, 2))
@@ -561,8 +562,8 @@ class TestMeanDifferenceMax:
         # pointwise-difference maximal field over the same shell nodes.
         f = random_complex_field(grid2d, seed=23)
         t, r, order = 0.05, 2.0, 1
-        points, _ = annulus_nodes(2, 8, 2)
-        v = annulus_mean_max(f, [t], r, order, sphere_count=8, radial_count=2)[0]
+        points, _ = annulus_nodes(2, 4)
+        v = annulus_mean_max(f, [t], r, order, sphere_count=4)[0]
         worst = np.zeros(grid2d.shape)
         for z in points:
             d = point_sup(f, (t * z[0], t * z[1]), r, order)

@@ -5,6 +5,7 @@ runs (literal double sums, closed-form band values) and are asserted as
 constants here.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -44,7 +45,6 @@ from lplab.quasinorms import (
     QuasinormResult,
     SpaceParams,
     default_quadrature,
-    gagliardo_seminorm,
     hypothesis_window,
     lp_band_quasinorm,
     maximal_quasinorm_set,
@@ -53,7 +53,6 @@ from lplab.quasinorms import (
     shell_index,
     sphere_quadrature,
     thresholds,
-    axis_quasinorm,
 )
 from lplab.cli import main
 from lplab.verify import default_corpus
@@ -377,8 +376,20 @@ class TestDifferenceQuasinorms:
         quad = default_quadrature(grid1d)
         params = SpaceParams(s=0.5, p=2, q=2, L=1)
         a = quasinorm(f, "diff", params, quad)
-        b = gagliardo_seminorm(f, 0.5, 2, 2, quad)
+        b = quasinorm(f, "gagliardo", params, quad)
         assert a.value == pytest.approx(b.value, rel=1e-10)
+
+    def test_translate_form_follows_the_b_scale(self, grid1d):
+        # with p != q the B scale's step aggregate of L^p norms differs from
+        # the F scale's L^p norm of the step aggregate
+        f = gaussian(grid1d)
+        quad = default_quadrature(grid1d)
+        params = SpaceParams(s=0.5, p=1, q=2, scale="B")
+        b = quasinorm(f, "gagliardo", params, quad)
+        assert b.params_echo == params
+        assert b.value == pytest.approx(quasinorm(f, "diff", params, quad).value, rel=1e-12)
+        f_value = quasinorm(f, "gagliardo", dataclasses.replace(params, scale="F"), quad).value
+        assert abs(b.value - f_value) > 1e-3 * f_value
 
     def test_orders_agree_when_p_equals_q(self, grid1d):
         f = random_complex_field(grid1d, seed=6)
@@ -504,7 +515,7 @@ class TestStepEngineSweep:
         f = gaussian(grid)
         quad = default_quadrature(grid) if h_min is None else default_quadrature(grid, h_min=h_min)
         res = quasinorm(f, "diff", SpaceParams(s=s, p=2, q=2, L=1), quad)
-        oracle = gagliardo_seminorm(f, s, 2, 2, quad)
+        oracle = quasinorm(f, "gagliardo", SpaceParams(s=s, p=2, q=2), quad)
         assert res.value == pytest.approx(oracle.value, rel=1e-12)
         assert res.truncation_report["refinement_growth"] == pytest.approx(
             oracle.truncation_report["refinement_growth"], rel=1e-12
@@ -767,7 +778,7 @@ class TestGagliardoOracle:
         s, p, q = 0.5, 2.0, 2.0
         oracle = self.double_sum(f, s, p, q)
         assert oracle == pytest.approx(2.459307, abs=1e-4)  # frozen
-        res = gagliardo_seminorm(f, s, p, q, default_quadrature(grid1d_big))
+        res = quasinorm(f, "gagliardo", SpaceParams(s=s, p=p, q=q), default_quadrature(grid1d_big))
         assert res.value == pytest.approx(2.410823, abs=1e-4)  # frozen
         assert res.value == pytest.approx(oracle, rel=0.02)
 
@@ -777,13 +788,16 @@ class TestGagliardoOracle:
         f = gaussian(grid1d_big, 1 / 64)
         s, p, q = 0.5, 2.0, 2.0
         capped = self.double_sum(f, s, p, q, cap=grid1d_big.box / 4)
-        res = gagliardo_seminorm(f, s, p, q, default_quadrature(grid1d_big))
+        res = quasinorm(f, "gagliardo", SpaceParams(s=s, p=p, q=q), default_quadrature(grid1d_big))
         assert res.value == pytest.approx(capped, rel=0.012)
 
     def test_requires_finite_exponents(self, grid1d):
         f = gaussian(grid1d)
+        quad = default_quadrature(grid1d)
         with pytest.raises(InvalidExponent):
-            gagliardo_seminorm(f, 0.5, math.inf, 2, default_quadrature(grid1d))
+            quasinorm(f, "gagliardo", SpaceParams(s=0.5, p=math.inf, q=2, homogeneous=False), quad)
+        with pytest.raises(InvalidExponent):
+            quasinorm(f, "gagliardo", SpaceParams(s=0.5, p=2, q=math.inf), quad)
 
 
 class TestAxisQuasinorm:
@@ -794,7 +808,7 @@ class TestAxisQuasinorm:
         quad = default_quadrature(grid1d)
         params = SpaceParams(s=0.5, p=2, q=2)
         full = quasinorm(f, "diff", params, quad).value
-        one = axis_quasinorm(f, params, 1, quad).value
+        one = quasinorm(f, "axis:1", params, quad).value
         assert full / one == pytest.approx(2.0**0.5, rel=1e-10)
 
     def test_axis_sum_matches_parts(self, grid2d):
@@ -812,9 +826,15 @@ class TestAxisQuasinorm:
         quad = default_quadrature(grid1d)
         params = SpaceParams(s=0.5, p=2, q=2)
         with pytest.raises(InvalidAxis):
-            axis_quasinorm(f, params, 0, quad)
+            quasinorm(f, "axis:0", params, quad)
         with pytest.raises(InvalidAxis):
-            axis_quasinorm(f, params, 2, quad)
+            quasinorm(f, "axis:2", params, quad)
+
+    def test_one_engine_serves_every_axis(self, recorded_engines, grid2d):
+        # both axes' 33 steps go through one forward transform of the field
+        quasinorm(gaussian(grid2d), "axis", SpaceParams(s=0.5, p=1, q=2))
+        [engine] = recorded_engines
+        assert (engine.forward_ffts, engine.steps) == (1, 2 * 33)
 
     def test_divergence_flag_carries_over(self, grid1d):
         f = gaussian(grid1d)

@@ -364,19 +364,21 @@ class TestKernelDecayProbe:
             )
 
     def test_support_breach_detected(self):
+        # the window reaches |theta.xi| = 3, beyond the probe's [1/4, 2]
         theta = (1.0, 0.0)
-        with pytest.raises(GeometryViolated):
+        with pytest.raises(GeometryViolated, match="leaves"):
             kernel_decay_probe(
-                directional_window(theta), 1, 4, [1.0], theta, self.GRID,
-                support=(0.25, 1.0),  # window genuinely reaches 7/4
+                lambda xi: ((np.abs(xi[0]) >= 0.5) & (np.abs(xi[0]) <= 3.0)
+                            & (np.abs(xi[1]) <= 1.0)).astype(float),
+                1, 4, [1.0], theta, self.GRID,
             )
 
     def test_step_reaching_symbol_zero_detected(self):
+        # the step 4 / 8 = 1/2 reaches the symbol zero at |theta.xi| = 2
         theta = (1.0, 0.0)
-        with pytest.raises(GeometryViolated):
+        with pytest.raises(GeometryViolated, match="zero"):
             kernel_decay_probe(
-                directional_window(theta), 1, 4, [2.0], theta, self.GRID,
-                step_scale=0.5,  # 2 * 0.5 * 2 = 2 crosses the symbol zero
+                directional_window(theta), 1, 4, [4.0], theta, self.GRID,
             )
 
     def test_window_smoothness_validated(self):
