@@ -9,7 +9,6 @@ import numpy as np
 
 from lplab import (
     GridSpec,
-    SampledField,
     TestFunctionSpec,
     build_band_system,
     decompose,

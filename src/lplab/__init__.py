@@ -21,7 +21,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .errors import LplabError
 from .fields import (
     GridSpec,
-    SampledField,
     TestFunctionSpec,
     lp_norm,
     sample_family,

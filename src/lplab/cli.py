@@ -721,7 +721,10 @@ _HANDLERS = {
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _common_options() -> argparse.ArgumentParser:
+    """The options every command and experiment takes, built once and
+    handed to each subparser as a parent."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", help="JSON config overriding every flag")
     parser.add_argument("--grid-dim", type=int, default=1)
     parser.add_argument("--grid-n", type=int, default=256)
@@ -748,6 +751,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="artifact directory (default lplab-artifacts)")
     parser.add_argument("--function", default=None,
                         help="corpus member label used when --in is absent")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -757,6 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "their verification experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_common_options()]
 
     for name, text in (
         ("bands", "decompose a field into dyadic frequency bands"),
@@ -765,8 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("maximal", "maximal-function quasinorms of a field"),
         ("corpus", "materialize the standard test functions"),
     ):
-        p = sub.add_parser(name, help=text)
-        _add_common(p)
+        p = sub.add_parser(name, help=text, parents=common)
         if name == "norm":
             p.add_argument(
                 "--characterization", default="lp",
@@ -779,8 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification experiment")
     vsub = pv.add_subparsers(dest="experiment", required=True)
     for name in _VERIFY_HANDLERS:
-        p = vsub.add_parser(name)
-        _add_common(p)
+        p = vsub.add_parser(name, parents=common)
         if name == "scaling":
             p.add_argument("--characterization", default="lp")
             p.add_argument("--m-values", default=None, help="comma list, e.g. -1,0,1")

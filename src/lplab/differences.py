@@ -11,13 +11,15 @@ trigonometric interpolant of the samples.  Every spectral step runs
 through a :class:`StepEngine`, which transforms its field forward once with
 `fftn` and then pays one `ifftn` per step.  Where only the L^2 norm of each
 difference is needed, :meth:`StepEngine.norms` reads it off the power
-spectrum by Plancherel and pays no inverse transform.
+spectrum by Plancherel and pays no inverse transform.  That norm is even
+in h, so a quasinorm sweep evaluates one step of each antipodal pair.
 
 An engine may hold a stack of fields on one grid.  Step symbols, mean
 symbols and step energies depend only on the grid, so each is formed once
 for the whole stack: a mean's magnitudes come from one batched `ifftn`,
 and a chunk of step energies meets every field's power spectrum in one
-matrix product.
+matrix product, its trigonometric factors formed with those of a block of
+steps.
 """
 
 from __future__ import annotations
@@ -52,6 +54,13 @@ _SERIAL_GEMM = 1_000_000
 # Grid points of step energies held at once by StepEngine.norms: 2^17 raised
 # the peak RSS of a 2-D 128^2, L = 2 `norm diff` call from 32.7 to 34.4 MB.
 _NORM_CHUNK_POINTS = 1 << 14
+# Values of the per-step factors of u = 2 sin(pi h.k / B) StepEngine.norms
+# forms at once, rounded to whole chunks: 32 steps at 2-D n = 128.  On a
+# 2-vCPU x86 VM, a 2-D 128^2, L = 2 `norm diff` call peaked at 33.1 MB with
+# one chunk's factors at a time, 33.2 MB with these blocks and 37.6 MB with
+# every step's factors at once; blocks of 2^13 saved 0.02 MB more but made
+# the call about 9 % slower.
+_NORM_FACTOR_POINTS = 1 << 14
 # Grid points of step spectra sent through one inverse transform by
 # StepEngine.max_magnitude: 8 directions at 2-D n = 32.
 _MAX_CHUNK_POINTS = 1 << 13
@@ -224,58 +233,80 @@ class StepEngine:
         By Plancherel the squared norm is cell_volume / N times
         sum_k |X(k)|^2 u(k)^(2L) with u(k) = 2 sin(pi h.k / B), so no
         inverse transform is needed.  sin(pi h.k / B) comes from per-axis
-        sines and cosines by angle addition, in real arithmetic; only the
-        last axis's product is grid-sized.  Each chunk's energies u^(2L)
+        sines and cosines by angle addition, in real arithmetic, as the
+        rank-2 product of a factor on the leading plane and one on the last
+        axis.  Those factors are formed per block of whole chunks, about
+        _NORM_FACTOR_POINTS values at once; each chunk's energies u^(2L)
         are formed once and meet every field's |X|^2 in one real matrix
-        product, split over the fields to stay within _SERIAL_GEMM.
+        product, split over the fields to stay within _SERIAL_GEMM.  A
+        chunk's product sums in an order set by its row count, so the
+        chunks, and with them the results, do not depend on the blocks.
         """
         grid = self.grid
         steps = self._count(steps, order)
         power = self._power_spectrum().reshape(-1, grid.num_points)  # (fields, points)
+        plane = grid.num_points // grid.n
         chunk = max(1, _NORM_CHUNK_POINTS // grid.num_points)
         per_product = max(1, _SERIAL_GEMM // (chunk * grid.num_points))  # fields
+        # whole chunks of steps whose factors, 2 (plane + n) values a step,
+        # are formed at once
+        block = chunk * max(1, _NORM_FACTOR_POINTS // (2 * (plane + grid.n) * chunk))
         # grid-sized work arrays, reused by every chunk
-        work = np.empty((2, min(chunk, len(steps)), grid.num_points // grid.n, grid.n))
+        work = np.empty((2, min(chunk, len(steps)), plane, grid.n))
         sums = np.empty((len(steps), len(power)))
-        for lo in range(0, len(steps), chunk):
-            part = steps[lo : lo + chunk]
-            u, spare = work[:, : len(part)]
-            # pi k h_a / B, indexed (step, axis, k); the first axis carries
-            # the factor 2 of u
-            angle = np.pi * (self._k * (part[:, :, None] / grid.box))
-            sin = np.sin(angle)
-            sin[:, 0] *= 2.0
-            if grid.dim == 1:
-                u = sin.reshape(u.shape)
-            else:
-                cos = np.cos(angle)
-                cos[:, 0] *= 2.0
-                # 2 sin and 2 cos of the angle sum over the axes before the
-                # last, indexed (step, flattened axes)
-                sin_sum, cos_sum = sin[:, 0], cos[:, 0]
-                for a in range(1, grid.dim - 1):
-                    sin_a, cos_a = sin[:, a, None, :], cos[:, a, None, :]
-                    sin_sum, cos_sum = (
-                        (sin_sum[..., None] * cos_a + cos_sum[..., None] * sin_a).reshape(len(part), -1),
-                        (cos_sum[..., None] * cos_a - sin_sum[..., None] * sin_a).reshape(len(part), -1),
-                    )
-                # u = sin_sum cos_last + cos_sum sin_last as one rank-2 product
-                np.matmul(np.stack([sin_sum, cos_sum], axis=2),
-                          np.stack([cos[:, -1], sin[:, -1]], axis=1), out=u)
-            energy = np.multiply(u, u, out=u)  # u^2, then u^(2L)
-            if order > 1:
-                energy = np.multiply(u, u, out=spare)
-                for _ in range(order - 2):
-                    energy *= u
-            energy = energy.reshape(len(part), -1)
-            for first in range(0, len(power), per_product):
-                np.matmul(energy, power[first : first + per_product].T,
-                          out=sums[lo : lo + chunk, first : first + per_product])
+        for first in range(0, len(steps), block):
+            lead, last = self._norm_factors(steps[first : first + block])
+            for lo in range(0, len(lead), chunk):
+                count = min(chunk, len(lead) - lo)
+                u, spare = work[:, :count]
+                if grid.dim == 1:
+                    u = lead[lo : lo + chunk].reshape(u.shape)
+                else:
+                    np.matmul(lead[lo : lo + chunk], last[lo : lo + chunk], out=u)
+                energy = np.multiply(u, u, out=u)  # u^2, then u^(2L)
+                if order > 1:
+                    energy = np.multiply(u, u, out=spare)
+                    for _ in range(order - 2):
+                        energy *= u
+                energy = energy.reshape(count, -1)
+                rows = sums[first + lo : first + lo + count]
+                for i in range(0, len(power), per_product):
+                    np.matmul(energy, power[i : i + per_product].T, out=rows[:, i : i + per_product])
         out = np.sqrt(sums.T * (grid.cell_volume / grid.num_points)).reshape(
             self.stack + (len(steps),))
         if not np.isfinite(out).all():
             raise NonFiniteSample("difference norms contain NaN or infinity")
         return out
+
+    def _norm_factors(self, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The factors of u = 2 sin(pi h.k / B) for each step of a block.
+
+        In 1-D, u itself, (steps, n).  Otherwise u = 2 sin(a) cos(b) +
+        2 cos(a) sin(b), a the angle sum over the axes before the last and
+        b the last axis's angle, as the rank-2 product of the leading
+        factor (steps, plane, 2) and the last (steps, 2, n).
+        """
+        grid = self.grid
+        # pi k h_a / B, indexed (step, axis, k); the first axis carries
+        # the factor 2 of u
+        angle = np.pi * (self._k * (steps[:, :, None] / grid.box))
+        sin = np.sin(angle)
+        sin[:, 0] *= 2.0
+        if grid.dim == 1:
+            return sin[:, 0], None
+        cos = np.cos(angle, out=angle)
+        cos[:, 0] *= 2.0
+        # 2 sin and 2 cos of the angle sum over the axes before the last,
+        # indexed (step, flattened axes)
+        sin_sum, cos_sum = sin[:, 0], cos[:, 0]
+        for a in range(1, grid.dim - 1):
+            sin_a, cos_a = sin[:, a, None, :], cos[:, a, None, :]
+            sin_sum, cos_sum = (
+                (sin_sum[..., None] * cos_a + cos_sum[..., None] * sin_a).reshape(len(steps), -1),
+                (cos_sum[..., None] * cos_a - sin_sum[..., None] * sin_a).reshape(len(steps), -1),
+            )
+        return (np.stack([sin_sum, cos_sum], axis=2),
+                np.stack([cos[:, -1], sin[:, -1]], axis=1))
 
     @np.errstate(over="ignore")  # norms raises on the overflow
     def _power_spectrum(self) -> np.ndarray:

@@ -516,6 +516,15 @@ class _ScaleAggregator:
                 power = math.inf
             self.scalars[k] = self.scalars.get(k, 0.0) + weight * power
 
+    @np.errstate(over="ignore")  # finish raises NonFiniteSample
+    def add_norms(self, k: int, norms: np.ndarray, weights: np.ndarray) -> None:
+        """add_norm for a row of norms and their weights, in one numpy
+        operation."""
+        if self.params.q == math.inf:
+            self.scalars[k] = max(self.scalars.get(k, 0.0), float(norms.max()))
+        else:
+            self.scalars[k] = self.scalars.get(k, 0.0) + float(np.dot(weights, norms**self.params.q))
+
     def finish(self) -> tuple[float, dict[int, float]]:
         """(value, per-scale masses); NonFiniteSample if any overflowed."""
         value, masses = self._totals()
@@ -636,6 +645,22 @@ def _norms_suffice(params: SpaceParams) -> bool:
     return params.p == 2.0 and (params.scale == "B" or params.q == 2.0)
 
 
+# Largest |z + z'| of sphere nodes z, z' taken as antipodes: a uniform 2-D
+# node and its antipode differ from exact negatives by at most 5.8e-16,
+# and the closest 3-D Fibonacci nodes to antipodes are 0.039 apart.
+_ANTIPODE_TOL = 1e-14
+
+
+def _fold_antipodes(directions: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first direction of each antipodal pair, with the pair's summed
+    weight, and every unpaired direction with its own, in their order."""
+    gap = np.abs(directions[:, None] + directions[None]).max(axis=2)
+    partner = gap.argmin(axis=1)
+    paired = gap[np.arange(len(directions)), partner] <= _ANTIPODE_TOL
+    keep = ~paired | (partner > np.arange(len(directions)))
+    return directions[keep], np.where(paired, weights + weights[partner], weights)[keep]
+
+
 def _step_sweep(
     fields: list[SampledField],
     params: SpaceParams,
@@ -656,7 +681,12 @@ def _step_sweep(
     the whole stack of fields.  step_magnitudes maps one step to
     |Delta_h f| of each field, (fields,) + grid shape; step_norms, if
     given, maps a (steps, dim) array to the L^2 norms, (fields, steps),
-    and serves every step in one call where those norms suffice.
+    and serves every step in one call where those norms suffice.  There
+    the L^2 norm is even in h, so each antipodal pair of directions costs
+    one step per length, and each (field, length, quadrature) feeds its
+    row of direction norms to its aggregator at once.  The magnitude path
+    steps every direction: off the lattice, |Delta_{-h} f| is |Delta_h f|
+    shifted by a non-lattice h, so its L^p norm may differ.
     """
     grid = fields[0].grid
     for quad in quads:
@@ -666,15 +696,16 @@ def _step_sweep(
     rows = list(_merged_ladders(ladders))
     lengths = [next(node for node in nodes if node is not None)[0] for nodes in rows]
     if step_norms is not None and _norms_suffice(params):
+        directions, direction_weights = _fold_antipodes(directions, direction_weights)
         steps = np.array(lengths)[:, None, None] * directions
         norms = step_norms(steps.reshape(-1, grid.dim)).reshape(len(fields), len(rows), -1)
-        for field_aggs, field_norms in zip(aggs, norms.tolist()):
+        for field_aggs, field_norms in zip(aggs, norms):
             for nodes, row in zip(rows, field_norms):
                 for agg, node in zip(field_aggs, nodes):
                     if node is not None:
                         rr, rw = node
-                        for norm, zw in zip(row, direction_weights):
-                            agg.add_norm(shell_index(rr), (rr ** -params.s) * norm, weight=rw * zw)
+                        agg.add_norms(shell_index(rr), (rr ** -params.s) * row,
+                                      rw * direction_weights)
         return [[agg.finish() for agg in field_aggs] for field_aggs in aggs]
     for nodes, length in zip(rows, lengths):
         for z, zw in zip(directions, direction_weights):

@@ -33,6 +33,7 @@ from .errors import (
     GeometryViolated,
     GridMismatch,
     InvalidExponent,
+    ShapeMismatch,
     UnresolvableSpec,
 )
 from .fields import (
@@ -547,6 +548,11 @@ def kernel_decay_probe(
         raise GridMismatch("direction dimensionality does not match the grid")
     xi = [kk.astype(np.float64) / grid.box for kk in grid.frequency_lattice()]
     w = np.asarray(window(xi), dtype=np.float64)
+    try:
+        w = np.broadcast_to(w, grid.shape)
+    except ValueError as exc:
+        raise ShapeMismatch(f"window of shape {w.shape} does not broadcast to the grid "
+                            f"shape {grid.shape}") from exc
     if not np.any(w):
         raise UnresolvableSpec("window vanishes on the whole frequency lattice")
     proj = sum(th[a] * xi[a] for a in range(grid.dim))

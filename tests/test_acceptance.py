@@ -5,13 +5,11 @@ one pass/fail line per criterion, and each test prints the measured
 figure behind its verdict (visible with -s or on failure).
 """
 
-import json
 import math
 
 import numpy as np
-import pytest
 
-from lplab.bands import band_profile, band_project, build_band_system, decompose, reconstruct
+from lplab.bands import band_project, build_band_system, decompose, reconstruct
 from lplab.cli import main as cli_main
 from lplab.differences import difference_coefficients, iterated_difference
 from lplab.fields import (

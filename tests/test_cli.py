@@ -485,6 +485,62 @@ class TestMaximalCommand:
         assert not out.exists()
 
 
+COMMON_DEFAULTS = {
+    "config": None, "grid_dim": 1, "grid_n": 256, "grid_box": 1.0, "space": "F", "s": 0.5,
+    "p": 2.0, "q": 2.0, "L": 1, "r": 1.0, "homogeneous": True, "h_min": None, "h_max": None,
+    "radial_per_octave": None, "sphere_nodes": None, "t_per_octave": None,
+    "tau_per_octave": None, "tau_octaves": None, "allow_subgrid": None, "in_path": None,
+    "out_dir": None, "function": None,
+}
+
+
+# argv lists covering every command and experiment, with what each parses
+# to besides COMMON_DEFAULTS
+PARSED = [
+    (["bands"], {"command": "bands"}),
+    (["diff", "--grid-dim", "2", "--L", "2", "--space", "B", "--inhomogeneous"],
+     {"command": "diff", "grid_dim": 2, "space": "B", "L": 2, "homogeneous": False}),
+    (["norm"], {"command": "norm", "characterization": "lp"}),
+    (["norm", "--characterization", "axis:1", "--p", "inf", "--allow-subgrid"],
+     {"command": "norm", "p": "inf", "allow_subgrid": True, "characterization": "axis:1"}),
+    (["maximal"], {"command": "maximal", "variants": "S,V"}),
+    (["maximal", "--variants", "S,V_SUP", "--sphere-nodes", "8", "--tau-octaves", "3"],
+     {"command": "maximal", "sphere_nodes": 8, "tau_octaves": 3, "variants": "S,V_SUP"}),
+    (["corpus", "--out", "x", "--function", "gauss"],
+     {"command": "corpus", "out_dir": "x", "function": "gauss"}),
+    (["verify", "scaling", "--m-values=-1,0"],
+     {"command": "verify", "experiment": "scaling", "characterization": "lp",
+      "m_values": "-1,0"}),
+    (["verify", "equivalence", "--pair", "lp,max:V", "--spread-limit", "0.5"],
+     {"command": "verify", "experiment": "equivalence", "pair": "lp,max:V",
+      "theorem": "T2i", "spread_limit": 0.5, "drift_limit": None}),
+    (["verify", "ppn", "--alpha", "2"],
+     {"command": "verify", "experiment": "ppn", "alpha": 2, "t_list": None}),
+    (["verify", "kernel-decay", "--order", "3", "--tau-list", "1,2"],
+     {"command": "verify", "experiment": "kernel-decay", "order": 3, "target_exponent": 4,
+      "tau_list": "1,2", "directions": 8}),
+    (["verify", "divergence", "--levels", "3", "--h-min", "0.01"],
+     {"command": "verify", "experiment": "divergence", "h_min": 0.01, "levels": 3}),
+    (["verify", "slice-support", "--band", "2", "--axis", "2", "--in", "f.bin",
+      "--config", "c.json"],
+     {"command": "verify", "experiment": "slice-support", "config": "c.json",
+      "in_path": "f.bin", "band": 2, "axis": 2}),
+]
+
+
+class TestParser:
+    """Every command and experiment parses the shared options and its own
+    into the same namespace, defaults included."""
+
+    @pytest.mark.parametrize("argv, parsed", PARSED, ids=[" ".join(a) for a, _ in PARSED])
+    def test_parsed_namespace(self, argv, parsed):
+        assert vars(cli.build_parser().parse_args(argv)) == {**COMMON_DEFAULTS, **parsed}
+
+    def test_every_command_and_experiment_covered(self):
+        covered = {" ".join(argv[:2]) if argv[0] == "verify" else argv[0] for argv, _ in PARSED}
+        assert covered == set(cli._HANDLERS) | {f"verify {name}" for name in cli._VERIFY_HANDLERS}
+
+
 class TestNameLists:
     """Names and lists from a config: JSON lists are read as lists, and
     empty or non-numeric values are rejected with exit 2 instead of

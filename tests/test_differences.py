@@ -1,11 +1,10 @@
 """Difference operator tests: weights, both evaluation paths, annihilation."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lplab import differences
 from lplab.differences import StepEngine, difference_coefficients, iterated_difference
 from lplab.errors import InvalidExponent, MisalignedStep, ShapeMismatch
 from lplab.fields import GridSpec, SampledField, translate
@@ -199,6 +198,28 @@ class TestStepEngine:
                 for i in range(5):
                     single = next(engine.mean_symbols(steps[i : i + 1], weights[i : i + 1], order))
                     assert np.array_equal(stacked[i], single)
+
+    @pytest.mark.parametrize("grid", [GridSpec(1, 64), GridSpec(2, 16, 0.5), GridSpec(3, 8)],
+                             ids=lambda g: f"{g.dim}d")
+    @pytest.mark.parametrize("fields", [1, 4])
+    @pytest.mark.parametrize("chunk, block", [(1, 5), (3, 5), (3, 7)],
+                             ids=["chunks-of-1", "block-cuts-a-chunk", "block-cuts-2-chunks"])
+    def test_blocked_norms_match_step_at_a_time(self, monkeypatch, grid, fields, chunk, block):
+        # 23 steps in chunks of `chunk`, their factors formed for blocks of
+        # `block` steps (rounded down to whole chunks) against one chunk at
+        # a time, which with chunks of 1 is one step at a time; a chunk's
+        # energies meet the spectra in one product, whose row count sets
+        # its summation order, so the comparison keeps the chunks
+        engine = StepEngine([random_complex_field(grid, seed=70 + i) for i in range(fields)])
+        steps = np.random.default_rng(71).standard_normal((23, grid.dim)) * 0.05
+        per_step = 2 * (grid.num_points // grid.n + grid.n)  # factor values of one step
+        monkeypatch.setattr(differences, "_NORM_CHUNK_POINTS", chunk * grid.num_points)
+        for order in (1, 2, 3):
+            monkeypatch.setattr(differences, "_NORM_FACTOR_POINTS", block * per_step)
+            blocked = engine.norms(steps, order)
+            monkeypatch.setattr(differences, "_NORM_FACTOR_POINTS", 1)
+            assert np.array_equal(blocked, engine.norms(steps, order))
+            assert blocked.shape == (fields, 23)
 
     def test_zero_step_annihilates(self, grid2d):
         engine = StepEngine(random_complex_field(grid2d, seed=43))

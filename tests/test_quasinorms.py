@@ -30,7 +30,6 @@ from lplab.fields import (
     GridSpec,
     SampledField,
     TestFunctionSpec,
-    lp_norm,
     sample_family,
     translate,
 )
@@ -523,15 +522,16 @@ class TestStepEngineSweep:
         assert res.flag == oracle.flag
 
     def test_default_2d_work_counts(self, recorded_engines, fft_calls):
-        # 21 base lengths lie on the 37-length refined ladder, so the sweep
-        # makes 37 x 32 steps instead of (21 + 37) x 32 = 1856, for complex
-        # and real fields alike; at p = q = 2 the steps read the power
-        # spectrum, with no inverse transform on either scale
+        # 21 base lengths lie on the 37-length refined ladder, and each of
+        # the 16 antipodal pairs of the 32 directions costs one step, so the
+        # sweep makes 37 x 16 steps instead of (21 + 37) x 32 = 1856, for
+        # complex and real fields alike; at p = q = 2 the steps read the
+        # power spectrum, with no inverse transform on either scale
         grid = GridSpec(2, 128)
         for f in (random_complex_field(grid, seed=50), gaussian(grid)):
             for scale in ("F", "B"):
                 quasinorm(f, "diff", SpaceParams(s=0.5, p=2, q=2, scale=scale))
-        assert [(e.forward_ffts, e.steps) for e in recorded_engines] == [(1, 1184)] * 4
+        assert [(e.forward_ffts, e.steps) for e in recorded_engines] == [(1, 592)] * 4
         assert fft_calls == {}
 
     def test_non_dyadic_ladders_share_only_h_max(self, recorded_engines, grid1d):
@@ -539,7 +539,8 @@ class TestStepEngineSweep:
         base, _ = radial_ladder(quad, quad.radial_nodes_per_octave)
         fine, _ = radial_ladder(quasinorms._refined(quad), quad.radial_nodes_per_octave)
         quasinorm(gaussian(grid1d), "diff", SpaceParams(s=0.5, p=2, q=2), quad)
-        assert recorded_engines[0].steps == 2 * (len(base) + len(fine) - 1)
+        # the two 1-D directions +1 and -1 are one antipodal pair
+        assert recorded_engines[0].steps == len(base) + len(fine) - 1
 
     @pytest.mark.parametrize("h_min", [None, 0.01], ids=["dyadic", "h_min=0.01"])
     @pytest.mark.parametrize("cid", ["diff", "axis"])
@@ -728,6 +729,66 @@ class TestEnergyPath:
         assert recorded_engines == [] and res.value > 0.0
 
 
+class TestAntipodalFold:
+    """At p = 2 one direction of each antipodal pair serves both."""
+
+    @pytest.mark.parametrize("dim, count, kept", [(1, 2, 1), (2, 32, 16), (2, 33, 33),
+                                                  (3, 64, 64)])
+    def test_fold_pairs_only_antipodes(self, dim, count, kept):
+        nodes, weights = quasinorms.sphere_quadrature(dim, count)
+        folded, folded_weights = quasinorms._fold_antipodes(nodes, weights)
+        assert len(folded) == kept
+        assert folded_weights.sum() == pytest.approx(weights.sum(), rel=1e-15)
+        for z, w in zip(folded, folded_weights):
+            antipodal = np.abs(nodes + z).max(axis=1) <= 1e-14
+            assert w == weights[0] * (1 + antipodal.sum())
+            assert any(np.array_equal(z, node) for node in nodes)
+
+    @pytest.mark.parametrize("sphere_nodes, folded_steps", [(None, 29 * 16), (33, 29 * 33)],
+                             ids=["32-nodes", "33-nodes"])
+    @pytest.mark.parametrize("scale,q", TestEnergyPath.SCALES, ids=["F2", "B1", "B2", "Binf"])
+    def test_fold_matches_every_direction(self, monkeypatch, recorded_engines, scale, q,
+                                          sphere_nodes, folded_steps):
+        # 29 lengths on the refined ladder at 2-D n=32; 33 uniform nodes
+        # hold no antipodal pair
+        grid = GridSpec(2, 32)
+        f = random_complex_field(grid, seed=55)
+        params = SpaceParams(s=0.7, p=2, q=q, L=2, scale=scale)
+        quad = default_quadrature(grid, sphere_nodes=sphere_nodes)
+        folded = quasinorm(f, "diff", params, quad)
+        monkeypatch.setattr(quasinorms, "_ANTIPODE_TOL", -1.0)  # no pairs
+        every = quasinorm(f, "diff", params, quad)
+        assert [e.steps for e in recorded_engines] == [folded_steps, 29 * (sphere_nodes or 32)]
+        assert folded.value == pytest.approx(every.value, rel=1e-13)
+        assert folded.truncation_report == pytest.approx(every.truncation_report, rel=1e-13)
+        assert [k for k, _ in folded.per_scale] == [k for k, _ in every.per_scale]
+        for (_, a), (_, b) in zip(folded.per_scale, every.per_scale):
+            assert a == pytest.approx(b, rel=1e-13)
+        assert folded.flag == every.flag
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, math.inf])
+    def test_row_of_norms_matches_one_at_a_time(self, q):
+        # the row form sums in another order than one add_norm per norm
+        rng = np.random.default_rng(58)
+        params = SpaceParams(s=0.5, p=2, q=q, scale="B")
+        row = quasinorms._ScaleAggregator(GridSpec(1, 64), params)
+        loop = quasinorms._ScaleAggregator(GridSpec(1, 64), params)
+        for k in (1, 1, 2, 3):
+            norms, weights = rng.random(33) * 10.0, rng.random(33)
+            row.add_norms(k, norms, weights)
+            for norm, weight in zip(norms.tolist(), weights.tolist()):
+                loop.add_norm(k, norm, weight)
+        (value, masses), (want, want_masses) = row.finish(), loop.finish()
+        assert value == pytest.approx(want, rel=1e-14)
+        assert masses == pytest.approx(want_masses, rel=1e-14)
+
+    def test_3d_steps_every_direction(self, recorded_engines):
+        # 25 lengths on the refined ladder at 3-D n=16, 64 Fibonacci nodes
+        grid = GridSpec(3, 16)
+        quasinorm(random_complex_field(grid, seed=56), "diff", SpaceParams(s=0.5, p=2, q=2))
+        assert [e.steps for e in recorded_engines] == [25 * 64]
+
+
 class TestOverflow:
     """A finite field whose aggregate overflows raises NonFiniteSample."""
 
@@ -744,6 +805,13 @@ class TestOverflow:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteSample):
                 quasinorm(SampledField(grid, data), cid, SpaceParams(s=0.5, p=2, q=q))
+
+    def test_row_of_norms_overflow_raises(self):
+        # every step's L^2 norm is finite, its fourth power is not
+        grid = GridSpec(2, 32)
+        data = 1e100 * np.random.default_rng(57).standard_normal(grid.shape)
+        with pytest.raises(NonFiniteSample, match="overflows"):
+            quasinorm(SampledField(grid, data), "diff", SpaceParams(s=0.5, p=2, q=4, scale="B"))
 
     def test_inhomogeneous_lowpass_overflow_raises(self, grid1d):
         # the bands stay finite; only the lowpass part's L^2 norm overflows

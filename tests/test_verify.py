@@ -14,6 +14,7 @@ from lplab.errors import (
     GeometryViolated,
     GridMismatch,
     InvalidExponent,
+    ShapeMismatch,
     UnresolvableSpec,
 )
 from lplab.fields import GridSpec, SampledField, TestFunctionSpec, sample_family
@@ -373,6 +374,28 @@ class TestKernelDecayProbe:
                 1, 4, [1.0], theta, self.GRID,
             )
 
+    @staticmethod
+    def hat_of_first_axis(xi):
+        # a function of xi[0] alone, supported on 1/4 <= |xi[0]| <= 7/4
+        return np.clip(1.0 - np.abs(np.abs(xi[0]) - 1.0) / 0.75, 0.0, None)
+
+    def test_broadcast_window_matches_full_shape(self):
+        grid = GridSpec(2, 64, 16.0)
+        theta = (1.0, 0.0)
+        assert self.hat_of_first_axis(grid.frequency_lattice()).shape == (64, 1)
+        rep = kernel_decay_probe(self.hat_of_first_axis, 1, 1, [1.0, 2.0], theta, grid)
+        full = kernel_decay_probe(
+            lambda xi: np.broadcast_to(self.hat_of_first_axis(xi), grid.shape).copy(),
+            1, 1, [1.0, 2.0], theta, grid,
+        )
+        assert rep == full
+
+    def test_window_off_the_grid_shape_rejected(self):
+        grid = GridSpec(2, 64, 16.0)
+        with pytest.raises(ShapeMismatch, match="broadcast"):
+            kernel_decay_probe(lambda xi: self.hat_of_first_axis(xi)[:-1], 1, 1, [1.0],
+                               (1.0, 0.0), grid)
+
     def test_step_reaching_symbol_zero_detected(self):
         # the step 4 / 8 = 1/2 reaches the symbol zero at |theta.xi| = 2
         theta = (1.0, 0.0)
@@ -443,11 +466,12 @@ class TestDivergenceProbe:
 
     @pytest.mark.parametrize("s, L", [(0.5, 1), (1.0, 1), (2.0, 1), (1.0, 2)])
     def test_one_sweep_matches_level_runs(self, smooth_field, recorded_engines, s, L):
-        # one engine steps the deepest level's 41 lengths x 2 directions;
-        # every shallower ladder is a subset, and no refined ladder is needed
+        # one engine steps the deepest level's 41 lengths in one of the 2
+        # directions, whose norms are equal; every shallower ladder is a
+        # subset, and no refined ladder is needed
         params = SpaceParams(s=s, p=2, q=2, L=L)
         rep = divergence_probe(smooth_field, params)
-        assert [(e.forward_ffts, e.steps) for e in recorded_engines] == [(1, 82)]
+        assert [(e.forward_ffts, e.steps) for e in recorded_engines] == [(1, 41)]
         base = default_quadrature(smooth_field.grid)
         for level, value in enumerate(rep.values):
             quad = dataclasses.replace(base, h_min=base.h_min / 2**level, allow_subgrid=True)
