@@ -218,6 +218,13 @@ def _integer(raw) -> int:
     return int(raw)
 
 
+def _number(raw) -> float:
+    """float(raw) for JSON numbers; strings and booleans raise ValueError."""
+    if isinstance(raw, (bool, str)):
+        raise ValueError(f"not a number: {raw!r}")
+    return float(raw)
+
+
 def _boolean(raw) -> bool:
     """JSON booleans and the strings true/false; bool() would read "false" as True."""
     if isinstance(raw, bool):
@@ -230,7 +237,9 @@ def _boolean(raw) -> bool:
 def _build_grid(opts: dict) -> GridSpec:
     try:
         return GridSpec(
-            int(opts["grid_dim"]), int(opts["grid_n"]), float(opts["grid_box"])
+            _option(opts, "grid_dim", None, _integer, "an integer"),
+            _option(opts, "grid_n", None, _integer, "an integer"),
+            float(opts["grid_box"]),
         )
     except (LplabError, TypeError, ValueError) as exc:
         raise ConfigParseError(f"invalid grid: {exc}") from exc
@@ -247,7 +256,7 @@ def _build_space(opts: dict) -> SpaceParams:
             s=float(opts["s"]),
             p=_exp(opts["p"]),
             q=_exp(opts["q"]),
-            L=int(opts["L"]),
+            L=_option(opts, "L", None, _integer, "an integer"),
             r=float(opts["r"]),
             scale=str(opts["space"]),
             homogeneous=_option(opts, "homogeneous", True, _boolean, "true or false"),
@@ -259,9 +268,12 @@ def _build_space(opts: dict) -> SpaceParams:
 def _build_quad(opts: dict, grid: GridSpec) -> QuadratureSpec | None:
     overrides = {}
     for key, opt in _QUAD_KEYS.items():
-        val = opts.get(opt)
-        if key == "allow_subgrid":
+        if key in ("h_min", "h_max"):
+            val = _option(opts, opt, None, _number, "a number")
+        elif key == "allow_subgrid":
             val = _option(opts, opt, None, _boolean, "true or false")
+        else:
+            val = _option(opts, opt, None, _integer, "an integer")
         if val is not None:
             overrides[key] = val
     if not overrides:

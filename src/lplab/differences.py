@@ -163,7 +163,7 @@ class StepEngine:
 
     def magnitude(self, step: tuple[float, ...], order: int) -> np.ndarray:
         """|diff(f, h, L)| on the grid, checked finite."""
-        return self.symbol_magnitude(self._step_symbol(step, order))
+        return self.symbol_magnitude(self._step_symbols(self._count([step], order), order)[0])
 
     def mean_symbols(self, steps: np.ndarray, weights: np.ndarray,
                      order: int) -> Iterator[np.ndarray]:
@@ -203,16 +203,8 @@ class StepEngine:
         coeffs = np.expand_dims(self._coeffs, step_axis)
         out = np.zeros(self.stack + grid.shape)
         for lo in range(0, len(steps), chunk):
-            part = steps[lo : lo + chunk]
-            # exp(2 pi i k h_a / B), indexed (step, axis, k)
-            factors = np.exp(2j * np.pi * (self._k * (part[:, :, None] / grid.box)))
-            phase = factors[:, 0].reshape((len(part), -1) + (1,) * (grid.dim - 1))
-            for a in range(1, grid.dim):
-                shape = [len(part)] + [1] * grid.dim
-                shape[1 + a] = -1
-                phase = phase * factors[:, a].reshape(shape)
             # this operand order, bit for bit
-            spectra = np.multiply(coeffs, _power(phase - 1.0, order))
+            spectra = np.multiply(coeffs, self._step_symbols(steps[lo : lo + chunk], order))
             np.fft.ifftn(spectra, axes=self._axes, out=spectra)
             np.maximum(out, np.abs(spectra).max(axis=step_axis), out=out)
         if not np.isfinite(out).all():
@@ -223,7 +215,8 @@ class StepEngine:
     def difference(self, step: tuple[float, ...], order: int) -> SampledField:
         """The L-fold difference with step h as a validated field, for an
         engine of one field."""
-        return SampledField(self.grid, np.fft.ifftn(self._coeffs * self._step_symbol(step, order)))
+        symbol = self._step_symbols(self._count([step], order), order)[0]
+        return SampledField(self.grid, np.fft.ifftn(self._coeffs * symbol))
 
     @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
     def norms(self, steps, order: int) -> np.ndarray:
@@ -325,21 +318,17 @@ class StepEngine:
         self.steps += len(steps)
         return steps
 
-    def _step_symbol(self, step: tuple[float, ...], order: int) -> np.ndarray | float:
-        """One step's multiplier, counted, broadcastable to the grid.
-
-        Axes with a zero step component are left out of the product, so an
-        axis step yields an array that is flat along the other axes, and the
-        zero step yields the scalar 0.
-        """
-        dim = self.grid.dim
-        phase = 1.0
-        for a, h in enumerate(self._count([step], order)[0].tolist()):
-            if h != 0.0:
-                shape = [1] * dim
-                shape[a] = -1
-                # exp(2 pi i k h_a / B) along axis a
-                phase = phase * np.exp(2j * np.pi * (self._k * (h / self.grid.box))).reshape(shape)
+    def _step_symbols(self, steps: np.ndarray, order: int) -> np.ndarray:
+        """The multipliers S_m of the rows h_m of steps, (steps,) + grid
+        shape, from one broadcast of the per-axis phase factors."""
+        grid = self.grid
+        # exp(2 pi i k h_a / B), indexed (step, axis, k)
+        factors = np.exp(2j * np.pi * (self._k * (steps[:, :, None] / grid.box)))
+        phase = factors[:, 0].reshape((len(steps), -1) + (1,) * (grid.dim - 1))
+        for a in range(1, grid.dim):
+            shape = [len(steps)] + [1] * grid.dim
+            shape[1 + a] = -1
+            phase = phase * factors[:, a].reshape(shape)
         return _power(phase - 1.0, order)
 
     def _mean_symbols(self, steps: np.ndarray, weights: np.ndarray,

@@ -18,9 +18,9 @@ Suprema on one grid with one exponent run as a stacked scan, each field
 with its own weight scale: all fields visit the block offsets in one
 order, so the numpy calls that pick each offset's live pairs and update
 the maxima serve the whole stack.  Where only the max over runs of fields
-is read, the runs ("pieces") share one output and one floor, which carry
-from one stack to the next: a piece's later fields skip every pair its
-earlier fields have already beaten.
+is read, the runs ("pieces") each keep one maximum and one floor for the
+whole call, whatever stacks their fields fall in: a piece's later fields
+skip every pair its earlier fields have already beaten.
 
 The mean-difference forms take a ladder of scales and return the maximal
 fields of its scales, or of its pieces, from one such call.  A shell mean
@@ -53,8 +53,9 @@ from .errors import (
 from .fields import GridSpec, SampledField
 
 _BLOCK = 4  # block edge of the pruned supremum, in samples per axis
-# Grid points of the fields scanned together.  A scan holds a few arrays
-# of this size (weight tables, blocks, patch maxima); whole 96-scale
+# Grid points of the fields scanned together.  A stack holds a few arrays
+# of this size (weight tables, blocks, patch maxima) beside the call's
+# output, one blocked maximum per piece; whole 96-scale
 # ladders at 2-D n = 32 raised the traced peak of a five-variant
 # maximal_quasinorm_set from 3.2 to 7.5 MB, and 2^14 to 3.5 MB, with no
 # measurable gain in speed.
@@ -86,9 +87,9 @@ class _BlockScan:
     times the largest patch max still to come cannot beat the minimum of
     its piece's floor; the stack ends when no field has one.  Every
     skipped product is at most a value already reached, so each piece is
-    the max over the same products as full scans of its fields.  A piece
-    that goes on into the next stack hands its maximum and floor on, so
-    its later fields start from the values its earlier ones reached.
+    the max over the same products as full scans of its fields.  The
+    output and floors belong to the whole call, so a piece's fields in a
+    later stack start from the values its earlier ones reached.
     """
 
     def __init__(self, grid: GridSpec, exponent: float):
@@ -168,12 +169,8 @@ class _BlockScan:
         patch_max = patch_max.T[:, :, None].copy()
         first_block = np.arange(depth).reshape((depth,) + (1,) * dim) * count
         tables = tables.reshape(depth, -1)
-        # target[i count + T]: the column of out that field i's block T feeds;
-        # None when that is i count + T, each field its own piece
-        rows = np.asarray(rows)
-        target = None
-        if not np.array_equal(rows, np.arange(depth)):
-            target = (rows[:, None] * count + np.arange(count)).reshape(-1)
+        # target[i count + T]: the column of out that field i's block T feeds
+        target = (rows[:, None] * count + np.arange(count)).reshape(-1)
         shared = len(set(rows.tolist())) < depth  # some piece has several fields here
         chunk = self.chunk
         edges = np.arange(depth + 1) * count
@@ -181,7 +178,7 @@ class _BlockScan:
         gathered = np.empty((chunk, size, size)) if depth > 2 else None
         pairs = 0
         for step, delta in enumerate(order.tolist()):
-            floors = (floor if target is None else floor.take(target)).reshape(depth, count)
+            floors = floor.take(target).reshape(depth, count)
             if (reach[step] <= floors.min(axis=1)).all():
                 break
             shift = self.coords[delta]
@@ -216,7 +213,7 @@ class _BlockScan:
                         part = slice(lo, min(lo + chunk, bounds[i + 1]))
                         products = values[:, :, part] * patches[i][:, :, None]
                         products.max(axis=0, out=best[:, part])
-            columns = live if target is None else target.take(live)
+            columns = target.take(live)
             if shared:
                 # pairs of one piece's fields may share a target column: max
                 # them into one column each
@@ -240,18 +237,6 @@ class _BlockScan:
         pieces = out.shape[1] // self.count
         shaped = out.reshape((b,) * dim + (pieces,) + (nb,) * dim)
         return shaped.transpose(np.argsort(self.to_blocks)).reshape((pieces,) + self.grid.shape)
-
-
-def _block_pruned_sup(
-    u: np.ndarray, grid: GridSpec, scales: np.ndarray, exponent: float
-) -> tuple[np.ndarray, int]:
-    """The weighted offset sups of the stacked fields u[i], field i with
-    weight scale scales[i], each its own piece, and the number of block
-    pairs evaluated."""
-    scan = _BlockScan(grid, exponent)
-    out = np.zeros((scan.size, len(scales) * scan.count))
-    pairs = scan.add(u, scales, np.arange(len(scales)), out, np.zeros(out.shape[1]))
-    return scan.unblock(out), pairs
 
 
 def weighted_offset_sup(
@@ -288,25 +273,13 @@ def weighted_offset_sup(
         per_row = runs[-1] + 1 if runs.size else 0
         # the runs of each index of the leading axes, numbered on from the last
         labels = (runs + per_row * np.arange(math.prod(stack[:-1]))[:, None]).reshape(-1)
-    result = np.empty((labels[-1] + 1 if labels.size else 0,) + grid.shape)
     scan = _BlockScan(grid, exponent)
-    count = scan.count
+    out = np.zeros((scan.size, (labels[-1] + 1 if labels.size else 0) * scan.count))
+    floor = np.zeros(out.shape[1])
     depth = max(1, _STACK_POINTS // grid.num_points)
-    held = None  # blocked maximum and floor of the piece going on into the next stack
     for lo in range(0, len(scales), depth):
-        rows = labels[lo : lo + depth]
-        first, last = int(rows[0]), int(rows[-1])
-        out = np.zeros((scan.size, (last - first + 1) * count))
-        floor = np.zeros(out.shape[1])
-        if held is not None:
-            out[:, :count], floor[:count] = held
-        scan.add(u[lo : lo + depth], scales[lo : lo + depth], rows - first, out, floor)
-        if lo + depth < len(scales) and labels[lo + depth] == last:
-            held = out[:, -count:].copy(), floor[-count:].copy()
-            out = out[:, :-count]
-        else:
-            held = None
-        result[first : first + out.shape[1] // count] = scan.unblock(out)
+        scan.add(u[lo : lo + depth], scales[lo : lo + depth], labels[lo : lo + depth], out, floor)
+    result = scan.unblock(out)
     if pieces is None:
         return result.reshape(np.shape(field_magnitudes))
     return result.reshape(stack[:-1] + (per_row,) + grid.shape)

@@ -443,6 +443,40 @@ class TestConfigOverride:
         assert code == 0
         assert read_summary(out, "norm")["params"]["q"] == "inf"
 
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("grid", "n", 64.7, "grid_n must be an integer"),
+        ("space", "L", 1.9, "L must be an integer"),
+        ("quad", "sphere_nodes", 7.5, "sphere_nodes must be an integer"),
+        ("quad", "radial_nodes_per_octave", 2.5, "radial_per_octave must be an integer"),
+        ("quad", "tau_octaves", True, "tau_octaves must be an integer"),
+        ("quad", "h_min", "0.01", "h_min must be a number"),
+    ])
+    def test_non_integral_or_non_numeric_config_rejected(self, tmp_path, capsys, section,
+                                                         key, value, named):
+        # these ran truncated (n = 64, L = 1, 8 sphere nodes), were accepted
+        # as given, or failed on a comparison of str and int
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        code, out = run(tmp_path, "norm", "--characterization", "diff", "--grid-dim", "2",
+                        "--grid-n", "32", "--function", "gauss_mid", "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error: ") and named in err, err
+        assert not out.exists()
+
+    def test_integral_floats_in_config_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"dim": 2.0, "n": 32.0}, "space": {"L": 2.0},
+                                   "quad": {"sphere_nodes": 8.0, "tau_octaves": 3.0}}))
+        code, out = run(tmp_path / "config", "norm", "--characterization", "diff",
+                        "--function", "gauss_mid", "--config", str(cfg))
+        assert code == 0
+        code, flags = run(tmp_path / "flags", "norm", "--characterization", "diff",
+                          "--grid-dim", "2", "--grid-n", "32", "--L", "2", "--sphere-nodes", "8",
+                          "--tau-octaves", "3", "--function", "gauss_mid")
+        assert code == 0
+        assert read_summary(out, "norm") == read_summary(flags, "norm")
+
 
 class TestBandsCommand:
     def test_band_rows_cover_decomposition(self, tmp_path):

@@ -15,7 +15,6 @@ from lplab import maximal
 from lplab.fields import GridSpec, SampledField, sample_family
 from lplab.maximal import (
     Scale,
-    _block_pruned_sup,
     annulus_mean_max,
     annulus_nodes,
     annulus_radii,
@@ -32,7 +31,7 @@ from lplab.quasinorms import (
     default_quadrature,
     maximal_quasinorm_set,
 )
-from lplab.verify import default_corpus
+from lplab.verify import default_corpus, equivalence_experiment
 
 from conftest import mean_magnitude, random_complex_field
 
@@ -70,6 +69,21 @@ def brute_hl(mag, grid):
         np.maximum(out, means, out=out)
         delta *= 2
     return out
+
+
+@pytest.fixture
+def block_pairs(monkeypatch):
+    """A one-item list that sums the block pairs every scan evaluates."""
+    counted = [0]
+    add = maximal._BlockScan.add
+
+    def counting(self, *args):
+        pairs = add(self, *args)
+        counted[0] += pairs
+        return pairs
+
+    monkeypatch.setattr(maximal._BlockScan, "add", counting)
+    return counted
 
 
 class TestWeightedSup:
@@ -176,7 +190,7 @@ class TestWeightedSup:
         for mag, scale, exponent, out in rows:
             assert np.array_equal(out, brute_weighted_sup(mag, grid, scale, exponent))
 
-    def test_pruned_scan_counts_block_pairs(self):
+    def test_pruned_scan_counts_block_pairs(self, block_pairs):
         # The field decays away from the origin, so the sup stays small
         # there and the scan cannot end early on the global minimum: only
         # the per-block bounds keep the count low (about 8 % of the NB^2
@@ -186,12 +200,17 @@ class TestWeightedSup:
         rng = np.random.default_rng(64)
         envelope = np.exp(-((grid.minimal_image_radii() / 0.2) ** 2))
         mag = np.abs(rng.standard_normal(grid.shape)) * envelope
-        out, pairs = _block_pruned_sup(mag[None], grid, np.array([8.0]), 2.0)
-        again, pairs_again = _block_pruned_sup(mag[None], grid, np.array([8.0]), 2.0)
+
+        def sup_and_pairs(mags, scales):
+            block_pairs[0] = 0
+            return weighted_offset_sup(mags, grid, scales, 2.0), block_pairs[0]
+
+        out, pairs = sup_and_pairs(mag[None], np.array([8.0]))
+        again, pairs_again = sup_and_pairs(mag[None], np.array([8.0]))
         assert pairs == pairs_again
         assert np.array_equal(out, again)
         assert 0 < pairs < (64 // 4) ** 4 / 4
-        twice, pairs_twice = _block_pruned_sup(np.stack([mag, mag]), grid, np.array([8.0, 8.0]), 2.0)
+        twice, pairs_twice = sup_and_pairs(np.stack([mag, mag]), np.array([8.0, 8.0]))
         assert pairs_twice == 2 * pairs
         assert np.array_equal(twice, np.concatenate([out, out]))
 
@@ -233,31 +252,32 @@ class TestWeightedSup:
         with pytest.raises(ShapeMismatch):
             weighted_offset_sup(mags, grid, np.ones(3), 1.0, labels)
 
-    def test_five_variant_pieces_halve_block_pairs(self, monkeypatch):
+    def test_five_variant_pieces_halve_block_pairs(self, monkeypatch, block_pairs):
         # the band pieces of the 2-D n=32 five-variant call change no value
-        # and evaluate under half the block pairs of one output per scale
+        # and evaluate under half the block pairs of one output per scale;
+        # the pieced count is pinned
         grid = GridSpec(2, 32)
         f = sample_family(default_corpus(grid)[0], grid)
         params = SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5)
-        counted = [0]
-        add = maximal._BlockScan.add
-
-        def counting(self, *args):
-            pairs = add(self, *args)
-            counted[0] += pairs
-            return pairs
-
-        monkeypatch.setattr(maximal._BlockScan, "add", counting)
         pieced = maximal_quasinorm_set(f, params, MAXIMAL_VARIANTS, default_quadrature(grid))
-        pieced_pairs, counted[0] = counted[0], 0
+        pieced_pairs, block_pairs[0] = block_pairs[0], 0
+        assert pieced_pairs == 48732
         # a group of its own for every scale: one output per scale
         band_pieces = quasinorms._band_pieces
         monkeypatch.setattr(quasinorms, "_band_pieces", lambda keys, group, bands: band_pieces(
             keys, lambda key: (group(key)[0], group(key)[1] | {("scale", key)}), bands))
         single = maximal_quasinorm_set(f, params, MAXIMAL_VARIANTS, default_quadrature(grid))
-        assert 0 < 2 * pieced_pairs <= counted[0]
+        assert 0 < 2 * pieced_pairs <= block_pairs[0]
         for variant in MAXIMAL_VARIANTS:
             assert pieced[variant].value == single[variant].value
+
+    def test_corpus_stack_block_pairs_pinned(self, block_pairs):
+        # the pruned scan's work on the lp,max:V experiment at 2-D n=32: the
+        # default corpus as one stack, on both grids
+        grid = GridSpec(2, 32)
+        params = SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5)
+        equivalence_experiment(default_corpus(grid), ("lp", "max:V"), params, grid, "T4")
+        assert block_pairs[0] == 33232
 
     def test_zero_field_gives_zero(self):
         grid = GridSpec(1, 64, 1.0)
