@@ -137,6 +137,8 @@ _QUAD_KEYS = {
     "allow_subgrid": "allow_subgrid",
 }
 _IO_KEYS = {"input": "in_path", "output": "out_dir"}
+_SECTIONS = {"grid": _GRID_KEYS, "space": _SPACE_KEYS, "quad": _QUAD_KEYS, "io": _IO_KEYS,
+             "thresholds": {"spread_limit": "spread_limit", "drift_limit": "drift_limit"}}
 _EXTRA_KEYS = (
     "characterization", "variants", "pair", "theorem", "m_values", "alpha",
     "t_list", "tau_list", "order", "target_exponent", "directions",
@@ -155,20 +157,18 @@ def _apply_config(opts: dict, path: str) -> None:
         raise ConfigParseError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigParseError("config root must be a JSON object")
-    for section, keymap in (
-        ("grid", _GRID_KEYS), ("space", _SPACE_KEYS),
-        ("quad", _QUAD_KEYS), ("io", _IO_KEYS),
-    ):
+    # a misspelled key would otherwise leave its default in place unsaid
+    for key in cfg:
+        if key not in _SECTIONS and key not in _EXTRA_KEYS:
+            raise ConfigParseError(f"unknown config key {key!r}")
+    for section, keymap in _SECTIONS.items():
         body = cfg.get(section, {})
         if not isinstance(body, dict):
             raise ConfigParseError(f"config section {section!r} must be an object")
-        for key, opt in keymap.items():
-            if key in body:
-                opts[opt] = body[key]
-    thresholds = cfg.get("thresholds", {})
-    for key in ("spread_limit", "drift_limit"):
-        if key in thresholds:
-            opts[key] = thresholds[key]
+        for key, value in body.items():
+            if key not in keymap:
+                raise ConfigParseError(f"unknown key {key!r} in config section {section!r}")
+            opts[keymap[key]] = value
     for key in _EXTRA_KEYS:
         if key in cfg:
             opts[key] = cfg[key]
@@ -225,6 +225,16 @@ def _number(raw) -> float:
     return float(raw)
 
 
+def _exponent(raw) -> float:
+    """float(raw) for numbers and numeric strings, inf for the strings
+    inf/infinity; booleans raise ValueError."""
+    if isinstance(raw, bool):
+        raise ValueError(f"not a number: {raw!r}")
+    if isinstance(raw, str) and raw.lower() in ("inf", "infinity"):
+        return math.inf
+    return float(raw)
+
+
 def _boolean(raw) -> bool:
     """JSON booleans and the strings true/false; bool() would read "false" as True."""
     if isinstance(raw, bool):
@@ -239,25 +249,20 @@ def _build_grid(opts: dict) -> GridSpec:
         return GridSpec(
             _option(opts, "grid_dim", None, _integer, "an integer"),
             _option(opts, "grid_n", None, _integer, "an integer"),
-            float(opts["grid_box"]),
+            _option(opts, "grid_box", None, _number, "a number"),
         )
     except (LplabError, TypeError, ValueError) as exc:
         raise ConfigParseError(f"invalid grid: {exc}") from exc
 
 
 def _build_space(opts: dict) -> SpaceParams:
-    def _exp(v):
-        if isinstance(v, str) and v.lower() in ("inf", "infinity"):
-            return math.inf
-        return float(v)
-
     try:
         return SpaceParams(
-            s=float(opts["s"]),
-            p=_exp(opts["p"]),
-            q=_exp(opts["q"]),
+            s=_option(opts, "s", None, _number, "a number"),
+            p=_option(opts, "p", None, _exponent, "a number or inf"),
+            q=_option(opts, "q", None, _exponent, "a number or inf"),
             L=_option(opts, "L", None, _integer, "an integer"),
-            r=float(opts["r"]),
+            r=_option(opts, "r", None, _number, "a number"),
             scale=str(opts["space"]),
             homogeneous=_option(opts, "homogeneous", True, _boolean, "true or false"),
         )
@@ -459,6 +464,9 @@ def _cmd_maximal(opts: dict) -> int:
     quad = _build_quad(opts, grid)
     fid, field = _input_field(opts, grid)
     variants = tuple(_names(opts, "variants", "S,V"))
+    for i, variant in enumerate(variants):
+        if variant in variants[:i]:
+            raise ConfigParseError(f"variants names {variant!r} twice")
     results = maximal_quasinorm_set(field, space, variants, quad or default_quadrature(grid))
     art = _Artifacts(opts, "maximal")
     for variant in variants:
@@ -546,9 +554,9 @@ def _cmd_verify_equivalence(opts: dict) -> int:
     )
     theorem = _option(opts, "theorem", "T2i", str.strip, "a theorem id", bool)
     # a spread is max/min of the ratios, never below 1
-    spread_limit = _option(opts, "spread_limit", 50.0, float, "a number >= 1",
+    spread_limit = _option(opts, "spread_limit", 50.0, _number, "a number >= 1",
                            lambda v: v >= 1.0)
-    drift_limit = _option(opts, "drift_limit", 0.05, float, "a number >= 0",
+    drift_limit = _option(opts, "drift_limit", 0.05, _number, "a number >= 0",
                           lambda v: v >= 0.0)
     rep = equivalence_experiment(
         corpus, pair, space, grid, theorem, quad,

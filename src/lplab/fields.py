@@ -193,19 +193,6 @@ def lp_norm(field: SampledField, p: float) -> float:
     return float(total ** (1.0 / p))
 
 
-def translate(field: SampledField, shift: tuple[float, ...]) -> SampledField:
-    """Exact evaluation of x -> f(x + shift) through a spectral phase."""
-    grid = field.grid
-    if len(shift) != grid.dim:
-        raise ShapeMismatch(f"shift has {len(shift)} components, grid dim {grid.dim}")
-    spec = to_spectral(field)
-    phase = np.zeros(grid.shape, dtype=np.float64)
-    for a, kk in enumerate(grid.frequency_lattice()):
-        phase = phase + kk.astype(np.float64) * (shift[a] / grid.box)
-    coeffs = spec.coeffs * np.exp(2j * np.pi * phase)
-    return to_sampled(SpectralField(grid, coeffs))
-
-
 def derivative(field: SampledField, orders: tuple[int, ...]) -> SampledField:
     """Spectral partial derivative with multi-index orders per axis."""
     grid = field.grid

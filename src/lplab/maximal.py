@@ -89,7 +89,9 @@ class _BlockScan:
     skipped product is at most a value already reached, so each piece is
     the max over the same products as full scans of its fields.  The
     output and floors belong to the whole call, so a piece's fields in a
-    later stack start from the values its earlier ones reached.
+    later stack start from the values its earlier ones reached.  Each
+    piece's blocked maximum fills the memory its grid field takes, which
+    `unblock` reorders in place.
     """
 
     def __init__(self, grid: GridSpec, exponent: float):
@@ -133,6 +135,9 @@ class _BlockScan:
         # blocked layout of C-ordered fields: in-block position first, so
         # reductions over it run across rows
         self.to_blocks = tuple(range(2, 2 * dim + 1, 2)) + (0,) + tuple(range(1, 2 * dim, 2))
+        # (block, in-block position) axes of one piece's blocked maximum ->
+        # grid order, (block axis, in-block axis) per axis
+        self.from_blocks = tuple(a for axis in range(dim) for a in (axis, dim + axis))
         self.chunk = max(1, _PRODUCT_CHUNK // (self.size * self.size))
 
     def add(self, u: np.ndarray, scales: np.ndarray, rows: np.ndarray,
@@ -141,8 +146,8 @@ class _BlockScan:
         scale scales[i], into pieces rows[i]; return the block pairs
         evaluated.
 
-        out[c, p count + T] is the maximum of piece p at in-block position
-        c of block T, and floor[p count + T] its minimum over c; both are
+        out[p, T, c] is the maximum of piece p at in-block position c of
+        block T, and floor[p count + T] its minimum over c; both are
         updated in place.
         """
         dim, b, nb, count, size = self.grid.dim, self.b, self.nb, self.count, self.size
@@ -169,8 +174,10 @@ class _BlockScan:
         patch_max = patch_max.T[:, :, None].copy()
         first_block = np.arange(depth).reshape((depth,) + (1,) * dim) * count
         tables = tables.reshape(depth, -1)
-        # target[i count + T]: the column of out that field i's block T feeds
+        # target[i count + T]: the entry p count + T of floor, and the row
+        # of maxima, that field i's block T feeds
         target = (rows[:, None] * count + np.arange(count)).reshape(-1)
+        maxima = out.reshape(-1, size)
         shared = len(set(rows.tolist())) < depth  # some piece has several fields here
         chunk = self.chunk
         edges = np.arange(depth + 1) * count
@@ -224,19 +231,22 @@ class _BlockScan:
                 starts = np.flatnonzero(opens)
                 columns = columns.take(starts)
                 best = np.maximum.reduceat(best.take(by_column, axis=1), starts, axis=1)
-            np.maximum(best, out.take(columns, axis=1), out=best)
-            out[:, columns] = best
+            np.maximum(best.T, maxima.take(columns, axis=0), out=best.T)
+            maxima[columns] = best.T
             floor.put(columns, best.min(axis=0))
             pairs += live.size
         return pairs
 
     def unblock(self, out: np.ndarray) -> np.ndarray:
-        """The pieces of a blocked maximum out as grid fields, shape
-        (pieces,) + grid shape."""
+        """The pieces of the blocked maximum out as grid fields, shape
+        (pieces,) + grid shape, in out's memory: one piece at a time is
+        copied aside and written back in grid order."""
         dim, b, nb = self.grid.dim, self.b, self.nb
-        pieces = out.shape[1] // self.count
-        shaped = out.reshape((b,) * dim + (pieces,) + (nb,) * dim)
-        return shaped.transpose(np.argsort(self.to_blocks)).reshape((pieces,) + self.grid.shape)
+        fields = out.reshape((len(out),) + (nb, b) * dim)
+        for piece, field in zip(out, fields):
+            blocked = piece.reshape((nb,) * dim + (b,) * dim).copy()
+            field[...] = blocked.transpose(self.from_blocks)
+        return out.reshape((len(out),) + self.grid.shape)
 
 
 def weighted_offset_sup(
@@ -274,8 +284,8 @@ def weighted_offset_sup(
         # the runs of each index of the leading axes, numbered on from the last
         labels = (runs + per_row * np.arange(math.prod(stack[:-1]))[:, None]).reshape(-1)
     scan = _BlockScan(grid, exponent)
-    out = np.zeros((scan.size, (labels[-1] + 1 if labels.size else 0) * scan.count))
-    floor = np.zeros(out.shape[1])
+    out = np.zeros((labels[-1] + 1 if labels.size else 0, scan.count, scan.size))
+    floor = np.zeros(len(out) * scan.count)
     depth = max(1, _STACK_POINTS // grid.num_points)
     for lo in range(0, len(scales), depth):
         scan.add(u[lo : lo + depth], scales[lo : lo + depth], labels[lo : lo + depth], out, floor)

@@ -27,7 +27,6 @@ import dataclasses
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -51,7 +50,6 @@ from .fields import (
     lp_norm,
     resolvable_band_range,
     stable_sum,
-    translate,
 )
 from .maximal import (
     Scale,
@@ -103,6 +101,8 @@ class SpaceParams:
     def __post_init__(self) -> None:
         if self.scale not in ("F", "B"):
             raise InvalidExponent(f"scale must be F or B, got {self.scale!r}")
+        if not math.isfinite(self.s):
+            raise InvalidExponent(f"s must be finite, got {self.s}")
         if not (self.p > 0) or not (self.q > 0):
             raise InvalidExponent("p and q must be positive")
         if self.scale == "F" and self.homogeneous and not (self.p < math.inf):
@@ -668,8 +668,7 @@ def _step_sweep(
     per_octave: int,
     directions: np.ndarray,
     direction_weights: np.ndarray,
-    step_magnitudes,
-    step_norms=None,
+    engine: StepEngine,
 ) -> list[list[tuple[float, dict[int, float]]]]:
     """Aggregate |h|^(-s) |Delta_h f| over step lengths times directions,
     once per field and quadrature, and return each field's aggregates'
@@ -678,15 +677,14 @@ def _step_sweep(
     One sweep over the union of the quadratures' length ladders feeds one
     aggregator per field and quadrature, each with its own lengths and
     weights, so a step shared by several ladders is evaluated once, for
-    the whole stack of fields.  step_magnitudes maps one step to
-    |Delta_h f| of each field, (fields,) + grid shape; step_norms, if
-    given, maps a (steps, dim) array to the L^2 norms, (fields, steps),
-    and serves every step in one call where those norms suffice.  There
-    the L^2 norm is even in h, so each antipodal pair of directions costs
-    one step per length, and each (field, length, quadrature) feeds its
-    row of direction norms to its aggregator at once.  The magnitude path
-    steps every direction: off the lattice, |Delta_{-h} f| is |Delta_h f|
-    shifted by a non-lattice h, so its L^p norm may differ.
+    the whole stack of fields, by the engine of that stack.  Where the
+    steps' L^2 norms suffice, `engine.norms` serves every step in one
+    call.  There the L^2 norm is even in h, so each antipodal pair of
+    directions costs one step per length, and each (field, length,
+    quadrature) feeds its row of direction norms to its aggregator at
+    once.  Otherwise `engine.magnitude` steps every direction: off the
+    lattice, |Delta_{-h} f| is |Delta_h f| shifted by a non-lattice h, so
+    its L^p norm may differ.
     """
     grid = fields[0].grid
     for quad in quads:
@@ -695,11 +693,11 @@ def _step_sweep(
     aggs = [[_ScaleAggregator(grid, params) for _ in quads] for _ in fields]
     rows = list(_merged_ladders(ladders))
     lengths = [next(node for node in nodes if node is not None)[0] for nodes in rows]
-    if step_norms is not None and _norms_suffice(params):
+    if _norms_suffice(params):
         directions, direction_weights = _fold_antipodes(directions, direction_weights)
         steps = np.array(lengths)[:, None, None] * directions
-        norms = step_norms(steps.reshape(-1, grid.dim)).reshape(len(fields), len(rows), -1)
-        for field_aggs, field_norms in zip(aggs, norms):
+        norms = engine.norms(steps.reshape(-1, grid.dim), params.L)
+        for field_aggs, field_norms in zip(aggs, norms.reshape(len(fields), len(rows), -1)):
             for nodes, row in zip(rows, field_norms):
                 for agg, node in zip(field_aggs, nodes):
                     if node is not None:
@@ -709,7 +707,7 @@ def _step_sweep(
         return [[agg.finish() for agg in field_aggs] for field_aggs in aggs]
     for nodes, length in zip(rows, lengths):
         for z, zw in zip(directions, direction_weights):
-            mags = step_magnitudes(tuple(length * z))
+            mags = engine.magnitude(tuple(length * z), params.L)
             for field_aggs, mag in zip(aggs, mags):
                 for agg, node in zip(field_aggs, nodes):
                     if node is not None:
@@ -725,8 +723,7 @@ def _step_quasinorm(
     per_octave: int,
     directions: np.ndarray,
     direction_weights: np.ndarray,
-    step_magnitudes,
-    step_norms=None,
+    engine: StepEngine,
 ) -> list[QuasinormResult]:
     """Aggregate |h|^(-s) |Delta_h f| over step lengths times directions,
     one result per field.
@@ -739,7 +736,7 @@ def _step_quasinorm(
     results = []
     for (value, masses), (refined_value, _) in _step_sweep(
         fields, params, [quad, _refined(quad)], per_octave,
-        directions, direction_weights, step_magnitudes, step_norms,
+        directions, direction_weights, engine,
     ):
         report = _tail_report(masses, params.q)
         report["refinement_growth"] = refined_value / value if value > 0.0 else 1.0
@@ -757,10 +754,9 @@ def difference_values(
     refined ladder is stepped.
     """
     theta, theta_w = sphere_quadrature(field.grid.dim, quads[0].sphere_nodes)
-    engine = StepEngine([field])
     [results] = _step_sweep(
         [field], params, quads, quads[0].radial_nodes_per_octave, theta, theta_w,
-        partial(engine.magnitude, order=params.L), partial(engine.norms, order=params.L),
+        StepEngine([field]),
     )
     return [value for value, _ in results]
 
@@ -935,7 +931,7 @@ def quasinorm(
     """Dispatch a characterization id to its quasinorm.
 
     Ids: lp (band decomposition), diff (full polar steps), gagliardo
-    (order-1 translate form), axis (sum over all coordinate axes) or
+    (diff of order 1), axis (sum over all coordinate axes) or
     axis:J for one 1-based axis, and max:S, max:S_SUP, max:V, max:V_SUP,
     max:D_SUP for the mean-difference maximal forms.
 
@@ -966,10 +962,9 @@ def _stack_quasinorms(
     |h|^(-s) |Delta_h f|: diff and gagliardo over polar steps, with
     radial_nodes_per_octave lengths and the sphere quadrature's
     directions, axis over t e_J for each axis J, with t_nodes_per_octave
-    lengths.  gagliardo forms each step's difference as f(x + h) - f(x)
-    by translation; the others share one StepEngine for all their steps.
-    F scale: L^p over x of the step aggregate; B scale: the step
-    aggregate of L^p norms.
+    lengths.  gagliardo is diff of order 1, for p, q < inf.  All of them
+    take their steps from one StepEngine of the stack.  F scale: L^p over
+    x of the step aggregate; B scale: the step aggregate of L^p norms.
     """
     grid = fields[0].grid
     if characterization == "lp":
@@ -1004,13 +999,8 @@ def _stack_quasinorms(
         direction_sets = [(np.eye(grid.dim)[a - 1 : a], np.ones(1)) for a in axes]
     else:
         raise ConfigParseError(f"unknown characterization {characterization!r}")
-    if characterization == "gagliardo":
-        steps = (lambda step: np.stack([np.abs(translate(f, step).data - f.data) for f in fields]),
-                 None)
-    else:
-        engine = StepEngine(fields)
-        steps = (partial(engine.magnitude, order=params.L), partial(engine.norms, order=params.L))
-    per_set = [_step_quasinorm(fields, params, quad, per_octave, directions, weights, *steps)
+    engine = StepEngine(fields)
+    per_set = [_step_quasinorm(fields, params, quad, per_octave, directions, weights, engine)
                for directions, weights in direction_sets]
     if characterization in ("diff", "gagliardo"):
         return per_set[0]

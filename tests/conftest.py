@@ -5,7 +5,7 @@ import pytest
 
 from lplab import maximal, quasinorms
 from lplab.differences import StepEngine
-from lplab.fields import GridSpec, SampledField
+from lplab.fields import GridSpec, SampledField, SpectralField, lp_norm, to_sampled, to_spectral
 
 
 @pytest.fixture
@@ -54,6 +54,38 @@ def unusual_quadrature(allow_subgrid: bool = True) -> quasinorms.QuadratureSpec:
 def assert_replaced(before, after, **changes) -> None:
     """after is the dataclass before with exactly the given fields changed."""
     assert dataclasses.asdict(after) == {**dataclasses.asdict(before), **changes}
+
+
+def translate(field: SampledField, shift) -> SampledField:
+    """x -> f(x + shift), exact for the trigonometric interpolant, from one
+    full-grid spectral phase."""
+    grid = field.grid
+    assert len(shift) == grid.dim
+    phase = sum(kk.astype(np.float64) * (h / grid.box)
+                for kk, h in zip(grid.frequency_lattice(), shift))
+    coeffs = to_spectral(field).coeffs * np.exp(2j * np.pi * phase)
+    return to_sampled(SpectralField(grid, coeffs))
+
+
+class TranslateSteps:
+    """A stand-in for the StepEngine of a stack of fields whose first-order
+    steps are the literal translate(f, h) - f: the oracle of the engine's
+    step magnitudes and Plancherel norms."""
+
+    def __init__(self, fields):
+        self.fields = list(fields)
+
+    def difference(self, f: SampledField, step) -> SampledField:
+        return SampledField(f.grid, translate(f, tuple(step)).data - f.data)
+
+    def magnitude(self, step, order: int) -> np.ndarray:
+        assert order == 1
+        return np.stack([np.abs(self.difference(f, step).data) for f in self.fields])
+
+    def norms(self, steps, order: int) -> np.ndarray:
+        assert order == 1
+        return np.array([[lp_norm(self.difference(f, step), 2.0) for step in steps]
+                         for f in self.fields])
 
 
 def full_grid_symbol(grid: GridSpec, step, order: int) -> np.ndarray:

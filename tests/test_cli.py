@@ -450,18 +450,40 @@ class TestConfigOverride:
         ("quad", "radial_nodes_per_octave", 2.5, "radial_per_octave must be an integer"),
         ("quad", "tau_octaves", True, "tau_octaves must be an integer"),
         ("quad", "h_min", "0.01", "h_min must be a number"),
+        ("grid", "box", True, "grid_box must be a number"),
+        ("space", "s", True, "s must be a number"),
+        ("space", "s", "nan", "s must be a number"),
+        ("space", "s", math.nan, "s must be finite"),
+        ("space", "p", True, "p must be a number or inf"),
+        ("space", "q", False, "q must be a number or inf"),
+        ("space", "r", True, "r must be a number"),
+        ("thresholds", "spread_limit", True, "spread_limit must be a number"),
+        ("thresholds", "drift_limit", True, "drift_limit must be a number"),
+        ("space", "smoothness", 2, "unknown key 'smoothness' in config section 'space'"),
+        ("spacee", "s", 2, "unknown config key 'spacee'"),
     ])
     def test_non_integral_or_non_numeric_config_rejected(self, tmp_path, capsys, section,
                                                          key, value, named):
         # these ran truncated (n = 64, L = 1, 8 sphere nodes), were accepted
-        # as given, or failed on a comparison of str and int
+        # as given (true as 1.0), ran on defaults (unknown keys), or failed
+        # on a comparison of str and int or as a computation error (s = nan)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({section: {key: value}}))
-        code, out = run(tmp_path, "norm", "--characterization", "diff", "--grid-dim", "2",
-                        "--grid-n", "32", "--function", "gauss_mid", "--config", str(cfg))
+        # only the equivalence experiment reads the thresholds
+        command = (("verify", "equivalence") if section == "thresholds"
+                   else ("norm", "--characterization", "diff"))
+        code, out = run(tmp_path, *command, "--grid-dim", "2", "--grid-n", "32",
+                        "--function", "gauss_mid", "--config", str(cfg))
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("configuration error: ") and named in err, err
+        assert not out.exists()
+
+    def test_non_finite_s_flag_rejected(self, tmp_path, capsys):
+        code, out = run(tmp_path, "norm", "--grid-dim", "1", "--grid-n", "64", "--s", "nan",
+                        "--function", "gauss_mid")
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("configuration error: ") and "s must be finite" in err
         assert not out.exists()
 
     def test_integral_floats_in_config_accepted(self, tmp_path):
@@ -501,6 +523,16 @@ class TestMaximalCommand:
         assert code == 0
         rows = read_rows(out, "maximal")
         assert [r.split(",")[1] for r in rows] == ["max:S", "max:V"]
+
+    def test_repeated_variant_rejected(self, tmp_path, capsys):
+        # it wrote two identical max:S rows
+        code, out = run(
+            tmp_path, "maximal", "--grid-dim", "2", "--grid-n", "32",
+            "--function", "gauss_mid", "--variants", "S,V,S",
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and err == "configuration error: variants names 'S' twice\n"
+        assert not out.exists()
 
     def test_unknown_variant_rejected(self, tmp_path):
         code, _ = run(

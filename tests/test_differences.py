@@ -7,10 +7,16 @@ from hypothesis import given, settings, strategies as st
 from lplab import differences
 from lplab.differences import StepEngine, difference_coefficients, iterated_difference
 from lplab.errors import InvalidExponent, MisalignedStep, ShapeMismatch
-from lplab.fields import GridSpec, SampledField, translate
+from lplab.fields import GridSpec, SampledField
 from lplab.maximal import annulus_mean_max, annulus_nodes, unit_sphere_nodes
 
-from conftest import field_of_kind, full_grid_symbol, mean_magnitude, random_complex_field
+from conftest import (
+    field_of_kind,
+    full_grid_symbol,
+    mean_magnitude,
+    random_complex_field,
+    translate,
+)
 
 
 class TestCoefficients:

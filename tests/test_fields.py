@@ -28,10 +28,9 @@ from lplab.fields import (
     stable_sum,
     to_sampled,
     to_spectral,
-    translate,
 )
 
-from conftest import random_complex_field
+from conftest import random_complex_field, translate
 
 
 def direct_dft(field: SampledField) -> np.ndarray:

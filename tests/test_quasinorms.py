@@ -31,7 +31,6 @@ from lplab.fields import (
     SampledField,
     TestFunctionSpec,
     sample_family,
-    translate,
 )
 from lplab import quasinorms
 from lplab.differences import StepEngine
@@ -58,9 +57,11 @@ from lplab.verify import default_corpus
 
 from conftest import (
     FullGridMeans,
+    TranslateSteps,
     assert_replaced,
     field_of_kind,
     random_complex_field,
+    translate,
     unusual_quadrature,
 )
 
@@ -510,16 +511,21 @@ class TestStepEngineSweep:
     @pytest.mark.parametrize("h_min", [None, 0.01], ids=["dyadic", "h_min=0.01"])
     @pytest.mark.parametrize("s", [0.5, 1.5])
     def test_engine_matches_translate_oracle(self, grid, h_min, s):
-        # the translate-and-subtract form evaluates every step independently
+        # the sweep fed literal translate(f, h) - f for every step: the
+        # oracle of the engine's Plancherel norms (p = 2) and of its step
+        # magnitudes (p = 1)
         f = gaussian(grid)
         quad = default_quadrature(grid) if h_min is None else default_quadrature(grid, h_min=h_min)
-        res = quasinorm(f, "diff", SpaceParams(s=s, p=2, q=2, L=1), quad)
-        oracle = quasinorm(f, "gagliardo", SpaceParams(s=s, p=2, q=2), quad)
-        assert res.value == pytest.approx(oracle.value, rel=1e-12)
-        assert res.truncation_report["refinement_growth"] == pytest.approx(
-            oracle.truncation_report["refinement_growth"], rel=1e-12
-        )
-        assert res.flag == oracle.flag
+        theta, theta_w = quasinorms.sphere_quadrature(grid.dim, quad.sphere_nodes)
+        for params in (SpaceParams(s=s, p=2, q=2, L=1), SpaceParams(s=s, p=1, q=2, L=1)):
+            res = quasinorm(f, "diff", params, quad)
+            [oracle] = quasinorms._step_quasinorm([f], params, quad, quad.radial_nodes_per_octave,
+                                                  theta, theta_w, TranslateSteps([f]))
+            assert res.value == pytest.approx(oracle.value, rel=1e-12)
+            assert res.truncation_report["refinement_growth"] == pytest.approx(
+                oracle.truncation_report["refinement_growth"], rel=1e-12
+            )
+            assert res.flag == oracle.flag
 
     def test_default_2d_work_counts(self, recorded_engines, fft_calls):
         # 21 base lengths lie on the 37-length refined ladder, and each of
@@ -679,17 +685,16 @@ class TestEnergyPath:
     @pytest.mark.parametrize("order", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["noise", "gaussian", "modulated"])
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.dim}d-{g.n}")
-    def test_matches_magnitude_path(self, grid, kind, order, scale, q):
+    def test_matches_magnitude_path(self, monkeypatch, grid, kind, order, scale, q):
         # a light quadrature keeps the magnitude path cheap; the refined
         # ladder reaches a sixteenth of the spacing
         f = field_of_kind(grid, kind)
         params = SpaceParams(s=0.5 + 0.4 * order, p=2, q=q, L=order, scale=scale)
         quad = default_quadrature(grid, radial_nodes_per_octave=2, sphere_nodes=6)
         theta, theta_w = quasinorms.sphere_quadrature(grid.dim, quad.sphere_nodes)
-        engine = StepEngine([f])
-        args = ([f], params, quad, quad.radial_nodes_per_octave, theta, theta_w,
-                lambda step: engine.magnitude(step, order))
-        [energy] = quasinorms._step_quasinorm(*args, lambda steps: engine.norms(steps, order))
+        args = ([f], params, quad, quad.radial_nodes_per_octave, theta, theta_w, StepEngine([f]))
+        [energy] = quasinorms._step_quasinorm(*args)
+        monkeypatch.setattr(quasinorms, "_norms_suffice", lambda params: False)
         [magnitude] = quasinorms._step_quasinorm(*args)
         assert energy.value == pytest.approx(magnitude.value, rel=1e-12)
         assert energy.truncation_report["refinement_growth"] == pytest.approx(
@@ -700,16 +705,16 @@ class TestEnergyPath:
         assert energy.flag == magnitude.flag
 
     @pytest.mark.parametrize("kind", ["noise", "modulated"])
-    def test_divergence_values_match_magnitude_path(self, grid1d, kind):
+    def test_divergence_values_match_magnitude_path(self, monkeypatch, grid1d, kind):
         f = field_of_kind(grid1d, kind)
         params = SpaceParams(s=1.5, p=2, q=2, L=2)
         quads = [default_quadrature(grid1d, h_min=grid1d.spacing / 2**i, allow_subgrid=True)
                  for i in range(3)]
-        engine = StepEngine([f])
         theta, theta_w = quasinorms.sphere_quadrature(1)
-        [magnitude] = quasinorms._step_sweep(
-            [f], params, quads, 4, theta, theta_w, lambda step: engine.magnitude(step, 2))
         values = quasinorms.difference_values(f, params, quads)
+        monkeypatch.setattr(quasinorms, "_norms_suffice", lambda params: False)
+        [magnitude] = quasinorms._step_sweep([f], params, quads, 4, theta, theta_w,
+                                             StepEngine([f]))
         assert values == pytest.approx([v for v, _ in magnitude], rel=1e-12)
 
     @pytest.mark.parametrize("p,q,scale", [(2, 1, "F"), (1, 2, "B"), (2, math.inf, "F")])
@@ -724,9 +729,15 @@ class TestEnergyPath:
         assert engine.steps > 0
         assert fft_calls == {"ifftn": engine.steps}
 
-    def test_gagliardo_keeps_translate_form(self, recorded_engines, grid1d):
-        res = quasinorm(gaussian(grid1d), "gagliardo", SpaceParams(s=0.5, p=2, q=2))
-        assert recorded_engines == [] and res.value > 0.0
+    def test_gagliardo_is_first_order_diff(self, recorded_engines, grid2d):
+        # one engine per call, on the norms path and on the magnitude path
+        f = gaussian(grid2d)
+        for params in (SpaceParams(s=0.5, p=2, q=2), SpaceParams(s=0.5, p=1, q=2, scale="B")):
+            res = quasinorm(f, "gagliardo", params)
+            [engine] = recorded_engines
+            assert engine.steps > 0
+            assert res == quasinorm(f, "diff", params)
+            recorded_engines.clear()
 
 
 class TestAntipodalFold:
@@ -1152,14 +1163,14 @@ class TestStackedQuasinorms:
     @pytest.mark.parametrize("cid, params, rel", [
         ("diff", SpaceParams(s=0.5, p=1, q=1), 0.0),
         ("diff", SpaceParams(s=0.5, p=2, q=math.inf, scale="B"), 1e-13),
-        ("gagliardo", SpaceParams(s=0.5, p=2, q=2), 0.0),
+        ("gagliardo", SpaceParams(s=0.5, p=1, q=2), 0.0),
         ("axis", SpaceParams(s=0.5, p=2, q=2, L=2), 1e-13),
         ("axis:2", SpaceParams(s=0.5, p=1, q=2), 0.0),
         ("max:S_SUP", SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5), 0.0),
     ], ids=["diff-p1", "diff-B", "gagliardo", "axis", "axis:2", "max:S_SUP"])
     def test_other_paths(self, cid, params, rel):
-        # the magnitude path (p = 1) and the translate form are bit for bit;
-        # step norms agree to 1e-13
+        # the magnitude path (p = 1) is bit for bit; step norms agree to
+        # 1e-13
         grid = GridSpec(2, 32)
         fields = [field_of_kind(grid, kind) for kind in ("noise", "gaussian", "modulated")]
         quad = default_quadrature(grid, radial_nodes_per_octave=2, sphere_nodes=6,

@@ -633,6 +633,9 @@ class TestCorpusStacks:
         # and wide scan stacks peaked at 1.8-1.9 MB, the member loop at 0.7 MB
         grid, pair, params, theorem = T4_CASE
         corpus = default_corpus(grid)
+        # an untraced first call: in a fresh interpreter it imports lazily
+        # loaded modules, about 0.8 MB of allocations that are not the call's
+        equivalence_experiment(corpus, pair, params, grid, theorem)
         tracemalloc.start()
         try:
             equivalence_experiment(corpus, pair, params, grid, theorem)
