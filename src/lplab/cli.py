@@ -142,8 +142,7 @@ _SECTIONS = {"grid": _GRID_KEYS, "space": _SPACE_KEYS, "quad": _QUAD_KEYS, "io":
 _EXTRA_KEYS = (
     "characterization", "variants", "pair", "theorem", "m_values", "alpha",
     "t_list", "tau_list", "order", "target_exponent", "directions",
-    "function", "levels", "band", "axis", "spread_limit", "drift_limit",
-    "corpus", "homogeneous",
+    "function", "levels", "band", "axis", "corpus",
 )
 
 
@@ -157,10 +156,13 @@ def _apply_config(opts: dict, path: str) -> None:
         raise ConfigParseError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigParseError("config root must be a JSON object")
-    # a misspelled key would otherwise leave its default in place unsaid
-    for key in cfg:
+    # a misspelled key or a null would otherwise leave the default, or a
+    # flag's value, in place unsaid
+    for key, value in cfg.items():
         if key not in _SECTIONS and key not in _EXTRA_KEYS:
             raise ConfigParseError(f"unknown config key {key!r}")
+        if value is None:
+            raise ConfigParseError(f"config key {key!r} is null")
     for section, keymap in _SECTIONS.items():
         body = cfg.get(section, {})
         if not isinstance(body, dict):
@@ -168,6 +170,8 @@ def _apply_config(opts: dict, path: str) -> None:
         for key, value in body.items():
             if key not in keymap:
                 raise ConfigParseError(f"unknown key {key!r} in config section {section!r}")
+            if value is None:
+                raise ConfigParseError(f"key {key!r} in config section {section!r} is null")
             opts[keymap[key]] = value
     for key in _EXTRA_KEYS:
         if key in cfg:

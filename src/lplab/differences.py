@@ -36,34 +36,15 @@ from .errors import (
     NonFiniteSample,
     ShapeMismatch,
 )
-from .fields import GridSpec, SampledField
+from .fields import GridSpec, SampledField, per_chunk
 
 ALIGNMENT_TOL = 1e-9
-# Leading-plane points times nodes of a weighted mean held at once: 64 nodes
-# at 2-D n = 32, 2 at 3-D 32^3.  At 2-D n = 32, chunks of 2^13 (all 256
-# nodes of an annulus mean) raised the peak RSS of a `verify equivalence`
-# call from 38.0 MB (per-node symbols) to 40.5 MB, against 38.4 MB at 2^11.
-# On a 2-vCPU x86 VM, 2^13 made a 512-node L = 2 annulus mean faster at
-# 3-D 16^3 (5.5 against 9.5 ms) but slower at 2-D 128^2 (17 against 13 ms).
-_MEAN_CHUNK_POINTS = 1 << 11
-# Most multiply-adds of one real matrix product.  OpenBLAS splits a larger
-# dgemm over its threads, and on a 2-vCPU x86 VM with numpy 2.4 such a call
-# either kept a second core spinning or waited about 8 ms to wake it; at
-# most 10^6 it ran on the calling thread alone.
+# Most multiply-adds of one real matrix product.  This caps BLAS threading,
+# not bytes: when numpy is imported before lplab, OpenBLAS runs threaded
+# and splits a larger dgemm over its threads, and on a 2-vCPU x86 VM with
+# numpy 2.4 such a call either kept a second core spinning or waited about
+# 8 ms to wake it; at most 10^6 it ran on the calling thread alone.
 _SERIAL_GEMM = 1_000_000
-# Grid points of step energies held at once by StepEngine.norms: 2^17 raised
-# the peak RSS of a 2-D 128^2, L = 2 `norm diff` call from 32.7 to 34.4 MB.
-_NORM_CHUNK_POINTS = 1 << 14
-# Values of the per-step factors of u = 2 sin(pi h.k / B) StepEngine.norms
-# forms at once, rounded to whole chunks: 32 steps at 2-D n = 128.  On a
-# 2-vCPU x86 VM, a 2-D 128^2, L = 2 `norm diff` call peaked at 33.1 MB with
-# one chunk's factors at a time, 33.2 MB with these blocks and 37.6 MB with
-# every step's factors at once; blocks of 2^13 saved 0.02 MB more but made
-# the call about 9 % slower.
-_NORM_FACTOR_POINTS = 1 << 14
-# Grid points of step spectra sent through one inverse transform by
-# StepEngine.max_magnitude: 8 directions at 2-D n = 32.
-_MAX_CHUNK_POINTS = 1 << 13
 
 
 def difference_coefficients(order: int) -> np.ndarray:
@@ -198,7 +179,8 @@ class StepEngine:
         """
         grid = self.grid
         steps = self._count(steps, order)
-        chunk = max(1, _MAX_CHUNK_POINTS // (grid.num_points * math.prod(self.stack)))
+        # a step's complex spectra of every field
+        chunk = per_chunk(16 * grid.num_points * math.prod(self.stack))
         step_axis = len(self.stack)  # of the products, indexed stack + (step,) + grid
         coeffs = np.expand_dims(self._coeffs, step_axis)
         out = np.zeros(self.stack + grid.shape)
@@ -228,10 +210,10 @@ class StepEngine:
         inverse transform is needed.  sin(pi h.k / B) comes from per-axis
         sines and cosines by angle addition, in real arithmetic, as the
         rank-2 product of a factor on the leading plane and one on the last
-        axis.  Those factors are formed per block of whole chunks, about
-        _NORM_FACTOR_POINTS values at once; each chunk's energies u^(2L)
-        are formed once and meet every field's |X|^2 in one real matrix
-        product, split over the fields to stay within _SERIAL_GEMM.  A
+        axis.  Those factors are formed per block of whole chunks, within
+        the working-set budget; each chunk's energies u^(2L) are formed
+        once and meet every field's |X|^2 in one real matrix product,
+        split over the fields to stay within _SERIAL_GEMM.  A
         chunk's product sums in an order set by its row count, so the
         chunks, and with them the results, do not depend on the blocks.
         """
@@ -239,11 +221,11 @@ class StepEngine:
         steps = self._count(steps, order)
         power = self._power_spectrum().reshape(-1, grid.num_points)  # (fields, points)
         plane = grid.num_points // grid.n
-        chunk = max(1, _NORM_CHUNK_POINTS // grid.num_points)
+        chunk = per_chunk(8 * grid.num_points)  # a step's energies
         per_product = max(1, _SERIAL_GEMM // (chunk * grid.num_points))  # fields
         # whole chunks of steps whose factors, 2 (plane + n) values a step,
         # are formed at once
-        block = chunk * max(1, _NORM_FACTOR_POINTS // (2 * (plane + grid.n) * chunk))
+        block = chunk * per_chunk(16 * (plane + grid.n) * chunk)
         # grid-sized work arrays, reused by every chunk
         work = np.empty((2, min(chunk, len(steps)), plane, grid.n))
         sums = np.empty((len(steps), len(power)))
@@ -357,7 +339,9 @@ class StepEngine:
         means, nodes = steps.shape[:2]
         binomials = [math.comb(order, j) for j in range(order + 1)]
         negative = slice((last + 1) // 2, None)  # the k < 0 in `fftn` order
-        chunk = max(1, _MEAN_CHUNK_POINTS // plane)
+        # a node's lead, lead_j and cols of an L = 2 mean: 4 complex values
+        # per plane point
+        chunk = per_chunk(64 * plane)
         group = max(1, chunk // nodes)  # means per chunk, when a mean fits
         for first in range(0, means, group):
             size = min(group, means - first)

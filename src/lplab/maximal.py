@@ -50,23 +50,9 @@ from .errors import (
     QuadratureTooCoarse,
     ShapeMismatch,
 )
-from .fields import GridSpec, SampledField
+from .fields import GridSpec, SampledField, per_chunk
 
 _BLOCK = 4  # block edge of the pruned supremum, in samples per axis
-# Grid points of the fields scanned together.  A stack holds a few arrays
-# of this size (weight tables, blocks, patch maxima) beside the call's
-# output, one blocked maximum per piece; whole 96-scale
-# ladders at 2-D n = 32 raised the traced peak of a five-variant
-# maximal_quasinorm_set from 3.2 to 7.5 MB, and 2^14 to 3.5 MB, with no
-# measurable gain in speed.
-_STACK_POINTS = 1 << 13
-# Most products formed by one numpy operation of the scan: 64 block pairs
-# at 2-D, so each temporary stays at 128 KB whatever the stack or grid.
-# Stacks of more than two fields gather each pair's patch, fewer broadcast
-# each field's patch over its run of pairs: on a 2-vCPU x86 VM the gather
-# made the sups of the 2-D n = 32 five-variant call (stacks of 8) 14 %
-# faster, and those of S,V at n = 64 (stacks of 2) 5 % slower.
-_PRODUCT_CHUNK = 1 << 14
 
 _ANNULUS_RADII = 8  # shell radii of an annulus mean
 
@@ -138,7 +124,8 @@ class _BlockScan:
         # (block, in-block position) axes of one piece's blocked maximum ->
         # grid order, (block axis, in-block axis) per axis
         self.from_blocks = tuple(a for axis in range(dim) for a in (axis, dim + axis))
-        self.chunk = max(1, _PRODUCT_CHUNK // (self.size * self.size))
+        # block pairs per numpy operation of the scan: a pair's products
+        self.chunk = per_chunk(8 * self.size * self.size)
 
     def add(self, u: np.ndarray, scales: np.ndarray, rows: np.ndarray,
             out: np.ndarray, floor: np.ndarray) -> int:
@@ -202,7 +189,10 @@ class _BlockScan:
             best = np.empty((size, live.size))
             if depth > 2:
                 # each pair takes its field's patch, patches[i][c_s, c_t],
-                # gathered: one numpy operation per chunk whatever the fields
+                # gathered: one numpy operation per chunk whatever the
+                # fields.  On a 2-vCPU x86 VM the gather made the sups of the
+                # 2-D n = 32 five-variant call (stacks of 8) 14 % faster, and
+                # those of S,V at n = 64 (stacks of 2) 5 % slower.
                 fields = live // count
                 for lo in range(0, live.size, chunk):
                     part = slice(lo, lo + chunk)
@@ -286,7 +276,8 @@ def weighted_offset_sup(
     scan = _BlockScan(grid, exponent)
     out = np.zeros((labels[-1] + 1 if labels.size else 0, scan.count, scan.size))
     floor = np.zeros(len(out) * scan.count)
-    depth = max(1, _STACK_POINTS // grid.num_points)
+    # fields per scan: a weight table and a blocked column per point
+    depth = per_chunk(16 * grid.num_points)
     for lo in range(0, len(scales), depth):
         scan.add(u[lo : lo + depth], scales[lo : lo + depth], labels[lo : lo + depth], out, floor)
     result = scan.unblock(out)

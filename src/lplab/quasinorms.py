@@ -48,6 +48,7 @@ from .fields import (
     GridSpec,
     SampledField,
     lp_norm,
+    per_chunk,
     resolvable_band_range,
     stable_sum,
 )
@@ -60,13 +61,6 @@ from .maximal import (
 )
 
 QUADRATURE_SPHERE_COUNT = {1: 2, 2: 32, 3: 64}
-# Grid points of the fields one quasinorm call evaluates as one stack: 16
-# fields at 2-D n = 32, so a 12-member corpus shares one supremum scan per
-# grid, 32 at 1-D n = 512, and one field from 2-D n = 128 on.  A stack
-# holds each of its fields' mean and maximal fields at once: the stacked
-# T4 experiment at 2-D n = 32 traces a 1.34 MB peak, against 0.70 MB for
-# one call per member.
-_FIELD_STACK_POINTS = 1 << 14
 
 THEOREM_IDS = (
     "T2i", "T2ii", "T2iii", "T2iv",
@@ -288,9 +282,10 @@ class QuadratureSpec:
     Radial and t nodes are log-spaced between h_min and h_max with
     log-trapezoid weights; sphere nodes carry uniform weights summing to
     the sphere measure, QUADRATURE_SPHERE_COUNT of them unless sphere_nodes
-    is set.  tau_* control the ladder sampling the suprema of
-    the _SUP maximal variants over (0, 2).  allow_subgrid permits h_min
-    below the grid spacing (steps act on the trigonometric interpolant).
+    is set.  tau_* control the ladder sampling the suprema of the sup
+    maximal variants (S_SUP, V_SUP, D_SUP) over (0, 2).  allow_subgrid
+    permits h_min below the grid spacing (steps act on the trigonometric
+    interpolant).
     """
 
     h_min: float
@@ -631,10 +626,11 @@ def _unstack(field: SampledField | Sequence[SampledField], results: list):
 
 
 def _groups(fields: list[SampledField]):
-    """Yield runs of consecutive fields of at most _FIELD_STACK_POINTS grid
-    points (one field at least)."""
+    """Yield runs of consecutive fields that fit the working-set budget
+    (one field at least)."""
     if fields:
-        size = max(1, _FIELD_STACK_POINTS // fields[0].grid.num_points)
+        # one float64 sample per point of each member
+        size = per_chunk(8 * fields[0].grid.num_points)
         for lo in range(0, len(fields), size):
             yield fields[lo : lo + size]
 
@@ -830,9 +826,9 @@ def maximal_quasinorm_set(
     construction.
 
     A sequence of fields on one grid gives one dict per field.  They run
-    as stacks of at most _FIELD_STACK_POINTS grid points: one engine per
-    stack, so each mean symbol and step symbol serves all its fields, and
-    the same calls as for one field, each field's pieces its own.
+    as stacks that fit the working-set budget: one engine per stack, so
+    each mean symbol and step symbol serves all its fields, and the same
+    calls as for one field, each field's pieces its own.
     """
     for variant in variants:
         if variant not in MAXIMAL_VARIANTS:
@@ -936,12 +932,12 @@ def quasinorm(
     max:D_SUP for the mean-difference maximal forms.
 
     field may be a sequence of fields on one grid; the result is then a
-    list, one result per field.  The fields run as stacks of at most
-    _FIELD_STACK_POINTS grid points, each through the calls one field
-    makes: one band system, step engine or maximal call per stack shares
-    its band multipliers, step symbols and energies, mean symbols and
-    supremum scans.  The aggregates stay per field, and the first field
-    that fails raises.
+    list, one result per field.  The fields run as stacks that fit the
+    working-set budget, each through the calls one field makes: one band
+    system, step engine or maximal call per stack shares its band
+    multipliers, step symbols and energies, mean symbols and supremum
+    scans.  The aggregates stay per field, and the first field that fails
+    raises.
     """
     fields = _as_stack(field)
     results: list[QuasinormResult] = []

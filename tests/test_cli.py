@@ -370,11 +370,8 @@ class TestVerifyCommands:
         assert summary["max_over_min"] <= 1.5
         assert len(read_rows(out, "verify_ppn")) == 3
 
-    @pytest.mark.parametrize("alpha,label", [(None, "1"), (2, "2"), ([1], "[1]")],
-                             ids=["null", "int", "list"])
+    @pytest.mark.parametrize("alpha,label", [(2, "2"), ([1], "[1]")], ids=["int", "list"])
     def test_ppn_rows_name_the_alpha_run(self, tmp_path, alpha, label):
-        # config "alpha": null runs the default alpha 1, and the rows used
-        # to print it as alpha=None
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": alpha}))
         code, out = run(tmp_path, "verify", "ppn", "--grid-dim", "1", "--grid-n", "256",
@@ -461,14 +458,25 @@ class TestConfigOverride:
         ("thresholds", "drift_limit", True, "drift_limit must be a number"),
         ("space", "smoothness", 2, "unknown key 'smoothness' in config section 'space'"),
         ("spacee", "s", 2, "unknown config key 'spacee'"),
+        ("io", "output", None, "key 'output' in config section 'io' is null"),
+        ("quad", "h_min", None, "key 'h_min' in config section 'quad' is null"),
+        ("space", "q", None, "key 'q' in config section 'space' is null"),
+        (None, "space", None, "config key 'space' is null"),
+        (None, "alpha", None, "config key 'alpha' is null"),
+        (None, "homogeneous", False, "unknown config key 'homogeneous'"),
+        (None, "spread_limit", 2, "unknown config key 'spread_limit'"),
+        (None, "drift_limit", 0.1, "unknown config key 'drift_limit'"),
     ])
     def test_non_integral_or_non_numeric_config_rejected(self, tmp_path, capsys, section,
                                                          key, value, named):
         # these ran truncated (n = 64, L = 1, 8 sphere nodes), were accepted
-        # as given (true as 1.0), ran on defaults (unknown keys), or failed
-        # on a comparison of str and int or as a computation error (s = nan)
+        # as given (true as 1.0), ran on defaults (unknown keys and nulls,
+        # the null output on ./lplab-artifacts), failed on a comparison of
+        # str and int or as a computation error (s = nan), or overrode
+        # their section's key (top-level homogeneous and limits); a section
+        # of None puts the key at the top level
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({section: {key: value}}))
+        cfg.write_text(json.dumps({key: value} if section is None else {section: {key: value}}))
         # only the equivalence experiment reads the thresholds
         command = (("verify", "equivalence") if section == "thresholds"
                    else ("norm", "--characterization", "diff"))

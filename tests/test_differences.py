@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lplab import differences
 from lplab.differences import StepEngine, difference_coefficients, iterated_difference
 from lplab.errors import InvalidExponent, MisalignedStep, ShapeMismatch
 from lplab.fields import GridSpec, SampledField
@@ -208,23 +207,20 @@ class TestStepEngine:
     @pytest.mark.parametrize("grid", [GridSpec(1, 64), GridSpec(2, 16, 0.5), GridSpec(3, 8)],
                              ids=lambda g: f"{g.dim}d")
     @pytest.mark.parametrize("fields", [1, 4])
-    @pytest.mark.parametrize("chunk, block", [(1, 5), (3, 5), (3, 7)],
-                             ids=["chunks-of-1", "block-cuts-a-chunk", "block-cuts-2-chunks"])
-    def test_blocked_norms_match_step_at_a_time(self, monkeypatch, grid, fields, chunk, block):
+    @pytest.mark.parametrize("chunk", [1, 3], ids=["chunks-of-1", "chunks-of-3"])
+    def test_blocked_norms_match_step_at_a_time(self, monkeypatch, grid, fields, chunk):
         # 23 steps in chunks of `chunk`, their factors formed for blocks of
-        # `block` steps (rounded down to whole chunks) against one chunk at
-        # a time, which with chunks of 1 is one step at a time; a chunk's
-        # energies meet the spectra in one product, whose row count sets
-        # its summation order, so the comparison keeps the chunks
+        # whole chunks, against one call per chunk, which with chunks of 1
+        # is one step at a time; a chunk's energies meet the spectra in one
+        # product, whose row count sets its summation order, so the
+        # comparison keeps the chunks
         engine = StepEngine([random_complex_field(grid, seed=70 + i) for i in range(fields)])
         steps = np.random.default_rng(71).standard_normal((23, grid.dim)) * 0.05
-        per_step = 2 * (grid.num_points // grid.n + grid.n)  # factor values of one step
-        monkeypatch.setattr(differences, "_NORM_CHUNK_POINTS", chunk * grid.num_points)
+        monkeypatch.setattr("lplab.fields.WORK_BYTES", 8 * chunk * grid.num_points)
         for order in (1, 2, 3):
-            monkeypatch.setattr(differences, "_NORM_FACTOR_POINTS", block * per_step)
             blocked = engine.norms(steps, order)
-            monkeypatch.setattr(differences, "_NORM_FACTOR_POINTS", 1)
-            assert np.array_equal(blocked, engine.norms(steps, order))
+            chunks = [engine.norms(steps[lo : lo + chunk], order) for lo in range(0, 23, chunk)]
+            assert np.array_equal(blocked, np.concatenate(chunks, axis=-1))
             assert blocked.shape == (fields, 23)
 
     def test_zero_step_annihilates(self, grid2d):

@@ -156,6 +156,16 @@ class TestWeightedSup:
             assert np.array_equal(row, weighted_offset_sup(mag, grid, scale, 1.5))
             assert np.array_equal(row, brute_weighted_sup(mag, grid, scale, 1.5))
 
+    def test_one_item_budget_is_exact(self, monkeypatch):
+        # a one-byte budget scans one field at a time and evaluates one
+        # block pair per product
+        grid = GridSpec(2, 16, 1.0)
+        mags = np.abs(np.random.default_rng(9).standard_normal((3,) + grid.shape))
+        scales = np.array([0.0, 3.0, 40.0])
+        want = weighted_offset_sup(mags, grid, scales, 1.5)
+        monkeypatch.setattr("lplab.fields.WORK_BYTES", 1)
+        assert np.array_equal(weighted_offset_sup(mags, grid, scales, 1.5), want)
+
     def test_stack_shapes_checked(self):
         grid = GridSpec(2, 8, 1.0)
         with pytest.raises(ShapeMismatch):

@@ -1097,20 +1097,24 @@ def projected_corpus(grid: GridSpec) -> list[SampledField]:
 
 def assert_rows_match(stacked, fields, evaluate, rel: float) -> None:
     """Each row of a stacked evaluation against the same call on its field
-    alone: values equal (rel = 0) or within rel, shares likewise, flags
-    equal."""
-    assert len(stacked) == len(fields)
-    for field, got in zip(fields, stacked):
-        want = evaluate(field)
-        assert got.flag == want.flag
-        assert [k for k, _ in got.per_scale] == [k for k, _ in want.per_scale]
-        pairs = [(got.value, want.value)] + [
-            (a, b) for (_, a), (_, b) in zip(got.per_scale, want.per_scale)]
-        for a, b in pairs:
+    alone."""
+    assert_results_match(stacked, [evaluate(field) for field in fields], rel)
+
+
+def assert_results_match(got, want, rel: float) -> None:
+    """Two lists of results: values equal (rel = 0) or within rel, shares
+    likewise, flags equal."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.flag == b.flag
+        assert [k for k, _ in a.per_scale] == [k for k, _ in b.per_scale]
+        pairs = [(a.value, b.value)] + [
+            (x, y) for (_, x), (_, y) in zip(a.per_scale, b.per_scale)]
+        for x, y in pairs:
             if rel == 0.0:
-                assert a == b
+                assert x == y
             else:
-                assert a == pytest.approx(b, rel=rel)
+                assert x == pytest.approx(y, rel=rel)
 
 
 class TestStackedQuasinorms:
@@ -1131,13 +1135,13 @@ class TestStackedQuasinorms:
         assert_rows_match(quasinorm(fields, cid, params, quad), fields,
                           lambda f: quasinorm(f, cid, params, quad), rel)
 
-    @pytest.mark.parametrize("stack_points", [None, 5 * 1024], ids=["one-stack", "stacks-of-5"])
+    @pytest.mark.parametrize("work_bytes", [None, 8 * 5 * 1024], ids=["one-stack", "stacks-of-5"])
     @pytest.mark.parametrize("cid", ["lp", "max:V"])
-    def test_t4_corpus_bit_identical(self, monkeypatch, cid, stack_points):
+    def test_t4_corpus_bit_identical(self, monkeypatch, cid, work_bytes):
         # the 2-D n=32 corpus of a T4 experiment, as one stack and as stacks
         # of 5, 5 and 2 fields
-        if stack_points is not None:
-            monkeypatch.setattr(quasinorms, "_FIELD_STACK_POINTS", stack_points)
+        if work_bytes is not None:
+            monkeypatch.setattr("lplab.fields.WORK_BYTES", work_bytes)
         grid = GridSpec(2, 32)
         fields = projected_corpus(grid)
         params = SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5)
@@ -1146,8 +1150,8 @@ class TestStackedQuasinorms:
 
     def test_five_variants_3d_across_stacks(self, monkeypatch):
         # at 3-D n=16 a stack of three fields spans two field stacks of two
-        # and scans of two fields; every variant stays bit for bit
-        monkeypatch.setattr(quasinorms, "_FIELD_STACK_POINTS", 2 * 16**3)
+        # and one-field scans; every variant stays bit for bit
+        monkeypatch.setattr("lplab.fields.WORK_BYTES", 8 * 2 * 16**3)
         grid = GridSpec(3, 16)
         fields = [random_complex_field(grid, seed) for seed in range(3)]
         params = SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5)
@@ -1159,6 +1163,32 @@ class TestStackedQuasinorms:
                 assert got[variant].value == want[variant].value, variant
                 assert got[variant].flag == want[variant].flag
         assert len(stacked) == len(fields)
+
+    @pytest.mark.parametrize("p", [2, 1])
+    @pytest.mark.parametrize("cid", ["lp", "diff", "gagliardo", "axis"])
+    def test_one_item_budget(self, monkeypatch, cid, p):
+        # a one-byte budget sizes every chunk and stack to one item: one
+        # field per stack and one step per norm chunk; 2-D n=32 is the
+        # smallest grid with the three bands lp needs
+        fields = projected_corpus(GridSpec(2, 32))[:3]
+        params = SpaceParams(s=0.5, p=p, q=2)
+        want = quasinorm(fields, cid, params)
+        monkeypatch.setattr("lplab.fields.WORK_BYTES", 1)
+        assert_results_match(quasinorm(fields, cid, params), want, 1e-12)
+
+    def test_one_item_budget_maximal(self, monkeypatch):
+        # one mean node per chunk, one step per maximum chunk, one field per
+        # scan and one block pair per product, for all five variants
+        grid = GridSpec(2, 16)
+        fields = [field_of_kind(grid, kind) for kind in ("noise", "gaussian", "modulated")]
+        params = SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5)
+        quad = default_quadrature(grid)
+        want = maximal_quasinorm_set(fields, params, MAXIMAL_VARIANTS, quad)
+        monkeypatch.setattr("lplab.fields.WORK_BYTES", 1)
+        got = maximal_quasinorm_set(fields, params, MAXIMAL_VARIANTS, quad)
+        for variant in MAXIMAL_VARIANTS:
+            assert_results_match([row[variant] for row in got],
+                                 [row[variant] for row in want], 1e-12)
 
     @pytest.mark.parametrize("cid, params, rel", [
         ("diff", SpaceParams(s=0.5, p=1, q=1), 0.0),
