@@ -13,6 +13,7 @@ multipliers depend only on the grid, so each is built once for them all.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from .errors import (
     BandRangeEmpty,
     EmptyDecomposition,
     GridMismatch,
+    NonFiniteSample,
     RangeTooNarrow,
     UnresolvedEnergy,
 )
@@ -30,11 +32,8 @@ from .fields import (
     COMPLEX,
     GridSpec,
     SampledField,
-    SpectralField,
     resolvable_band_range,
     stable_sum,
-    to_sampled,
-    to_spectral,
 )
 
 # Largest relative spectral energy a decomposition may leave unrepresented.
@@ -110,8 +109,8 @@ def band_project(field: SampledField, system: DyadicBandSystem, j: int) -> Sampl
         raise GridMismatch("field and band system live on different grids")
     if j < system.j_min or j > system.j_max:
         raise BandOutOfRange(f"band {j} outside [{system.j_min}, {system.j_max}]")
-    spec = to_spectral(field)
-    return to_sampled(SpectralField(field.grid, spec.coeffs * system.band_multiplier(j)))
+    return SampledField(field.grid,
+                        np.fft.ifftn(np.fft.fftn(field.data) * system.band_multiplier(j)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,11 +168,13 @@ def decompose(
     lowpass_multiplier = None if homogeneous else system.lowpass_multiplier()
     out = []
     for f in fields:
-        spec = to_spectral(f)
+        spectrum = np.fft.fftn(f.data)
         # the fraction is scale-invariant, so square the coefficients over
         # their largest component, where no square can overflow
-        peak = float(np.abs(spec.coeffs.view(np.float64)).max())
-        power = np.abs(spec.coeffs / peak if peak > 0.0 else spec.coeffs) ** 2
+        peak = float(np.abs(spectrum.view(np.float64)).max())
+        if not math.isfinite(peak):
+            raise NonFiniteSample("spectrum overflows: the samples are too large")
+        power = np.abs(spectrum / peak if peak > 0.0 else spectrum) ** 2
         if homogeneous:
             total = stable_sum(power[nonzero])
             outside = nonzero & ((radii < lo_edge) | (radii >= hi_edge))
@@ -184,7 +185,7 @@ def decompose(
                     f"{fraction:.3e} of the nonzero-frequency energy lies outside "
                     f"[{lo_edge:g}, {hi_edge:g}); tolerance {_UNRESOLVED_TOL:g}"
                 )
-            coeffs = np.where(nonzero, spec.coeffs, 0.0 + 0.0j)
+            spectrum = np.where(nonzero, spectrum, 0.0 + 0.0j)
             lowpass = None
         else:
             total = stable_sum(power)
@@ -196,9 +197,8 @@ def decompose(
                     f"{fraction:.3e} of the energy lies above |xi| = {hi_edge:g}; "
                     f"tolerance {_UNRESOLVED_TOL:g}"
                 )
-            coeffs = spec.coeffs
-            lowpass = to_sampled(SpectralField(grid, coeffs * lowpass_multiplier))
-        bands = tuple((j, to_sampled(SpectralField(grid, coeffs * multiplier)))
+            lowpass = SampledField(grid, np.fft.ifftn(spectrum * lowpass_multiplier))
+        bands = tuple((j, SampledField(grid, np.fft.ifftn(spectrum * multiplier)))
                       for j, multiplier in multipliers)
         out.append(BandDecomposition(
             system=system,

@@ -47,19 +47,6 @@ ALIGNMENT_TOL = 1e-9
 _SERIAL_GEMM = 1_000_000
 
 
-def difference_coefficients(order: int) -> np.ndarray:
-    """Weights d_j with sign (-1)^(L+1) diff(f,h,L)(x) = sum_j d_j f(x+jh) - f(x).
-
-    d_j = (-1)^(j+1) binom(L, j) for j = 1..L; the weights always sum to 1.
-    """
-    if order < 1:
-        raise InvalidExponent(f"difference order must be >= 1, got {order}")
-    return np.array(
-        [(-1) ** (j + 1) * math.comb(order, j) for j in range(1, order + 1)],
-        dtype=np.int64,
-    )
-
-
 def _lattice_steps(grid: GridSpec, step: tuple[float, ...]) -> tuple[int, ...]:
     out = []
     for a, h in enumerate(step):

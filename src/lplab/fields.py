@@ -2,13 +2,13 @@
 
 A field lives on the torus [0, B)^dim sampled at N points per axis.  The
 frequency lattice is the integer lattice k in [-N/2, N/2)^dim with physical
-frequency xi = k / B cycles per unit length.  The forward transform follows
-the convention
-
-    F f(xi) = integral f(x) exp(-2 pi i x.xi) dx,
-
-realized on the grid as the DFT scaled by the cell volume, so spectral
-coefficients approximate the continuum transform.
+frequency xi = k / B cycles per unit length.  The package has one transform
+convention, numpy's unnormalized DFT: a spectrum is `np.fft.fftn` of the
+samples and `np.fft.ifftn` inverts it, so coefficient k is (N/B)^dim times
+integral over the box of f(x) exp(-2 pi i x.xi) dx for the trigonometric
+interpolant f of the samples.  Every spectral quantity that reaches a result
+is a multiplier applied between the two transforms or a ratio of spectral
+magnitudes, so no result depends on that factor.
 """
 
 from __future__ import annotations
@@ -145,36 +145,6 @@ class SampledField:
         object.__setattr__(self, "data", arr)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralField:
-    """Spectral coefficients in numpy FFT order on the integer lattice."""
-
-    grid: GridSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=COMPLEX)
-        if arr.shape != self.grid.shape:
-            raise ShapeMismatch(
-                f"coefficient shape {arr.shape} does not match grid shape {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise NonFiniteSample("spectral coefficients contain NaN or infinity")
-        object.__setattr__(self, "coeffs", arr)
-
-
-def to_spectral(field: SampledField) -> SpectralField:
-    """Forward transform; coefficients approximate integral f e^{-2pi i x.xi} dx."""
-    coeffs = np.fft.fftn(field.data) * field.grid.cell_volume
-    return SpectralField(field.grid, coeffs)
-
-
-def to_sampled(spectral: SpectralField) -> SampledField:
-    """Inverse transform matching :func:`to_spectral`."""
-    data = np.fft.ifftn(spectral.coeffs) / spectral.grid.cell_volume
-    return SampledField(spectral.grid, data)
-
-
 def stable_sum(values: np.ndarray) -> float:
     """Deterministic compensated sum in fixed lexicographic order.
 
@@ -196,15 +166,29 @@ def stable_sum(values: np.ndarray) -> float:
         return math.inf
 
 
+@np.errstate(over="ignore")  # callers check that the value is finite
+def lp_of_magnitudes(values: np.ndarray, grid: GridSpec, p: float) -> float:
+    """L^p quasinorm, with the cell-volume measure, of a nonnegative sample
+    array; p = inf gives the max.  inf where the value overflows."""
+    if math.isinf(p):
+        return float(values.max(initial=0.0))
+    try:
+        return float((stable_sum(values**p) * grid.cell_volume) ** (1.0 / p))
+    except OverflowError:  # a float power past the float range
+        return math.inf
+
+
 def lp_norm(field: SampledField, p: float) -> float:
-    """L^p quasinorm with the cell-volume measure; p = inf gives the max."""
+    """L^p quasinorm with the cell-volume measure; p = inf gives the max.
+
+    NonFiniteSample when the samples are finite but the norm overflows.
+    """
     if not (p > 0):
         raise InvalidExponent(f"p must be positive, got {p}")
-    mag = np.abs(field.data)
-    if math.isinf(p):
-        return float(np.max(mag))
-    total = stable_sum(mag**p) * field.grid.cell_volume
-    return float(total ** (1.0 / p))
+    value = lp_of_magnitudes(np.abs(field.data), field.grid, p)
+    if not math.isfinite(value):
+        raise NonFiniteSample(f"L^{p:g} norm overflows: the samples are too large")
+    return value
 
 
 def derivative(field: SampledField, orders: tuple[int, ...]) -> SampledField:
@@ -212,14 +196,13 @@ def derivative(field: SampledField, orders: tuple[int, ...]) -> SampledField:
     grid = field.grid
     if len(orders) != grid.dim:
         raise ShapeMismatch(f"orders has {len(orders)} components, grid dim {grid.dim}")
-    spec = to_spectral(field)
     mult = np.ones(grid.shape, dtype=COMPLEX)
     for a, kk in enumerate(grid.frequency_lattice()):
         if orders[a] < 0:
             raise InvalidExponent(f"derivative order must be >= 0, got {orders[a]}")
         if orders[a]:
             mult = mult * (2j * np.pi * kk.astype(np.float64) / grid.box) ** orders[a]
-    return to_sampled(SpectralField(grid, spec.coeffs * mult))
+    return SampledField(grid, np.fft.ifftn(np.fft.fftn(field.data) * mult))
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +323,9 @@ def sample_family(spec: TestFunctionSpec, grid: GridSpec) -> SampledField:
             )
         rng = np.random.default_rng(spec.seed)
         noise = rng.standard_normal(grid.shape)
-        coeffs = np.fft.fftn(noise) * grid.cell_volume
         radii = grid.frequency_radii()
         annulus = (radii >= 2.0 ** (spec.band_index - 1)) & (radii < 2.0 ** (spec.band_index + 1))
-        coeffs = np.where(annulus, coeffs, 0.0)
-        data = to_sampled(SpectralField(grid, coeffs)).data.real
+        data = np.fft.ifftn(np.where(annulus, np.fft.fftn(noise), 0.0)).real
         peak = float(np.max(np.abs(data)))
         if peak == 0.0:
             raise UnresolvableSpec("annulus holds no lattice frequencies")

@@ -339,24 +339,9 @@ def unit_sphere_nodes(dim: int, count: int) -> np.ndarray:
     raise DimensionTooLow(f"no sphere nodes for dim {dim}")
 
 
-def annulus_nodes(dim: int, sphere_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Volume-quadrature nodes for the shell {1 <= |z| < 2}: sphere_count
-    directions on each radius of :func:`annulus_radii`.
-
-    Returns (points, weights); weights sum to 1 so weighting realizes the
-    volume average over the shell.
-    """
-    sphere = unit_sphere_nodes(dim, sphere_count)
-    radii = annulus_radii()
-    radial_w = radii**dim  # volume density against d(log rho)
-    points = (radii[:, None, None] * sphere[None, :, :]).reshape(-1, dim)
-    weights = np.repeat(radial_w, sphere.shape[0])
-    return points, weights / weights.sum()
-
-
 def annulus_radii() -> np.ndarray:
-    """The 8 log-spaced shell radii 2^((j + 1/2) / 8) used by
-    :func:`annulus_nodes`."""
+    """The 8 log-spaced radii 2^((j + 1/2) / 8) of the sphere means that
+    make up a shell mean over {1 <= |z| < 2}."""
     return 2.0 ** ((np.arange(_ANNULUS_RADII) + 0.5) / _ANNULUS_RADII)
 
 
@@ -428,11 +413,10 @@ def annulus_mean_max(
     the two ladders in that order), as in :func:`sphere_mean_max`.
 
     The shell mean at t is sum_j w_j M(t r_j): M(rho) the sphere mean at
-    radius rho, and r_j and w_j the radii and radial weights of
-    :func:`annulus_nodes`, r_j = 2^((j + 1/2) / 8) and
-    w_j = r_j^dim / sum r^dim.  The shell and sphere means are formed in
-    one walk over their radii, so a radius that several of them use gets
-    one sphere-mean symbol.  A sequence of fields gives one stack of rows
+    radius rho, r_j = 2^((j + 1/2) / 8) the radii of :func:`annulus_radii`
+    and w_j = r_j^dim / sum r^dim their volume weights.  The shell and
+    sphere means are formed in one walk over their radii, so a radius that
+    several of them use gets one sphere-mean symbol.  A sequence of fields gives one stack of rows
     per field, as in :func:`sphere_mean_max`, from one scan per family.
     """
     return _mean_max(field, ladder, spheres, r, order, sphere_count, engine, pieces)

@@ -48,9 +48,9 @@ from .fields import (
     GridSpec,
     SampledField,
     lp_norm,
+    lp_of_magnitudes,
     per_chunk,
     resolvable_band_range,
-    stable_sum,
 )
 from .maximal import (
     Scale,
@@ -452,14 +452,6 @@ def _result(value: float, masses: dict[int, float], params: SpaceParams,
                            _flag_for(report))
 
 
-@np.errstate(over="ignore")  # finish raises NonFiniteSample
-def _lp_of_array(values: np.ndarray, grid: GridSpec, p: float) -> float:
-    """L^p norm of a nonnegative sample array."""
-    if p == math.inf:
-        return float(values.max(initial=0.0))
-    return float((stable_sum(values**p) * grid.cell_volume) ** (1.0 / p))
-
-
 def _check_finite(*values: float) -> None:
     if not all(map(math.isfinite, values)):
         raise NonFiniteSample("quasinorm aggregate overflows: the samples are too large")
@@ -472,7 +464,7 @@ class _ScaleAggregator:
     factor) tagged with a shell/band index k and a quadrature weight w; for
     the F scale the aggregate is ||(sum w g^q)^(1/q)||_p, for the B scale
     (sum w ||g||_p^q)^(1/q), with maxima replacing sums when q = inf.
-    Where only the norms ||g||_p enter, feed them with `add_norm`.
+    Where only the norms ||g||_p enter, feed them with `add_norms`.
     """
 
     def __init__(self, grid: GridSpec, params: SpaceParams):
@@ -494,27 +486,17 @@ class _ScaleAggregator:
                 slot = self.fields.setdefault(k, np.zeros(self.grid.shape))
                 slot += g
         else:
-            self.add_norm(k, _lp_of_array(magnitudes, self.grid, p), weight)
+            norm = lp_of_magnitudes(magnitudes, self.grid, p)
+            self.add_norms(k, np.array([norm]), np.array([weight]))
 
-    def add_norm(self, k: int, norm: float, weight: float = 1.0) -> None:
-        """Feed ||g||_p of one magnitude array g instead of g itself.
+    @np.errstate(over="ignore")  # finish raises NonFiniteSample
+    def add_norms(self, k: int, norms: np.ndarray, weights: np.ndarray) -> None:
+        """Feed the norms ||g||_p of a row of magnitude arrays g, with their
+        weights, instead of the arrays themselves.
 
         These are the B-scale sums; at p = q = 2 they are the F-scale ones
         too, since ||(sum w g^2)^(1/2)||_2^2 = sum w ||g||_2^2.
         """
-        if self.params.q == math.inf:
-            self.scalars[k] = max(self.scalars.get(k, 0.0), norm)
-        else:
-            try:
-                power = float(norm) ** self.params.q
-            except OverflowError:  # finish raises NonFiniteSample
-                power = math.inf
-            self.scalars[k] = self.scalars.get(k, 0.0) + weight * power
-
-    @np.errstate(over="ignore")  # finish raises NonFiniteSample
-    def add_norms(self, k: int, norms: np.ndarray, weights: np.ndarray) -> None:
-        """add_norm for a row of norms and their weights, in one numpy
-        operation."""
         if self.params.q == math.inf:
             self.scalars[k] = max(self.scalars.get(k, 0.0), float(norms.max()))
         else:
@@ -533,15 +515,15 @@ class _ScaleAggregator:
                 pooled = np.zeros(self.grid.shape)
                 for g in self.fields.values():
                     np.maximum(pooled, g, out=pooled)
-                value = _lp_of_array(pooled, self.grid, p)
-                masses = {k: _lp_of_array(g, self.grid, p) for k, g in self.fields.items()}
+                value = lp_of_magnitudes(pooled, self.grid, p)
+                masses = {k: lp_of_magnitudes(g, self.grid, p) for k, g in self.fields.items()}
                 return value, masses
             pooled = np.zeros(self.grid.shape)
             for g in self.fields.values():
                 pooled += g
-            value = _lp_of_array(pooled ** (1.0 / q), self.grid, p)
+            value = lp_of_magnitudes(pooled ** (1.0 / q), self.grid, p)
             masses = {
-                k: _lp_of_array(g ** (1.0 / q), self.grid, p) ** q
+                k: lp_of_magnitudes(g ** (1.0 / q), self.grid, p) ** q
                 for k, g in self.fields.items()
             }
             return value, masses

@@ -44,7 +44,6 @@ from .fields import (
     lp_norm,
     resolvable_band_range,
     sample_family,
-    to_spectral,
 )
 from .quasinorms import (
     QuadratureSpec,
@@ -391,8 +390,7 @@ def ppn_probe(
     if not t_list:
         raise UnresolvableSpec("need at least one spectrum radius")
     t0 = float(t_list[0])
-    spec = to_spectral(u)
-    mags = np.abs(spec.coeffs)
+    mags = np.abs(np.fft.fftn(u.data))
     support = mags > 1e-13 * mags.max()
     radius = float(grid.frequency_radii()[support].max(initial=0.0))
     if radius > t0 * (1.0 + 1e-9):

@@ -1,11 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from lplab import maximal, quasinorms
 from lplab.differences import StepEngine
-from lplab.fields import GridSpec, SampledField, SpectralField, lp_norm, to_sampled, to_spectral
+from lplab.errors import InvalidExponent
+from lplab.fields import GridSpec, SampledField, lp_norm
+from lplab.maximal import annulus_radii, unit_sphere_nodes
 
 
 @pytest.fixture
@@ -63,8 +66,36 @@ def translate(field: SampledField, shift) -> SampledField:
     assert len(shift) == grid.dim
     phase = sum(kk.astype(np.float64) * (h / grid.box)
                 for kk, h in zip(grid.frequency_lattice(), shift))
-    coeffs = to_spectral(field).coeffs * np.exp(2j * np.pi * phase)
-    return to_sampled(SpectralField(grid, coeffs))
+    return SampledField(grid, np.fft.ifftn(np.fft.fftn(field.data) * np.exp(2j * np.pi * phase)))
+
+
+def difference_coefficients(order: int) -> np.ndarray:
+    """Weights d_j with sign (-1)^(L+1) diff(f,h,L)(x) = sum_j d_j f(x+jh) - f(x).
+
+    d_j = (-1)^(j+1) binom(L, j) for j = 1..L; the weights always sum to 1.
+    """
+    if order < 1:
+        raise InvalidExponent(f"difference order must be >= 1, got {order}")
+    return np.array(
+        [(-1) ** (j + 1) * math.comb(order, j) for j in range(1, order + 1)],
+        dtype=np.int64,
+    )
+
+
+def annulus_nodes(dim: int, sphere_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Volume-quadrature nodes for the shell {1 <= |z| < 2}, the oracle of
+    the maximal layer's shell means: sphere_count directions on each radius
+    of `annulus_radii`.
+
+    Returns (points, weights); weights sum to 1 so weighting realizes the
+    volume average over the shell.
+    """
+    sphere = unit_sphere_nodes(dim, sphere_count)
+    radii = annulus_radii()
+    radial_w = radii**dim  # volume density against d(log rho)
+    points = (radii[:, None, None] * sphere[None, :, :]).reshape(-1, dim)
+    weights = np.repeat(radial_w, sphere.shape[0])
+    return points, weights / weights.sum()
 
 
 class TranslateSteps:

@@ -11,7 +11,7 @@ import numpy as np
 
 from lplab.bands import band_project, build_band_system, decompose, reconstruct
 from lplab.cli import main as cli_main
-from lplab.differences import difference_coefficients, iterated_difference
+from lplab.differences import iterated_difference
 from lplab.fields import (
     GridSpec,
     SampledField,
@@ -36,6 +36,8 @@ from lplab.verify import (
     scaling_experiment,
     slice_support_check,
 )
+
+from conftest import difference_coefficients
 
 GRID_1D = GridSpec(1, 256, 1.0)
 GRID_1D_BIG = GridSpec(1, 512, 1.0)

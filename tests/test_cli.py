@@ -25,6 +25,18 @@ def run(tmp_path, *argv):
     return code, out
 
 
+def run_fresh(tmp_path, *argv):
+    """Invoke the CLI in a fresh interpreter, so stderr holds every warning,
+    with artifacts under tmp_path / "out"; return the finished process."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run(
+        [sys.executable, "-m", "lplab.cli", *argv, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
 def read_summary(out_dir, name):
     with open(out_dir / f"{name}_summary.json", "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -274,18 +286,28 @@ class TestExitCodes:
         # instead of the typed error
         path = tmp_path / "big.bin"
         (scale * np.random.default_rng(8).standard_normal((n, n))).tofile(path)
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run(
-            [sys.executable, "-m", "lplab.cli", "norm", *argv, "--grid-dim", "2",
-             "--grid-n", str(n), "--in", str(path), "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
+        done = run_fresh(tmp_path, "norm", *argv, "--grid-dim", "2", "--grid-n", str(n),
+                         "--in", str(path))
         assert done.returncode == 1
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("computation error: "), done.stderr
         assert (tmp_path / "out" / "error_summary.json").exists()
+
+    def test_bands_overflow_prints_only_the_error_line(self, tmp_path):
+        # the bands of samples near 1e160 are finite and their L^2 norms are
+        # not: this used to print a numpy RuntimeWarning, write `inf,OK`
+        # rows and exit 0
+        path = tmp_path / "big.bin"
+        band = TestFunctionSpec(family="random_band", band_index=2, seed=4)
+        (1e160 * sample_family(band, GridSpec(2, 32)).data.real).tofile(path)
+        done = run_fresh(tmp_path, "bands", "--grid-dim", "2", "--grid-n", "32", "--in", str(path))
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert lines[0].startswith("computation error: NonFiniteSample: ")
+        assert not (tmp_path / "out" / "bands.csv").exists()
+        with open(tmp_path / "out" / "error_summary.json", "r", encoding="utf-8") as fh:
+            assert json.load(fh)["error"]["type"] == "NonFiniteSample"
 
 
 class TestEquivalenceCommand:

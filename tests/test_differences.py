@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lplab.differences import StepEngine, difference_coefficients, iterated_difference
+from lplab.differences import StepEngine, iterated_difference
 from lplab.errors import InvalidExponent, MisalignedStep, ShapeMismatch
 from lplab.fields import GridSpec, SampledField
-from lplab.maximal import annulus_mean_max, annulus_nodes, unit_sphere_nodes
+from lplab.maximal import annulus_mean_max, unit_sphere_nodes
 
 from conftest import (
+    annulus_nodes,
+    difference_coefficients,
     field_of_kind,
     full_grid_symbol,
     mean_magnitude,

@@ -1,7 +1,8 @@
-"""Core field tests: transforms, norms, sampling.
+"""Core field tests: grids, norms, derivatives, sampling.
 
-The transform oracle is a literal O(N^2) DFT sum written against the
-integral convention, independent of numpy's FFT plumbing.
+Spectra are numpy's unnormalized DFT; the family tests divide it by the
+point count, so on the unit box their bounds are on the continuum
+transform.
 """
 
 import math
@@ -19,39 +20,15 @@ from lplab.errors import (
 from lplab.fields import (
     GridSpec,
     SampledField,
-    SpectralField,
     TestFunctionSpec as FnSpec,
     derivative,
     lp_norm,
     resolvable_band_range,
     sample_family,
     stable_sum,
-    to_sampled,
-    to_spectral,
 )
 
 from conftest import random_complex_field, translate
-
-
-def direct_dft(field: SampledField) -> np.ndarray:
-    """Oracle: coeff[k] = sum_x f(x) exp(-2 pi i k.x / B) * cell_volume."""
-    grid = field.grid
-    ks = grid.frequency_integers()
-    out = np.zeros(grid.shape, dtype=complex)
-    x = grid.axis_coordinates()
-    if grid.dim == 1:
-        for i, k in enumerate(ks):
-            out[i] = np.sum(field.data * np.exp(-2j * np.pi * k * x / grid.box))
-    elif grid.dim == 2:
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        for i, k1 in enumerate(ks):
-            for j, k2 in enumerate(ks):
-                out[i, j] = np.sum(
-                    field.data * np.exp(-2j * np.pi * (k1 * xx + k2 * yy) / grid.box)
-                )
-    else:
-        raise NotImplementedError
-    return out * grid.cell_volume
 
 
 class TestGridSpec:
@@ -97,50 +74,6 @@ class TestFieldValidation:
         with pytest.raises(NonFiniteSample):
             SampledField(grid1d, data)
 
-    def test_spectral_shape(self, grid1d):
-        with pytest.raises(ShapeMismatch):
-            SpectralField(grid1d, np.zeros(5, dtype=complex))
-
-
-class TestTransforms:
-    def test_forward_matches_direct_dft_1d(self):
-        grid = GridSpec(dim=1, n=32)
-        f = random_complex_field(grid, seed=1)
-        got = to_spectral(f).coeffs
-        want = direct_dft(f)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    def test_forward_matches_direct_dft_2d(self):
-        grid = GridSpec(dim=2, n=8, box=0.5)
-        f = random_complex_field(grid, seed=2)
-        got = to_spectral(f).coeffs
-        want = direct_dft(f)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    def test_roundtrip(self, grid1d_big):
-        f = random_complex_field(grid1d_big, seed=3)
-        back = to_sampled(to_spectral(f))
-        assert np.max(np.abs(back.data - f.data)) <= 1e-12 * np.max(np.abs(f.data))
-
-    def test_parseval(self, grid2d):
-        # Riemann-sum energy against spectral energy under the 1/B^dim
-        # normalization
-        f = random_complex_field(grid2d, seed=4)
-        e_x = stable_sum(np.abs(f.data) ** 2) * grid2d.cell_volume
-        e_k = stable_sum(np.abs(to_spectral(f).coeffs) ** 2) / grid2d.box**grid2d.dim
-        assert abs(e_x - e_k) <= 1e-10 * e_x
-
-    def test_pure_mode_coefficient(self):
-        # f(x) = exp(2 pi i 3 x) on the unit box has coefficient 1 at k=3
-        grid = GridSpec(dim=1, n=64)
-        x = grid.axis_coordinates()
-        f = SampledField(grid, np.exp(2j * np.pi * 3 * x))
-        coeffs = to_spectral(f).coeffs
-        k = grid.frequency_integers()
-        assert coeffs[k == 3][0] == pytest.approx(1.0, abs=1e-12)
-        other = coeffs[k != 3]
-        assert np.max(np.abs(other)) <= 1e-12
-
 
 class TestNorms:
     def test_gaussian_l2_closed_form(self):
@@ -158,6 +91,15 @@ class TestNorms:
         f = random_complex_field(grid1d)
         with pytest.raises(InvalidExponent):
             lp_norm(f, 0.0)
+
+    @pytest.mark.parametrize("grid,scale,p", [
+        (GridSpec(1, 64), 1e160, 2.0),  # the squares overflow
+        (GridSpec(1, 64, box=1e10), 1e300, 0.5),  # the final float power overflows
+    ], ids=["squares", "power"])
+    def test_overflow_raises(self, grid, scale, p):
+        f = SampledField(grid, np.full(grid.shape, scale))
+        with pytest.raises(NonFiniteSample, match="overflows"):
+            lp_norm(f, p)
 
     def test_stable_sum_matches_fsum(self):
         rng = np.random.default_rng(7)
@@ -220,7 +162,7 @@ class TestFamilies:
         grid = GridSpec(dim=1, n=1024)
         f = sample_family(FnSpec("random_band", band_index=3, seed=1), grid)
         radii = grid.frequency_radii()
-        coeffs = to_spectral(f).coeffs
+        coeffs = np.fft.fftn(f.data) / grid.num_points
         outside = (radii < 4.0) | (radii >= 16.0)
         assert np.max(np.abs(coeffs[outside])) <= 1e-12 * np.max(np.abs(coeffs))
         assert not np.any(f.data.imag)
@@ -239,7 +181,7 @@ class TestFamilies:
         f = sample_family(
             FnSpec("modulated_gaussian", width=0.05, modulation=(40,)), grid
         )
-        coeffs = np.abs(to_spectral(f).coeffs)
+        coeffs = np.abs(np.fft.fftn(f.data)) / grid.num_points
         k = grid.frequency_integers()
         assert k[np.argmax(coeffs)] == 40
 
@@ -254,7 +196,7 @@ class TestFamilies:
         spec = FnSpec("weierstrass", ratio_a=0.5, ratio_b=3, terms=8)
         # 3^k <= 511 holds for k <= 5, so six of the eight terms materialize
         f = sample_family(spec, grid)
-        coeffs = np.abs(to_spectral(f).coeffs)
+        coeffs = np.abs(np.fft.fftn(f.data)) / grid.num_points
         k = grid.frequency_integers()
         for power in range(6):
             assert coeffs[k == 3**power][0] > 0.2 * 0.5**power

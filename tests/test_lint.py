@@ -69,3 +69,58 @@ def test_stale_constant_detected():
     sources = ["_KEPT = 1\n# within _KEPT and _GONE, not S_SUP or self._X\n",
                '"""Sized by _ALSO_GONE."""\nx = _KEPT\n']
     assert stale_constants(sources) == ["_ALSO_GONE", "_GONE"]
+
+
+def public_definitions(source: str) -> set[str]:
+    """The public functions and classes a module defines at top level."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def references(source: str) -> set[str]:
+    """The names a module reads, the attributes it takes and the names it
+    imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def traced_functions(source: str) -> set[str]:
+    """The function names of the TRACED table of the benchmark's tracer."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            return {name for _, names in ast.literal_eval(node.value).values()
+                    for name in names}
+    raise AssertionError("no TRACED table")
+
+
+def unused_public_api(package: list[str], users: list[str], kept: set[str]) -> list[str]:
+    """The public functions and classes of package that no module of
+    package or users refers to and that are not in kept."""
+    defined = set().union(*map(public_definitions, package))
+    used = set().union(*map(references, package + users))
+    return sorted(defined - used - kept)
+
+
+def test_no_unused_public_api():
+    # the demos and the benchmark's tracer are the package's other callers
+    package = [p.read_text(encoding="utf-8") for p in PACKAGE]
+    demos = [p.read_text(encoding="utf-8") for p in sorted((REPO / "demos").glob("*.py"))]
+    kept = traced_functions((REPO / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    assert {"sphere_mean_max", "iterated_difference"} <= kept
+    assert unused_public_api(package, demos, kept) == []
+
+
+def test_unused_public_api_detected():
+    package = ["def used():\n    pass\n\n\nclass Idle:\n    pass\n\n\ndef _private():\n    pass\n",
+               "from .a import used\n\n\ndef kept():\n    used()\n\n\ndef spare():\n    pass\n"]
+    users = ["import m\nm.Shown()\n", "class Shown:\n    pass\n"]
+    assert unused_public_api(package, users, {"kept"}) == ["Idle", "spare"]

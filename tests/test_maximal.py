@@ -16,7 +16,6 @@ from lplab.fields import GridSpec, SampledField, sample_family
 from lplab.maximal import (
     Scale,
     annulus_mean_max,
-    annulus_nodes,
     annulus_radii,
     hardy_littlewood_max,
     peetre_max,
@@ -33,7 +32,7 @@ from lplab.quasinorms import (
 )
 from lplab.verify import default_corpus, equivalence_experiment
 
-from conftest import mean_magnitude, random_complex_field
+from conftest import annulus_nodes, mean_magnitude, random_complex_field
 
 
 def brute_weighted_sup(mag, grid, scale, exponent):

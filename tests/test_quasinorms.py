@@ -779,7 +779,7 @@ class TestAntipodalFold:
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, math.inf])
     def test_row_of_norms_matches_one_at_a_time(self, q):
-        # the row form sums in another order than one add_norm per norm
+        # the row form sums in another order than one one-norm row per norm
         rng = np.random.default_rng(58)
         params = SpaceParams(s=0.5, p=2, q=q, scale="B")
         row = quasinorms._ScaleAggregator(GridSpec(1, 64), params)
@@ -787,8 +787,8 @@ class TestAntipodalFold:
         for k in (1, 1, 2, 3):
             norms, weights = rng.random(33) * 10.0, rng.random(33)
             row.add_norms(k, norms, weights)
-            for norm, weight in zip(norms.tolist(), weights.tolist()):
-                loop.add_norm(k, norm, weight)
+            for norm, weight in zip(norms, weights):
+                loop.add_norms(k, np.array([norm]), np.array([weight]))
         (value, masses), (want, want_masses) = row.finish(), loop.finish()
         assert value == pytest.approx(want, rel=1e-14)
         assert masses == pytest.approx(want_masses, rel=1e-14)
