@@ -168,7 +168,8 @@ def decompose(
     lowpass_multiplier = None if homogeneous else system.lowpass_multiplier()
     out = []
     for f in fields:
-        spectrum = np.fft.fftn(f.data)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            spectrum = np.fft.fftn(f.data)
         # the fraction is scale-invariant, so square the coefficients over
         # their largest component, where no square can overflow
         peak = float(np.abs(spectrum.view(np.float64)).max())

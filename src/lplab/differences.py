@@ -124,7 +124,8 @@ class StepEngine:
         self._axes = tuple(range(-self.grid.dim, 0))
         self._k = self.grid.frequency_integers().astype(np.float64)
         self._fold = np.abs(self.grid.frequency_integers())  # the |k| of each k
-        self._coeffs = np.fft.fftn(data, axes=self._axes)
+        with np.errstate(over="ignore", invalid="ignore"):  # the uses check finiteness
+            self._coeffs = np.fft.fftn(data, axes=self._axes)
         self._power = None
         self.forward_ffts = 1
         self.steps = 0

@@ -8,19 +8,22 @@ zero-offset term.  The weighted supremum
 
 is evaluated exactly, as the max over the same float products as a scan of
 every offset.  The grid is tiled into blocks of 4 points per axis (the
-whole axis when it is shorter).  A (target block, source block) pair is
-evaluated only when the largest u in the source block times the largest
-weight between the two blocks can beat the smallest value reached so far
-in the target block, and the scan ends once no pair can.  Its work grows
-with the surviving pairs, not with the square of the point count.
+whole axis when it is shorter).  The block offsets are visited in rings,
+runs of offsets whose blocks are equally near, nearest first.  As a ring
+starts, it reads the smallest value reached so far in each target block
+from the maxima themselves; a (target block, source block) pair of the
+ring is evaluated only when the largest u in the source block times the
+largest weight between the two blocks can beat that value, and the scan
+ends once no pair can.  Its work grows with the surviving pairs, not with
+the square of the point count.
 
 Suprema on one grid with one exponent run as a stacked scan, each field
-with its own weight scale: all fields visit the block offsets in one
-order, so the numpy calls that pick each offset's live pairs and update
-the maxima serve the whole stack.  Where only the max over runs of fields
-is read, the runs ("pieces") each keep one maximum and one floor for the
-whole call, whatever stacks their fields fall in: a piece's later fields
-skip every pair its earlier fields have already beaten.
+with its own weight scale: all fields visit the rings together, so the
+numpy calls that pick a ring's live pairs, form their products and
+scatter them into the maxima serve the whole stack.  Where only the max
+over runs of fields is read, the runs ("pieces") each keep one maximum
+for the whole call, whatever stacks their fields fall in: a piece's later
+fields skip every pair its earlier fields have already beaten.
 
 The mean-difference forms take a ladder of scales and return the maximal
 fields of its scales, or of its pieces, from one such call.  A shell mean
@@ -67,15 +70,21 @@ class _BlockScan:
     u[S b + c_s] P[delta][c_s, c_t].  Float products are monotone in each
     nonnegative factor, so max(u on S) * max(P[delta]) bounds every product
     of the pair; a pair is evaluated only while that bound exceeds the
-    floor of its piece on T, the current minimum of the piece's maximum
-    there.  All fields of a stack visit delta in one order, by the least
-    offset radius of the patch, and a field has no pair left once max(u)
-    times the largest patch max still to come cannot beat the minimum of
-    its piece's floor; the stack ends when no field has one.  Every
-    skipped product is at most a value already reached, so each piece is
-    the max over the same products as full scans of its fields.  The
-    output and floors belong to the whole call, so a piece's fields in a
-    later stack start from the values its earlier ones reached.  Each
+    floor of its piece on T, the minimum of the piece's maximum there.
+
+    All fields of a stack visit delta in rings: runs of offsets with the
+    same least offset radius of the patch, in increasing order of it.  A
+    ring reads its floors from the blocked maxima as it starts and keeps
+    them to its end, and a field has no pair left once max(u) times the
+    largest patch max still to come cannot beat the minimum of its piece's
+    floor; the stack ends when no field has one.  A ring runs in batches
+    of offsets whose patches, for every field, fit the working-set budget;
+    a batch's live pairs form their products in chunks, each maxed into
+    the blocked maxima by one scatter, which also merges pairs that share a
+    target row.  Every skipped product is at most a value already reached,
+    so each piece is the max over the same products as full scans of its
+    fields.  The output belongs to the whole call, so a piece's fields in
+    a later stack start from the values its earlier ones reached.  Each
     piece's blocked maximum fills the memory its grid field takes, which
     `unblock` reorders in place.
     """
@@ -103,39 +112,37 @@ class _BlockScan:
             shape[1 + a] = shape[1 + dim + a] = b
             self.terms.append((axis_index * n ** (dim - 1 - a)).reshape(shape))
         # all fields visit delta by the least squared offset, in samples, of
-        # its patch
+        # its patch; a ring is one run of equal values
         near = np.minimum(axis_index, n - axis_index).min(axis=(1, 2)) ** 2
         least = sum(near.reshape((nb,) + (1,) * (dim - 1 - a)) for a in range(dim))
-        self.order = np.argsort(np.broadcast_to(least, (nb,) * dim).reshape(-1), kind="stable")
+        least = np.broadcast_to(least, (nb,) * dim).reshape(-1)
+        self.order = np.argsort(least, kind="stable")
+        starts = np.flatnonzero(np.diff(least[self.order])) + 1
+        self.rings = list(zip([0, *starts.tolist()], [*starts.tolist(), self.count]))
+        # the block coordinates of each delta, in visiting order
+        self.coords = np.indices((nb,) * dim).reshape(dim, -1).T[self.order]
         # per axis: (delta_a, T_a) -> (T_a - delta_a) mod nb, as a term of
         # the row of source block S in the stack's blocks, shaped to
-        # broadcast over (field, block axes) from the first block of each
-        # field
+        # broadcast over block axes
         shifted = (np.arange(nb)[None, :] - np.arange(nb)[:, None]) % nb
         self.sources = []
         for a in range(dim):
-            shape = [nb, 1] + [1] * dim
-            shape[2 + a] = nb
+            shape = [nb] + [1] * dim
+            shape[1 + a] = nb
             self.sources.append((shifted * nb ** (dim - 1 - a)).reshape(shape))
-        self.coords = np.indices((nb,) * dim).reshape(dim, -1).T.tolist()
-        # blocked layout of C-ordered fields: in-block position first, so
-        # reductions over it run across rows
-        self.to_blocks = tuple(range(2, 2 * dim + 1, 2)) + (0,) + tuple(range(1, 2 * dim, 2))
+        # blocked layout of C-ordered fields: one row per (field, block)
+        self.to_blocks = (0,) + tuple(range(1, 2 * dim, 2)) + tuple(range(2, 2 * dim + 1, 2))
         # (block, in-block position) axes of one piece's blocked maximum ->
         # grid order, (block axis, in-block axis) per axis
         self.from_blocks = tuple(a for axis in range(dim) for a in (axis, dim + axis))
-        # block pairs per numpy operation of the scan: a pair's products
-        self.chunk = per_chunk(8 * self.size * self.size)
 
-    def add(self, u: np.ndarray, scales: np.ndarray, rows: np.ndarray,
-            out: np.ndarray, floor: np.ndarray) -> int:
+    def add(self, u: np.ndarray, scales: np.ndarray, rows: np.ndarray, out: np.ndarray) -> int:
         """Maximize the sups of the stacked fields u[i], field i with weight
         scale scales[i], into pieces rows[i]; return the block pairs
         evaluated.
 
         out[p, T, c] is the maximum of piece p at in-block position c of
-        block T, and floor[p count + T] its minimum over c; both are
-        updated in place.
+        block T, updated in place.
         """
         dim, b, nb, count, size = self.grid.dim, self.b, self.nb, self.count, self.size
         depth = len(scales)
@@ -147,84 +154,58 @@ class _BlockScan:
         patch_max = tables
         for a in range(dim):
             patch_max = np.take(patch_max, self.window, axis=a + 1).max(axis=a + 2)
-        patch_max = patch_max.reshape(depth, count)
-        # cols[c, i count + T]: in-block position c of field i's block T
-        cols = u.reshape((depth,) + (nb, b) * dim).transpose(self.to_blocks)
-        cols = cols.reshape(size, depth * count)
-        block_max = cols.max(axis=0).reshape(depth, count)
-        # reach[step, i]: the most a product of field i can reach from that
-        # step of the order on, max(u) times the largest patch max to come;
-        # then patch_max[delta] as a (field, 1) column
-        order = self.order
-        still = np.maximum.accumulate(patch_max[:, order[::-1]], axis=1)[:, ::-1]
-        reach = (still * block_max.max(axis=1)[:, None]).T.copy()
-        patch_max = patch_max.T[:, :, None].copy()
-        first_block = np.arange(depth).reshape((depth,) + (1,) * dim) * count
+        patch_max = patch_max.reshape(depth, count)[:, self.order]
+        # blocks[i count + T, c]: in-block position c of field i's block T
+        blocks = u.reshape((depth,) + (nb, b) * dim).transpose(self.to_blocks)
+        blocks = blocks.reshape(depth * count, size)
+        block_max = blocks.max(axis=1)
+        # reach[i, step]: the most a product of field i can reach from that
+        # step of the order on, max(u) times the largest patch max to come
+        reach = np.maximum.accumulate(patch_max[:, ::-1], axis=1)[:, ::-1]
+        reach *= block_max.reshape(depth, count).max(axis=1)[:, None]
+        first_block = np.arange(depth).reshape((depth, 1) + (1,) * dim) * count
         tables = tables.reshape(depth, -1)
-        # target[i count + T]: the entry p count + T of floor, and the row
-        # of maxima, that field i's block T feeds
-        target = (rows[:, None] * count + np.arange(count)).reshape(-1)
-        maxima = out.reshape(-1, size)
-        shared = len(set(rows.tolist())) < depth  # some piece has several fields here
-        chunk = self.chunk
-        edges = np.arange(depth + 1) * count
-        # the gathered patches of one chunk of pairs, reused by every chunk
-        gathered = np.empty((chunk, size, size)) if depth > 2 else None
+        maxima = out.reshape(-1)
+        cells = np.arange(size)
+        fed = out[rows[0] : rows[-1] + 1]  # the pieces of this stack
+        # offsets per batch of a ring: their patches for every field
+        batch = per_chunk(8 * depth * size * size)
+        chunk = per_chunk(8 * size * size)  # pairs per product chunk
+        gathered = np.empty((chunk, size, size))  # one chunk's patches
         pairs = 0
-        for step, delta in enumerate(order.tolist()):
-            floors = floor.take(target).reshape(depth, count)
-            if (reach[step] <= floors.min(axis=1)).all():
+        for start, stop in self.rings:
+            floors = fed.min(axis=2).take(rows - rows[0], axis=0)
+            if (reach[:, start] <= floors.min(axis=1)).all():
                 break
-            shift = self.coords[delta]
-            source = sum((term[d] for term, d in zip(self.sources, shift)), first_block)
-            source = source.reshape(depth, count)
-            bound = block_max.take(source)
-            bound *= patch_max[delta]
-            live = np.flatnonzero(bound > floors)
-            if live.size == 0:
-                continue
-            index = sum(term[d] for term, d in zip(self.terms, shift)).reshape(size, size)
-            patches = tables.take(index, axis=1)
-            values = cols.take(source.take(live), axis=1)[:, None]
-            best = np.empty((size, live.size))
-            if depth > 2:
-                # each pair takes its field's patch, patches[i][c_s, c_t],
-                # gathered: one numpy operation per chunk whatever the
-                # fields.  On a 2-vCPU x86 VM the gather made the sups of the
-                # 2-D n = 32 five-variant call (stacks of 8) 14 % faster, and
-                # those of S,V at n = 64 (stacks of 2) 5 % slower.
-                fields = live // count
-                for lo in range(0, live.size, chunk):
-                    part = slice(lo, lo + chunk)
-                    products = patches.take(fields[part], axis=0, mode="clip",
-                                            out=gathered[: fields[part].size])
-                    products = products.transpose(1, 2, 0)
-                    np.multiply(values[:, :, part], products, out=products)
-                    products.max(axis=0, out=best[:, part])
-            else:
-                # live is sorted, so each field's pairs are one run of it,
-                # and the field's patch broadcasts over the run
-                bounds = np.searchsorted(live, edges).tolist() if depth > 1 else [0, live.size]
-                for i in range(depth):
-                    for lo in range(bounds[i], bounds[i + 1], chunk):
-                        part = slice(lo, min(lo + chunk, bounds[i + 1]))
-                        products = values[:, :, part] * patches[i][:, :, None]
-                        products.max(axis=0, out=best[:, part])
-            columns = target.take(live)
-            if shared:
-                # pairs of one piece's fields may share a target column: max
-                # them into one column each
-                by_column = np.argsort(columns, kind="stable")
-                columns = columns.take(by_column)
-                opens = np.ones(columns.size, dtype=bool)
-                np.not_equal(columns[1:], columns[:-1], out=opens[1:])
-                starts = np.flatnonzero(opens)
-                columns = columns.take(starts)
-                best = np.maximum.reduceat(best.take(by_column, axis=1), starts, axis=1)
-            np.maximum(best.T, maxima.take(columns, axis=0), out=best.T)
-            maxima[columns] = best.T
-            floor.put(columns, best.min(axis=0))
-            pairs += live.size
+            for lo in range(start, stop, batch):
+                hi = min(lo + batch, stop)
+                shifts = self.coords[lo:hi].T
+                # source[i, k, T]: the row of blocks that feeds field i's
+                # block T at offset lo + k; bound over the same axes
+                source = sum((term[d] for term, d in zip(self.sources, shifts)), first_block)
+                source = source.reshape(depth, hi - lo, count)
+                bound = block_max.take(source)
+                bound *= patch_max[:, lo:hi, None]
+                live = np.flatnonzero(bound > floors[:, None])
+                if live.size == 0:
+                    continue
+                # patches[i (hi - lo) + k]: field i's patch at offset lo + k,
+                # so pair live[j] takes patches[live[j] // count]
+                index = sum(term[d] for term, d in zip(self.terms, shifts))
+                patches = tables.take(index.reshape(-1, size, size), axis=1).reshape(-1, size, size)
+                which = live // count
+                # feeds[j]: where pair live[j]'s row, the piece of its field
+                # at its target block, starts in the flat maxima
+                feeds = (rows.take(which // (hi - lo)) * count + live % count)[:, None] * size
+                source = source.take(live)
+                for part in range(0, live.size, chunk):
+                    cut = slice(part, part + chunk)
+                    products = patches.take(which[cut], axis=0, mode="clip",
+                                            out=gathered[: which[cut].size])
+                    products *= blocks.take(source[cut], axis=0)[:, :, None]
+                    np.maximum.at(maxima, (feeds[cut] + cells).reshape(-1),
+                                  products.max(axis=1).reshape(-1))
+                pairs += live.size
         return pairs
 
     def unblock(self, out: np.ndarray) -> np.ndarray:
@@ -275,11 +256,10 @@ def weighted_offset_sup(
         labels = (runs + per_row * np.arange(math.prod(stack[:-1]))[:, None]).reshape(-1)
     scan = _BlockScan(grid, exponent)
     out = np.zeros((labels[-1] + 1 if labels.size else 0, scan.count, scan.size))
-    floor = np.zeros(len(out) * scan.count)
-    # fields per scan: a weight table and a blocked column per point
+    # fields per scan: a weight table and a blocked copy per field
     depth = per_chunk(16 * grid.num_points)
     for lo in range(0, len(scales), depth):
-        scan.add(u[lo : lo + depth], scales[lo : lo + depth], labels[lo : lo + depth], out, floor)
+        scan.add(u[lo : lo + depth], scales[lo : lo + depth], labels[lo : lo + depth], out)
     result = scan.unblock(out)
     if pieces is None:
         return result.reshape(np.shape(field_magnitudes))

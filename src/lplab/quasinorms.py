@@ -508,6 +508,7 @@ class _ScaleAggregator:
         _check_finite(value, *masses.values())
         return value, masses
 
+    @np.errstate(over="ignore")  # finish raises NonFiniteSample
     def _totals(self) -> tuple[float, dict[int, float]]:
         p, q = self.params.p, self.params.q
         if self.fields:
@@ -523,7 +524,7 @@ class _ScaleAggregator:
                 pooled += g
             value = lp_of_magnitudes(pooled ** (1.0 / q), self.grid, p)
             masses = {
-                k: lp_of_magnitudes(g ** (1.0 / q), self.grid, p) ** q
+                k: float(np.float64(lp_of_magnitudes(g ** (1.0 / q), self.grid, p)) ** q)
                 for k, g in self.fields.items()
             }
             return value, masses

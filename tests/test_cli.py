@@ -309,6 +309,24 @@ class TestExitCodes:
         with open(tmp_path / "out" / "error_summary.json", "r", encoding="utf-8") as fh:
             assert json.load(fh)["error"]["type"] == "NonFiniteSample"
 
+    @pytest.mark.parametrize("argv", [
+        ("bands",),
+        ("norm", "--characterization", "lp"),
+        ("norm", "--characterization", "diff"),
+        ("maximal", "--variants", "S,V"),
+    ], ids=["bands", "lp", "diff", "maximal"])
+    def test_overflowing_spectrum_prints_only_the_error_line(self, tmp_path, argv):
+        # finite samples whose DFT overflows used to print numpy's "overflow"
+        # and "invalid value encountered in fft" warnings before the error
+        path = tmp_path / "big.bin"
+        band = TestFunctionSpec(family="random_band", band_index=2, seed=4)
+        (1e307 * sample_family(band, GridSpec(2, 32)).data.real).tofile(path)
+        done = run_fresh(tmp_path, *argv, "--grid-dim", "2", "--grid-n", "32", "--in", str(path))
+        assert done.returncode == 1
+        assert "RuntimeWarning" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("computation error: "), done.stderr
+
 
 class TestEquivalenceCommand:
     def test_corpus_rows_and_spread(self, tmp_path):

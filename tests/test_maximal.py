@@ -1,5 +1,7 @@
 """Tests for maximal fields against brute-force oracles and frozen values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -173,12 +175,18 @@ class TestWeightedSup:
             weighted_offset_sup(np.zeros((2, 8, 8)), grid, [1.0, -2.0], 1.0)
         assert weighted_offset_sup(np.zeros((0, 8, 8)), grid, [], 1.0).shape == (0, 8, 8)
 
-    @pytest.mark.parametrize("n, members", [(32, tuple(range(12))), (64, (1, 4, 7, 10))])
-    def test_corpus_scale_ladders_match_array_oracle(self, monkeypatch, n, members):
+    @pytest.mark.parametrize("dim, n, members, per_ladder", [
+        pytest.param(2, 32, tuple(range(12)), 2, id="32-members0"),
+        pytest.param(2, 64, (1, 4, 7, 10), 3, id="64-members1"),
+        # rings of up to 12 offsets, in batches of 4
+        pytest.param(3, 16, (7, 8, 9, 11), 1, id="3d-16-members2"),
+    ])
+    def test_corpus_scale_ladders_match_array_oracle(self, monkeypatch, dim, n, members,
+                                                     per_ladder):
         # every sup of the S and V ladders on corpus members, as the
         # pipeline calls it on stacks of sphere and shell mean fields, one
         # ladder per field of the (here one-field) stack
-        grid = GridSpec(2, n, 1.0)
+        grid = GridSpec(dim, n, 1.0)
         rows = []
 
         def recording(mag, grid, scale, exponent, pieces=None):
@@ -195,7 +203,7 @@ class TestWeightedSup:
             field = sample_family(corpus[i], grid)
             maximal_quasinorm_set(field, SpaceParams(s=0.5, p=2.0, q=2.0), ("S", "V"),
                                   default_quadrature(grid))
-        assert len(rows) == len(members) * 2 * (2 if n == 32 else 3)
+        assert len(rows) == len(members) * 2 * per_ladder
         for mag, scale, exponent, out in rows:
             assert np.array_equal(out, brute_weighted_sup(mag, grid, scale, exponent))
 
@@ -224,17 +232,27 @@ class TestWeightedSup:
         assert np.array_equal(twice, np.concatenate([out, out]))
 
     @pytest.mark.parametrize(
-        "dim, n, sizes",
+        "dim, n, sizes, work_bytes",
         [
-            (2, 32, (3, 11, 1, 9, 1)),  # scans of 8 fields: pieces span up to 3
-            (2, 64, (5, 1, 4)),  # scans of 2 fields
-            (3, 8, (1, 20, 19, 1)),  # scans of 16 fields
-            (1, 256, (40,)),  # scans of 32 fields, one piece
+            # scans of 8 fields: pieces span up to 3
+            pytest.param(2, 32, (3, 11, 1, 9, 1), None, id="2-32-sizes0"),
+            pytest.param(2, 64, (5, 1, 4), None, id="2-64-sizes1"),  # scans of 2 fields
+            pytest.param(3, 8, (1, 20, 19, 1), None, id="3-8-sizes2"),  # scans of 16 fields
+            # scans of 32 fields, one piece
+            pytest.param(1, 256, (40,), None, id="1-256-sizes3"),
+            # scans of 1 field, rings in batches of 2 offsets, chunks of 2 pairs
+            pytest.param(2, 32, (3, 11, 1, 9, 1), 4096, id="2-32-sizes0-budget4096"),
+            # scans of 4 fields, rings in batches of 2 offsets, chunks of 8
+            # pairs: pairs of one piece's fields share rows within a chunk
+            # and across chunks
+            pytest.param(2, 16, (3, 6, 1, 2), 16384, id="2-16-sizes5-budget16384"),
         ],
     )
-    def test_pieces_match_member_oracle(self, dim, n, sizes):
+    def test_pieces_match_member_oracle(self, monkeypatch, dim, n, sizes, work_bytes):
         # each piece is the max of its members' sups, bit for bit, also when
-        # its floor carries over from one scan of the stack to the next
+        # its maxima carry over from one scan of the stack to the next
+        if work_bytes is not None:
+            monkeypatch.setattr("lplab.fields.WORK_BYTES", work_bytes)
         grid = GridSpec(dim, n, 1.0)
         rng = np.random.default_rng(dim * 10 + n)
         total = sum(sizes)
@@ -254,6 +272,23 @@ class TestWeightedSup:
                 np.maximum(oracle, brute_weighted_sup(mags[i], grid, scales[i], 1.5), out=oracle)
             assert np.array_equal(row, oracle)
 
+    def test_stacked_scan_traced_peak(self):
+        # one stacked call at 3-D n=16: scans of 2 fields, rings of up to 12
+        # offsets in batches of 2.  The bound is the 0.96 MB a scan with one
+        # step per offset traced, plus 15 %; ring by ring traces 0.88 MB, and
+        # a ring held in one batch 2.4 MB
+        grid = GridSpec(3, 16, 1.0)
+        mags = np.abs(np.random.default_rng(316).standard_normal((6,) + grid.shape))
+        scales = np.array([0.5, 3.0, 40.0, 1.0, 0.0, 8.0])
+        weighted_offset_sup(mags, grid, scales, 1.5)  # lazily loaded modules
+        tracemalloc.start()
+        try:
+            weighted_offset_sup(mags, grid, scales, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2**20
+
     @pytest.mark.parametrize("labels", [[0, 1, 0], [1, 1, 1], [-1, 0, 0], [0, 2, 2], [0, 0]])
     def test_pieces_must_be_consecutive_runs(self, labels):
         grid = GridSpec(2, 8, 1.0)
@@ -270,7 +305,7 @@ class TestWeightedSup:
         params = SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5)
         pieced = maximal_quasinorm_set(f, params, MAXIMAL_VARIANTS, default_quadrature(grid))
         pieced_pairs, block_pairs[0] = block_pairs[0], 0
-        assert pieced_pairs == 48732
+        assert pieced_pairs == 51580
         # a group of its own for every scale: one output per scale
         band_pieces = quasinorms._band_pieces
         monkeypatch.setattr(quasinorms, "_band_pieces", lambda keys, group, bands: band_pieces(
@@ -286,7 +321,7 @@ class TestWeightedSup:
         grid = GridSpec(2, 32)
         params = SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5)
         equivalence_experiment(default_corpus(grid), ("lp", "max:V"), params, grid, "T4")
-        assert block_pairs[0] == 33232
+        assert block_pairs[0] == 35346
 
     def test_zero_field_gives_zero(self):
         grid = GridSpec(1, 64, 1.0)

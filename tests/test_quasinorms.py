@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lplab.bands import BandDecomposition, build_band_system, decompose
+from lplab.bands import BandDecomposition, build_band_system, decompose, resolvable_band_range
 from lplab.errors import (
     BandRangeEmpty,
     ConfigParseError,
@@ -823,6 +823,15 @@ class TestOverflow:
         data = 1e100 * np.random.default_rng(57).standard_normal(grid.shape)
         with pytest.raises(NonFiniteSample, match="overflows"):
             quasinorm(SampledField(grid, data), "diff", SpaceParams(s=0.5, p=2, q=4, scale="B"))
+
+    def test_f_scale_mass_overflow_raises(self):
+        # each band's L^p norm is finite, its q-th power, the band's mass,
+        # is not: this used to raise a raw OverflowError from a float power
+        grid = GridSpec(1, 256, box=1e10)
+        band = TestFunctionSpec(family="random_band", band_index=resolvable_band_range(grid)[0] + 2)
+        data = 1e140 * sample_family(band, grid).data
+        with pytest.raises(NonFiniteSample, match="overflows"):
+            quasinorm(SampledField(grid, data), "lp", SpaceParams(s=0.5, p=0.5, q=2))
 
     def test_inhomogeneous_lowpass_overflow_raises(self, grid1d):
         # the bands stay finite; only the lowpass part's L^2 norm overflows
