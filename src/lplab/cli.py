@@ -524,7 +524,7 @@ def _cmd_verify_scaling(opts: dict) -> int:
     fid, field = _input_field(opts, grid)
     cid = _characterization(opts)
     m_values = _option(opts, "m_values", (-1, 0, 1), _integers,
-                       "a nonempty list of integers", bool)
+                       "a list of integers with a nonzero entry", any)
     rep = scaling_experiment(field, cid, space, m_values, quad)
     art = _Artifacts(opts, "verify_scaling")
     for m, ratio in zip(rep.m_values, rep.ratios):
@@ -596,7 +596,7 @@ def _cmd_verify_ppn(opts: dict) -> int:
     grid = _build_grid(opts)
     space = _build_space(opts)
     t_list = _option(opts, "t_list", (8.0, 16.0, 32.0), _floats,
-                     "a nonempty list of numbers", bool)
+                     "a list of at least two numbers", lambda v: len(v) >= 2)
     alpha = _option(opts, "alpha", 1,
                     lambda raw: _integers(raw) if isinstance(raw, list) else _integer(raw),
                     "an integer or a list of integers")

@@ -9,7 +9,8 @@ path composes exact circular shifts and therefore needs h on the sample
 lattice; the spectral path accepts any real step and is exact on the
 trigonometric interpolant of the samples.  Every spectral step runs
 through a :class:`StepEngine`, which transforms its field forward once with
-`fftn` and then pays one `ifftn` per step.  Where only the L^2 norm of each
+`fftn` and then pays one `ifftn` per chunk of steps, or per weighted mean
+of steps, on its one inverse path.  Where only the L^2 norm of each
 difference is needed, :meth:`StepEngine.norms` reads it off the power
 spectrum by Plancherel and pays no inverse transform.  That norm is even
 in h, so a quasinorm sweep evaluates one step of each antipodal pair.
@@ -95,11 +96,12 @@ class StepEngine:
     The engine transforms its fields forward once.  A step symbol
     S(k) = (exp(2 pi i h.k / B) - 1)^L is the broadcast product of one 1-D
     phase factor exp(2 pi i k_a h_a / B) per axis with a nonzero step
-    component, so each step costs one inverse transform and no full-grid
-    exponential.  A weighted sum of steps also costs one inverse transform
-    (`symbol_magnitude`), its symbol built as low-rank real matrix products
-    (`mean_symbols`), and `max_magnitude` sends a chunk of steps through one
-    inverse transform.  The spectrum X is the full `np.fft.fftn` of each
+    component, so no step needs a full-grid exponential.  Every modulus
+    comes from `symbol_magnitude`, one inverse transform of the spectra
+    times one symbol or a leading axis of them: `magnitudes` sends the
+    steps through it a chunk at a time, and a weighted sum of steps, its
+    symbol built as low-rank real matrix products (`mean_symbols`), costs
+    one transform.  The spectrum X is the full `np.fft.fftn` of each
     field, real or complex; `norms` reads |X|^2 off it with no inverse
     transform.
 
@@ -130,9 +132,19 @@ class StepEngine:
         self.forward_ffts = 1
         self.steps = 0
 
-    def magnitude(self, step: tuple[float, ...], order: int) -> np.ndarray:
-        """|diff(f, h, L)| on the grid, checked finite."""
-        return self.symbol_magnitude(self._step_symbols(self._count([step], order), order)[0])
+    def magnitudes(self, steps, order: int) -> Iterator[np.ndarray]:
+        """Yield |diff(f, h_m, L)| for the rows h_m of steps, checked finite,
+        one chunk of steps at a time, shape stack + (chunk,) + grid shape.
+
+        Each chunk's symbols come from one broadcast and its magnitudes
+        from one inverse transform with a leading step axis; the steps
+        count when called.
+        """
+        steps = self._count(steps, order)
+        # a step's complex spectra of every field
+        chunk = per_chunk(16 * self.grid.num_points * math.prod(self.stack))
+        return (self.symbol_magnitude(self._step_symbols(steps[lo : lo + chunk], order))
+                for lo in range(0, len(steps), chunk))
 
     def mean_symbols(self, steps: np.ndarray, weights: np.ndarray,
                      order: int) -> Iterator[np.ndarray]:
@@ -149,37 +161,18 @@ class StepEngine:
         return self._mean_symbols(steps, weights, order)
 
     @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
-    def symbol_magnitude(self, symbol: np.ndarray) -> np.ndarray:
-        """|ifftn(X symbol)|, the modulus of each field with multiplier
-        symbol, from one transform of the stack, checked finite."""
-        spectra = self._coeffs * symbol
+    def symbol_magnitude(self, symbols: np.ndarray) -> np.ndarray:
+        """|ifftn(X S)| of each field for each multiplier S of symbols, one
+        on the grid or a leading axis of them, from one transform of the
+        stack, checked finite, shape stack + symbols' shape."""
+        # one axis of the spectra per leading axis of symbols, in this
+        # operand order, bit for bit
+        lead = (1,) * (symbols.ndim - self.grid.dim)
+        spectra = self._coeffs.reshape(self.stack + lead + self.grid.shape) * symbols
         mag = np.abs(np.fft.ifftn(spectra, axes=self._axes, out=spectra))
         if not np.isfinite(mag).all():
             raise NonFiniteSample("difference samples contain NaN or infinity")
         return mag
-
-    @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
-    def max_magnitude(self, steps, order: int) -> np.ndarray:
-        """max over the rows h_m of steps of |diff(f, h_m, L)|, checked finite.
-
-        Each chunk of steps forms its symbols in one broadcast and pays one
-        inverse transform with a leading step axis.
-        """
-        grid = self.grid
-        steps = self._count(steps, order)
-        # a step's complex spectra of every field
-        chunk = per_chunk(16 * grid.num_points * math.prod(self.stack))
-        step_axis = len(self.stack)  # of the products, indexed stack + (step,) + grid
-        coeffs = np.expand_dims(self._coeffs, step_axis)
-        out = np.zeros(self.stack + grid.shape)
-        for lo in range(0, len(steps), chunk):
-            # this operand order, bit for bit
-            spectra = np.multiply(coeffs, self._step_symbols(steps[lo : lo + chunk], order))
-            np.fft.ifftn(spectra, axes=self._axes, out=spectra)
-            np.maximum(out, np.abs(spectra).max(axis=step_axis), out=out)
-        if not np.isfinite(out).all():
-            raise NonFiniteSample("difference samples contain NaN or infinity")
-        return out
 
     @np.errstate(over="ignore", invalid="ignore")  # SampledField rejects non-finite samples
     def difference(self, step: tuple[float, ...], order: int) -> SampledField:

@@ -148,20 +148,19 @@ class SampledField:
 def stable_sum(values: np.ndarray) -> float:
     """Deterministic compensated sum in fixed lexicographic order.
 
-    Chunks are reduced with numpy's deterministic pairwise sum and the chunk
-    totals are combined exactly with math.fsum, so reruns on identical input
-    produce bit-identical results regardless of array size.  A sum beyond
-    the float range is inf: every caller sums nonnegative terms.
+    Chunks of 4096 values, at every array size, are reduced with numpy's
+    deterministic pairwise sum and the chunk totals are combined exactly
+    with math.fsum, so reruns on identical input produce bit-identical
+    results.  A sum beyond the float range is inf: every caller sums
+    nonnegative terms.
     """
     flat = np.ravel(np.asarray(values, dtype=np.float64), order="C")
     if flat.size == 0:
         return 0.0
-    chunk = 4096
-    if flat.size > chunk:
-        with np.errstate(over="ignore"):
-            flat = np.add.reduceat(flat, np.arange(0, flat.size, chunk))
+    with np.errstate(over="ignore"):
+        totals = np.add.reduceat(flat, np.arange(0, flat.size, 4096))
     try:
-        return float(math.fsum(flat.tolist()))
+        return float(math.fsum(totals.tolist()))
     except OverflowError:
         return math.inf
 

@@ -661,9 +661,10 @@ def _step_sweep(
     call.  There the L^2 norm is even in h, so each antipodal pair of
     directions costs one step per length, and each (field, length,
     quadrature) feeds its row of direction norms to its aggregator at
-    once.  Otherwise `engine.magnitude` steps every direction: off the
-    lattice, |Delta_{-h} f| is |Delta_h f| shifted by a non-lattice h, so
-    its L^p norm may differ.
+    once.  Otherwise `engine.magnitudes` steps every direction of one
+    length, a chunk of directions at a time, feeding the aggregators in
+    (length, direction, field) order: off the lattice, |Delta_{-h} f| is
+    |Delta_h f| shifted by a non-lattice h, so its L^p norm may differ.
     """
     grid = fields[0].grid
     for quad in quads:
@@ -685,8 +686,10 @@ def _step_sweep(
                                       rw * direction_weights)
         return [[agg.finish() for agg in field_aggs] for field_aggs in aggs]
     for nodes, length in zip(rows, lengths):
-        for z, zw in zip(directions, direction_weights):
-            mags = engine.magnitude(tuple(length * z), params.L)
+        # each direction's (fields,) + grid magnitudes
+        per_direction = (chunk[:, j] for chunk in engine.magnitudes(length * directions, params.L)
+                         for j in range(chunk.shape[1]))
+        for zw, mags in zip(direction_weights, per_direction):
             for field_aggs, mag in zip(aggs, mags):
                 for agg, node in zip(field_aggs, nodes):
                     if node is not None:
@@ -760,9 +763,10 @@ def _point_sup_field(
     """
     lengths = np.asarray(lengths, dtype=np.float64)
     grid = engine.grid
-    direction_max = np.empty(engine.stack + (lengths.size,) + grid.shape)
-    for i, h_len in enumerate(lengths):
-        direction_max[:, i] = engine.max_magnitude(h_len * directions, order)
+    direction_max = np.zeros(engine.stack + (lengths.size,) + grid.shape)
+    for row, h_len in zip(np.moveaxis(direction_max, 1, 0), lengths):
+        for chunk in engine.magnitudes(h_len * directions, order):
+            np.maximum(row, chunk.max(axis=1), out=row)
     return weighted_offset_sup(direction_max, grid,
                                np.broadcast_to(1.0 / lengths, direction_max.shape[:2]),
                                grid.dim / r, pieces)

@@ -164,6 +164,8 @@ def scaling_experiment(
     grid = field.grid
     expected = params.s - grid.dim / params.p
     base = quasinorm(field, characterization, params, quad).value
+    if not any(m_list):
+        raise InvalidExponent("scaling needs a nonzero dilation exponent m to measure")
     ratios: list[float] = []
     exponents: list[float] = []
     for m in m_list:
@@ -387,8 +389,8 @@ def ppn_probe(
         raise UnresolvableSpec(f"bad derivative multi-index {alpha!r}")
     if not (0.0 < p <= q):
         raise InvalidExponent("derivative-norm inequality needs 0 < p <= q")
-    if not t_list:
-        raise UnresolvableSpec("need at least one spectrum radius")
+    if len(t_list) < 2:
+        raise UnresolvableSpec("a ratio spread needs at least two spectrum radii")
     t0 = float(t_list[0])
     mags = np.abs(np.fft.fftn(u.data))
     support = mags > 1e-13 * mags.max()

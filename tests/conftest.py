@@ -109,9 +109,10 @@ class TranslateSteps:
     def difference(self, f: SampledField, step) -> SampledField:
         return SampledField(f.grid, translate(f, tuple(step)).data - f.data)
 
-    def magnitude(self, step, order: int) -> np.ndarray:
+    def magnitudes(self, steps, order: int):
         assert order == 1
-        return np.stack([np.abs(self.difference(f, step).data) for f in self.fields])
+        yield np.array([[np.abs(self.difference(f, step).data) for step in steps]
+                        for f in self.fields])
 
     def norms(self, steps, order: int) -> np.ndarray:
         assert order == 1
@@ -126,6 +127,13 @@ def full_grid_symbol(grid: GridSpec, step, order: int) -> np.ndarray:
         for kk, h in zip(grid.frequency_lattice(), step)
     )
     return (np.exp(2j * np.pi * phase) - 1.0) ** order
+
+
+def step_magnitude(engine: StepEngine, step, order: int) -> np.ndarray:
+    """|diff(f, h, L)| of one step h, as engine.magnitudes gives it, without
+    the step axis."""
+    [chunk] = engine.magnitudes([step], order)
+    return chunk.reshape(engine.stack + engine.grid.shape)
 
 
 def mean_magnitude(engine: StepEngine, steps, weights, order: int) -> np.ndarray:

@@ -700,6 +700,19 @@ class TestNameLists:
         assert_one_config_error(code, capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "scaling", "--grid-dim", "1", "--grid-n", "256", "--characterization",
+         "diff", "--m-values", "0"),
+        ("verify", "scaling", "--grid-dim", "1", "--grid-n", "256", "--m-values", "0,0"),
+        ("verify", "ppn", "--grid-dim", "1", "--grid-n", "256", "--t-list", "8"),
+    ], ids=["m_values-zero", "m_values-zeros", "t_list-one"])
+    def test_nothing_to_measure_rejected(self, tmp_path, capsys, argv):
+        # m = 0 alone reads back the expected exponent, and one radius a
+        # spread of 1: either would PASS without measuring anything
+        code, out = run(tmp_path, *argv)
+        assert_one_config_error(code, capsys)
+        assert not out.exists()
+
     def test_variants_json_list_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"variants": ["S", "V"], "quad": {"sphere_nodes": 8}}))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lplab.differences import StepEngine, iterated_difference
 from lplab.errors import InvalidExponent, MisalignedStep, ShapeMismatch
-from lplab.fields import GridSpec, SampledField
+from lplab.fields import GridSpec, SampledField, per_chunk
 from lplab.maximal import annulus_mean_max, unit_sphere_nodes
 
 from conftest import (
@@ -16,6 +16,7 @@ from conftest import (
     full_grid_symbol,
     mean_magnitude,
     random_complex_field,
+    step_magnitude,
     translate,
 )
 
@@ -160,7 +161,7 @@ class TestStepEngine:
         for step, order in (((0.02, -0.01), 1), ((0.0, 0.05), 2), ((0.07, 0.07), 3)):
             one_shot = iterated_difference(f, step, order).data
             assert np.array_equal(engine.difference(step, order).data, one_shot)
-            assert np.array_equal(engine.magnitude(step, order), np.abs(one_shot))
+            assert np.array_equal(step_magnitude(engine, step, order), np.abs(one_shot))
         assert (engine.forward_ffts, engine.steps) == (1, 6)
 
     def test_norms_match_magnitudes(self, grid1d, grid2d):
@@ -173,18 +174,30 @@ class TestStepEngine:
                                       GridSpec(3, 8)],
                              ids=["complex-2d", "real-2d", "complex-1d", "complex-3d"])
     def test_max_magnitude_matches_step_loop(self, grid):
-        # the D_SUP direction maximum against one magnitude per step; 11
-        # directions are not a multiple of a chunk, and the first has zero
-        # components
-        f = field_of_kind(grid, "noise")
-        engine = StepEngine(f)
+        # the chunks of engine.magnitudes, and the D_SUP direction maximum
+        # over them, against one inverse transform per step and field, for
+        # an engine of one field and one of a stack of three; 11 directions
+        # are not a multiple of a chunk, and the first has zero components
+        stack = [field_of_kind(grid, "noise")] + [random_complex_field(grid, seed=52 + i)
+                                                  for i in range(2)]
         directions = unit_sphere_nodes(grid.dim, 11) if grid.dim > 1 else np.array([[1.0], [-1.0]])
-        for length, order in ((grid.spacing / 3, 1), (0.07, 2), (0.25, 3)):
-            steps = length * directions
-            want = np.zeros(grid.shape)
-            for step in steps:
-                np.maximum(want, engine.magnitude(tuple(step), order), out=want)
-            assert np.array_equal(engine.max_magnitude(steps, order), want)
+        for fields in (stack[:1], stack):
+            engine = StepEngine(fields) if len(fields) > 1 else StepEngine(fields[0])
+            chunk = per_chunk(16 * grid.num_points * len(fields))
+            for length, order in ((grid.spacing / 3, 1), (0.07, 2), (0.25, 3)):
+                steps = length * directions
+                chunks = list(engine.magnitudes(steps, order))
+                assert [c.shape for c in chunks] == [
+                    engine.stack + (min(chunk, len(steps) - lo),) + grid.shape
+                    for lo in range(0, len(steps), chunk)]
+                want = np.array([[np.abs(iterated_difference(f, tuple(step), order).data)
+                                  for step in steps] for f in fields]).reshape(
+                                      engine.stack + (len(steps),) + grid.shape)
+                axis = len(engine.stack)
+                assert np.array_equal(np.concatenate(chunks, axis=axis), want)
+                assert np.array_equal(np.max([c.max(axis=axis) for c in chunks], axis=0),
+                                      want.max(axis=axis))
+            assert engine.steps == 3 * len(directions)
 
     @pytest.mark.parametrize("grid", [GridSpec(1, 64), GridSpec(2, 32), GridSpec(2, 64),
                                       GridSpec(3, 16)], ids=lambda g: f"{g.dim}d-n{g.n}")
@@ -227,22 +240,24 @@ class TestStepEngine:
 
     def test_zero_step_annihilates(self, grid2d):
         engine = StepEngine(random_complex_field(grid2d, seed=43))
-        assert not np.any(engine.magnitude((0.0, 0.0), 2))
+        assert not np.any(step_magnitude(engine, (0.0, 0.0), 2))
 
     def test_rejects_bad_step_and_order(self, grid2d):
+        # when called, before any chunk is asked for
         engine = StepEngine(random_complex_field(grid2d, seed=44))
         with pytest.raises(ShapeMismatch):
-            engine.magnitude((0.1,), 1)
+            engine.magnitudes([(0.1,)], 1)
         with pytest.raises(InvalidExponent):
-            engine.magnitude((0.1, 0.0), 0)
+            engine.magnitudes([(0.1, 0.0)], 0)
+        assert engine.steps == 0
 
 
 def assert_norms_match_magnitudes(engine, steps):
-    """engine.norms against the L^2 norms of engine.magnitude, L = 1..3."""
+    """engine.norms against the L^2 norms of engine.magnitudes, L = 1..3."""
     for order in (1, 2, 3):
         norms = engine.norms(steps, order)
         for step, norm in zip(steps, norms):
-            mag = engine.magnitude(step, order)
+            mag = step_magnitude(engine, step, order)
             assert norm == pytest.approx(np.sqrt(np.sum(mag**2) * engine.grid.cell_volume),
                                          rel=1e-13)
 
@@ -278,7 +293,7 @@ class TestRealInputEngine:
             want = full_grid_difference(f, step, order)
             tol = 1e-13 * np.max(np.abs(want)) + rounding_floor(f)
             assert np.max(np.abs(engine.difference(step, order).data - want)) <= tol
-            assert np.max(np.abs(engine.magnitude(step, order) - np.abs(want))) <= tol
+            assert np.max(np.abs(step_magnitude(engine, step, order) - np.abs(want))) <= tol
 
     @pytest.mark.parametrize("kind", ["noise", "gaussian"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -313,8 +328,8 @@ class TestRealInputEngine:
         data = 1e155 * np.random.default_rng(61).standard_normal(grid.shape)
         real = StepEngine(SampledField(grid, data))
         full = StepEngine(SampledField(grid, data + 1e-300j))
-        got = real.magnitude((0.01, 0.02), 1)
-        want = full.magnitude((0.01, 0.02), 1)
+        got = step_magnitude(real, (0.01, 0.02), 1)
+        want = step_magnitude(full, (0.01, 0.02), 1)
         assert np.isfinite(got).all()
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 

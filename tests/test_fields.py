@@ -102,9 +102,11 @@ class TestNorms:
             lp_norm(f, p)
 
     def test_stable_sum_matches_fsum(self):
-        rng = np.random.default_rng(7)
-        vals = rng.standard_normal(100000) * 10.0 ** rng.integers(-8, 8, size=100000)
-        assert stable_sum(vals) == pytest.approx(math.fsum(vals.tolist()), rel=1e-13)
+        # one chunk of 4096 values, at most, and more than one
+        for size in (100000, 1, 4096, 4097):
+            rng = np.random.default_rng(7)
+            vals = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size=size)
+            assert stable_sum(vals) == pytest.approx(math.fsum(vals.tolist()), rel=1e-13)
 
     def test_stable_sum_deterministic(self):
         rng = np.random.default_rng(8)

@@ -78,6 +78,20 @@ def public_definitions(source: str) -> set[str]:
             and not node.name.startswith("_")}
 
 
+def public_methods(source: str) -> set[str]:
+    """The public methods and properties of the public classes a module
+    defines at top level."""
+    return {item.name for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+
+
+def attribute_reads(source: str) -> set[str]:
+    """The attribute names a module takes, as in `x.name`."""
+    return {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+
+
 def references(source: str) -> set[str]:
     """The names a module reads, the attributes it takes and the names it
     imports."""
@@ -104,10 +118,14 @@ def traced_functions(source: str) -> set[str]:
 
 def unused_public_api(package: list[str], users: list[str], kept: set[str]) -> list[str]:
     """The public functions and classes of package that no module of
-    package or users refers to and that are not in kept."""
+    package or users refers to and that are not in kept, and the public
+    methods and properties of its public classes whose name no module of
+    package or users reads as an attribute."""
     defined = set().union(*map(public_definitions, package))
     used = set().union(*map(references, package + users))
-    return sorted(defined - used - kept)
+    methods = set().union(*map(public_methods, package))
+    read = set().union(*map(attribute_reads, package + users))
+    return sorted((defined - used - kept) | (methods - read))
 
 
 def test_no_unused_public_api():
@@ -124,3 +142,18 @@ def test_unused_public_api_detected():
                "from .a import used\n\n\ndef kept():\n    used()\n\n\ndef spare():\n    pass\n"]
     users = ["import m\nm.Shown()\n", "class Shown:\n    pass\n"]
     assert unused_public_api(package, users, {"kept"}) == ["Idle", "spare"]
+
+
+def test_unused_public_method_detected():
+    # a method is read when a module takes it as an attribute (self.step,
+    # engine.size); a bare name (spare = 1) is no read, and the methods of
+    # private classes and private methods are not checked
+    package = ["class Engine:\n    def run(self):\n        return self.step()\n\n"
+               "    def step(self):\n        pass\n\n    @property\n    def size(self):\n"
+               "        return 1\n\n    def spare(self):\n        pass\n\n"
+               "    def _helper(self):\n        pass\n\n\n"
+               "class _Private:\n    def hidden(self):\n        pass\n",
+               "from .a import Engine\n\n\ndef kept():\n    spare = 1\n"
+               "    return Engine().run(), spare\n"]
+    users = ["def show(engine):\n    return engine.size\n"]
+    assert unused_public_api(package, users, {"kept"}) == ["spare"]

@@ -34,7 +34,7 @@ from lplab.quasinorms import (
 )
 from lplab.verify import default_corpus, equivalence_experiment
 
-from conftest import annulus_nodes, mean_magnitude, random_complex_field
+from conftest import annulus_nodes, mean_magnitude, random_complex_field, step_magnitude
 
 
 def brute_weighted_sup(mag, grid, scale, exponent):
@@ -520,7 +520,7 @@ class TestNodes:
 def point_sup(field, step, r, order):
     """Weighted sup of one fixed-step difference, weight (1 + |y|/|h|)^(-dim/r)."""
     grid = field.grid
-    mag = StepEngine(field).magnitude(step, order)
+    mag = step_magnitude(StepEngine(field), step, order)
     return weighted_offset_sup(mag, grid, 1.0 / np.linalg.norm(step), grid.dim / r)
 
 

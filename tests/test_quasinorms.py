@@ -619,7 +619,7 @@ class TestStepEngineSweep:
         assert len(radii) == len(set(np.round(lattice).tolist())) == 111
 
     @pytest.mark.parametrize("member, want", [
-        (0, {"S": "0x1.9cc5f1163b547p+1", "S_SUP": "0x1.116778c1e997ep+3",
+        (0, {"S": "0x1.9cc5f1163b547p+1", "S_SUP": "0x1.116778c1e997dp+3",
              "V": "0x1.380ab3c92a1b1p+2", "V_SUP": "0x1.1baf3541a165fp+3",
              "D_SUP": "0x1.f1932dcd179f3p+4"}),
         (5, {"S": "0x1.6847be8f06527p+2", "S_SUP": "0x1.1c112b950c4aap+3",
@@ -629,7 +629,9 @@ class TestStepEngineSweep:
     def test_maximal_values_frozen(self, member, want):
         # values of the one-output-per-scale layer that formed each shell
         # symbol from its 256 nodes: S, S_SUP and D_SUP stay bit for bit,
-        # V and V_SUP (shell symbols now sums of sphere symbols) within 2e-15
+        # V and V_SUP (shell symbols now sums of sphere symbols) within 2e-15;
+        # member 0's S_SUP is 1 ulp lower since stable_sum reduces 1024
+        # values by numpy's pairwise sum instead of math.fsum
         grid = GridSpec(2, 32)
         f = sample_family(default_corpus(grid)[member], grid)
         got = maximal_quasinorm_set(f, SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5),
@@ -722,12 +724,28 @@ class TestEnergyPath:
                              ids=["complex", "real"])
     def test_other_aggregates_keep_magnitudes(self, recorded_engines, fft_calls, grid, p, q,
                                               scale):
-        # one inverse transform per step, and no real-input transform
+        # one inverse transform per chunk of a length's directions: 2 in 1-D
+        # at n=256, 1 of 4 in 2-D at n=128; no real-input transform
         quad = default_quadrature(grid, radial_nodes_per_octave=1, sphere_nodes=4)
         quasinorm(gaussian(grid), "diff", SpaceParams(s=0.5, p=p, q=q, scale=scale), quad)
         [engine] = recorded_engines
         assert engine.steps > 0
-        assert fft_calls == {"ifftn": engine.steps}
+        assert fft_calls == {"ifftn": engine.steps // (2 if grid.dim == 1 else 1)}
+
+    def test_magnitude_sweep_forms_symbols_per_chunk(self, monkeypatch):
+        # p = 1 at 2-D n=32: 29 lengths of 32 directions, in chunks of 8
+        # steps, make 116 symbol broadcasts for 928 steps
+        calls = []
+
+        class Recording(StepEngine):
+            def _step_symbols(self, steps, order):
+                calls.append(len(steps))
+                return super()._step_symbols(steps, order)
+
+        monkeypatch.setattr(quasinorms, "StepEngine", Recording)
+        quasinorm(gaussian(GridSpec(2, 32), 1 / 8), "diff", SpaceParams(s=0.5, p=1, q=1))
+        assert (len(calls), sum(calls)) == (116, 928)
+        assert set(calls) == {8}
 
     def test_gagliardo_is_first_order_diff(self, recorded_engines, grid2d):
         # one engine per call, on the norms path and on the magnitude path

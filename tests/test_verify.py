@@ -118,9 +118,17 @@ class TestScalingExperiment:
             TestFunctionSpec(family="random_band", band_index=4, seed=9), grid1d
         )
         rep = scaling_experiment(
-            band, "diff", SpaceParams(s=0.5, p=2, q=2, L=1), [0]
+            band, "diff", SpaceParams(s=0.5, p=2, q=2, L=1), [0, 1]
         )
         assert rep.ratios[0] == 1.0
+
+    def test_no_nonzero_dilation_rejected(self, grid1d):
+        # m = 0 reads back the expected exponent and would pass unmeasured
+        band = sample_family(
+            TestFunctionSpec(family="random_band", band_index=4, seed=9), grid1d
+        )
+        with pytest.raises(InvalidExponent, match="nonzero"):
+            scaling_experiment(band, "diff", SpaceParams(s=0.5, p=2, q=2, L=1), [0, 0])
 
     @pytest.mark.parametrize("cid", ["diff", "axis", "gagliardo"])
     def test_quadrature_forms_exact_with_scaled_windows(self, grid1d, cid):
@@ -306,6 +314,12 @@ class TestPpnProbe:
         u = band_limited_profile(self.GRID, 8.0)
         with pytest.raises(UnresolvableSpec):
             ppn_probe(u, (1, 1), 2.0, 2.0, [8.0])
+
+    def test_single_radius_rejected(self):
+        # one ratio has a spread of 1 and would pass without a comparison
+        u = band_limited_profile(self.GRID, 8.0)
+        with pytest.raises(UnresolvableSpec, match="two spectrum radii"):
+            ppn_probe(u, 1, 2.0, 2.0, [8.0])
 
 
 class TestKernelDecayProbe:
