@@ -2,11 +2,15 @@
 
 Subcommands: bands, diff, maximal, norm, corpus, and verify
 {scaling, equivalence, ppn, kernel-decay, divergence, slice-support}.
-`--config file.json` overrides every flag.  Field files are
-raw float64 binary: either one value per sample (real data) or
+Each option is declared once, in `_OPTIONS`; `lplab <command> --help`
+lists its defaults.  A flag accepts what its config key accepts, and
+`--config file.json` overrides every flag; a blank or mistyped value,
+output and config paths included, is a configuration error.  Field
+files are raw float64 binary: either one value per sample (real data) or
 interleaved real/imaginary pairs.  Every run emits a CSV table with the
 fixed header (function_id, characterization, s, p, q, L, value, flag)
-plus a JSON summary; verify runs exit 0 on PASS or NO-VERDICT, 1 on
+plus a JSON summary whose `inputs` block gives each option read, its
+value and its source; verify runs exit 0 on PASS or NO-VERDICT, 1 on
 FAIL, 2 on configuration errors.
 """
 
@@ -18,7 +22,8 @@ import math
 import os
 import sys
 import traceback
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,6 +53,8 @@ from .verify import (
 )
 
 CSV_HEADER = "function_id,characterization,s,p,q,L,value,flag"
+# the row flags, mildest first
+_FLAGS = ("OK", "TRUNCATION-WARN", "DIVERGENT")
 
 # spec'd shorthand for the point-difference maximal form
 _CHARACTERIZATION_ALIASES = {"max:D": "max:D_SUP"}
@@ -119,124 +126,31 @@ def _make_dirs(path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# config assembly: flags first, then --config JSON overrides everything
+# converters: each reads a flag's text or a config's JSON value, and raises
+# TypeError or ValueError on anything else
 
 
-_GRID_KEYS = {"dim": "grid_dim", "n": "grid_n", "box": "grid_box"}
-_SPACE_KEYS = {
-    "s": "s", "p": "p", "q": "q", "L": "L", "r": "r",
-    "scale": "space", "homogeneous": "homogeneous",
-}
-_QUAD_KEYS = {
-    "h_min": "h_min", "h_max": "h_max",
-    "radial_nodes_per_octave": "radial_per_octave",
-    "sphere_nodes": "sphere_nodes",
-    "t_nodes_per_octave": "t_per_octave",
-    "tau_nodes_per_octave": "tau_per_octave",
-    "tau_octaves": "tau_octaves",
-    "allow_subgrid": "allow_subgrid",
-}
-_IO_KEYS = {"input": "in_path", "output": "out_dir"}
-_SECTIONS = {"grid": _GRID_KEYS, "space": _SPACE_KEYS, "quad": _QUAD_KEYS, "io": _IO_KEYS,
-             "thresholds": {"spread_limit": "spread_limit", "drift_limit": "drift_limit"}}
-_EXTRA_KEYS = (
-    "characterization", "variants", "pair", "theorem", "m_values", "alpha",
-    "t_list", "tau_list", "order", "target_exponent", "directions",
-    "function", "levels", "band", "axis", "corpus",
-)
-
-
-def _apply_config(opts: dict, path: str) -> None:
-    if not os.path.exists(path):
-        raise ConfigParseError(f"config file not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigParseError("config root must be a JSON object")
-    # a misspelled key or a null would otherwise leave the default, or a
-    # flag's value, in place unsaid
-    for key, value in cfg.items():
-        if key not in _SECTIONS and key not in _EXTRA_KEYS:
-            raise ConfigParseError(f"unknown config key {key!r}")
-        if value is None:
-            raise ConfigParseError(f"config key {key!r} is null")
-    for section, keymap in _SECTIONS.items():
-        body = cfg.get(section, {})
-        if not isinstance(body, dict):
-            raise ConfigParseError(f"config section {section!r} must be an object")
-        for key, value in body.items():
-            if key not in keymap:
-                raise ConfigParseError(f"unknown key {key!r} in config section {section!r}")
-            if value is None:
-                raise ConfigParseError(f"key {key!r} in config section {section!r} is null")
-            opts[keymap[key]] = value
-    for key in _EXTRA_KEYS:
-        if key in cfg:
-            opts[key] = cfg[key]
-
-
-def _option(opts: dict, key: str, default, convert, requirement: str, valid=None):
-    """opts[key] converted and range checked, or default when it is unset.
-
-    Zero and other falsy values are kept, and any value that fails to
-    convert or to satisfy valid raises ConfigParseError.
-    """
-    raw = opts.get(key)
-    if raw is None:
-        return default
-    try:
-        value = convert(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigParseError(f"{key} must be {requirement}, got {raw!r}") from exc
-    if valid is not None and not valid(value):
-        raise ConfigParseError(f"{key} must be {requirement}, got {raw!r}")
-    return value
-
-
-def _names(opts: dict, key: str, default: str) -> list[str]:
-    """opts[key] as names from a comma list or a JSON list of strings.
-
-    default applies only when the key is unset; a value that names
-    nothing raises ConfigParseError rather than falling back.
-    """
-    raw = opts.get(key)
-    if raw is None:
-        raw = default
-    if isinstance(raw, str):
-        raw = raw.split(",")
-    if not isinstance(raw, list) or not all(isinstance(v, str) for v in raw):
-        raise ConfigParseError(f"{key} must be a comma list or a list of strings, got {raw!r}")
-    names = [v.strip() for v in raw if v.strip()]
-    if not names:
-        raise ConfigParseError(f"{key} must name at least one entry, got {opts.get(key)!r}")
-    return names
-
-
-def _integer(raw) -> int:
-    """int(raw) for integers and integral strings or floats, else ValueError."""
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-        raise ValueError(f"not an integer: {raw!r}")
-    return int(raw)
+class _FlagText(str):
+    """A flag's text, which _number reads where it refuses a JSON string."""
 
 
 def _number(raw) -> float:
-    """float(raw) for JSON numbers; strings and booleans raise ValueError."""
-    if isinstance(raw, (bool, str)):
+    """A JSON number or a flag's text that float() reads, not a boolean."""
+    if isinstance(raw, bool) or (isinstance(raw, str) and not isinstance(raw, _FlagText)):
         raise ValueError(f"not a number: {raw!r}")
     return float(raw)
+
+
+def _integer(raw) -> int:
+    value = _number(raw)
+    if not value.is_integer():
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(value)
 
 
 def _exponent(raw) -> float:
-    """float(raw) for numbers and numeric strings, inf for the strings
-    inf/infinity; booleans raise ValueError."""
-    if isinstance(raw, bool):
-        raise ValueError(f"not a number: {raw!r}")
-    if isinstance(raw, str) and raw.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(raw)
+    """A _number that may also be a JSON string, such as "inf"."""
+    return _number(_FlagText(raw) if isinstance(raw, str) else raw)
 
 
 def _boolean(raw) -> bool:
@@ -248,479 +162,485 @@ def _boolean(raw) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _build_grid(opts: dict) -> GridSpec:
+def _text(raw) -> str:
+    if not isinstance(raw, str) or not raw.strip():
+        raise ValueError(f"not a nonblank string: {raw!r}")
+    return str(raw)
+
+
+def _cid(raw) -> str:
+    """A characterization id, its alias resolved."""
+    return _CHARACTERIZATION_ALIASES.get(_text(raw), str(raw))
+
+
+def _object(raw) -> dict:
+    """A JSON object; _spec reads it as a test-function spec."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"not an object: {raw!r}")
+    return raw
+
+
+def _list(item: Callable) -> Callable:
+    """A converter of a JSON list, or of a comma list as text, whose
+    nonblank items each convert by item."""
+    def convert(raw) -> tuple:
+        if isinstance(raw, str):
+            raw = [_FlagText(piece.strip()) for piece in raw.split(",") if piece.strip()]
+        if not isinstance(raw, list):
+            raise TypeError(f"not a list: {raw!r}")
+        return tuple(map(item, raw))
+    return convert
+
+
+def _alpha(raw) -> int | tuple[int, ...]:
+    """One derivative order, or a multi-index as a comma list or a JSON list."""
+    if isinstance(raw, list) or (isinstance(raw, str) and "," in raw):
+        return _list(_integer)(raw)
+    return _integer(raw)
+
+
+# ---------------------------------------------------------------------------
+# the options: one record each drives argparse, the config keys, the
+# defaults, the checks and the summary's inputs echo
+
+
+@dataclass(frozen=True)
+class _Option:
+    name: str  # the key of its value, in messages and in the inputs echo
+    flag: str | None  # None: config only
+    config: str | None  # "section.key", or a top-level key; None: flag only
+    convert: Callable
+    default: object
+    requirement: str  # what a valid value is, in messages and --help
+    commands: tuple[str, ...] | None = None  # the commands that read it; None: all
+    valid: Callable | None = None  # a check of the converted value
+    const: bool | None = None  # the value its flag sets, when the flag takes none
+    derived: str | None = None  # how a handler derives the default from other inputs
+
+    def reads(self, command: str) -> bool:
+        return self.commands is None or command in self.commands
+
+    def resolve(self, raw):
+        """raw converted and checked, else ConfigParseError naming the option."""
+        try:
+            value = self.convert(raw)
+            ok = self.valid is None or self.valid(value)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ConfigParseError(f"{self.name} must be {self.requirement}, got {raw!r}")
+        return value
+
+    def help(self) -> str:
+        default = self.derived or json.dumps(_jsonable(self.default))
+        if self.const is not None:
+            return f"sets {self.name} to {json.dumps(self.const)} (default: {default})"
+        return f"{self.requirement} (default: {default})"
+
+
+_OPTIONS = (
+    _Option("config", "--config", None, _text, None,
+            "a JSON config file path; its values override every flag"),
+    _Option("grid_dim", "--grid-dim", "grid.dim", _integer, 1, "an integer"),
+    _Option("grid_n", "--grid-n", "grid.n", _integer, 256, "an integer"),
+    _Option("grid_box", "--grid-box", "grid.box", _number, 1.0, "a number"),
+    _Option("space", "--space", "space.scale", _text, "F", "F or B",
+            valid=lambda v: v in ("F", "B")),
+    _Option("s", "--s", "space.s", _number, 0.5, "a number"),
+    _Option("p", "--p", "space.p", _exponent, 2.0, "a number or inf"),
+    _Option("q", "--q", "space.q", _exponent, 2.0, "a number or inf"),
+    _Option("L", "--L", "space.L", _integer, 1, "an integer"),
+    _Option("r", "--r", "space.r", _number, 1.0, "a number"),
+    _Option("homogeneous", "--inhomogeneous", "space.homogeneous", _boolean, True,
+            "true or false", const=False),
+    # the quadrature: an unset value keeps the grid's default quadrature's
+    _Option("h_min", "--h-min", "quad.h_min", _number, None, "a number"),
+    _Option("h_max", "--h-max", "quad.h_max", _number, None, "a number"),
+    _Option("radial_per_octave", "--radial-per-octave", "quad.radial_nodes_per_octave",
+            _integer, None, "an integer"),
+    _Option("sphere_nodes", "--sphere-nodes", "quad.sphere_nodes", _integer, None,
+            "an integer"),
+    _Option("t_per_octave", "--t-per-octave", "quad.t_nodes_per_octave", _integer, None,
+            "an integer"),
+    _Option("tau_per_octave", "--tau-per-octave", "quad.tau_nodes_per_octave", _integer,
+            None, "an integer"),
+    _Option("tau_octaves", "--tau-octaves", "quad.tau_octaves", _integer, None, "an integer"),
+    _Option("allow_subgrid", "--allow-subgrid", "quad.allow_subgrid", _boolean, None,
+            "true or false", const=True),
+    _Option("in_path", "--in", "io.input", _text, None, "a raw float64 field file path"),
+    _Option("out_dir", "--out", "io.output", _text, "lplab-artifacts",
+            "an artifact directory path"),
+    _Option("function", "--function", "function", _text, "band_mid",
+            "the corpus member label used when --in is absent"),
+    _Option("corpus", None, "corpus", _list(_object), None,
+            "a nonempty list of test-function objects", valid=bool),
+    _Option("characterization", "--characterization", "characterization", _cid, "lp",
+            "a characterization id: " + " | ".join(
+                (*CHARACTERIZATION_IDS, "axis:J", *_CHARACTERIZATION_ALIASES)),
+            ("norm", "scaling")),
+    _Option("variants", "--variants", "variants", _list(_text), ("S", "V"),
+            "a comma list or a list of strings from " + ",".join(MAXIMAL_VARIANTS),
+            ("maximal",), bool),
+    _Option("m_values", "--m-values", "m_values", _list(_integer), (-1, 0, 1),
+            "a list of integers with a nonzero entry", ("scaling",), any),
+    _Option("pair", "--pair", "pair", _list(_cid), ("lp", "diff"),
+            "two characterization ids, as a comma list or a list of strings",
+            ("equivalence",), lambda v: len(v) == 2),
+    _Option("theorem", "--theorem", "theorem", lambda raw: _text(raw).strip(), "T2i",
+            "a theorem id", ("equivalence",)),
+    # a spread is max/min of the ratios, never below 1
+    _Option("spread_limit", "--spread-limit", "thresholds.spread_limit", _number, 50.0,
+            "a number >= 1", ("equivalence",), lambda v: v >= 1.0),
+    _Option("drift_limit", "--drift-limit", "thresholds.drift_limit", _number, 0.05,
+            "a number >= 0", ("equivalence",), lambda v: v >= 0.0),
+    _Option("alpha", "--alpha", "alpha", _alpha, 1, "an integer or a list of integers",
+            ("ppn",)),
+    _Option("t_list", "--t-list", "t_list", _list(_number), (8.0, 16.0, 32.0),
+            "a list of at least two numbers", ("ppn",), lambda v: len(v) >= 2),
+    _Option("order", "--order", "order", _integer, None, "an integer >= 1",
+            ("kernel-decay",), lambda v: v >= 1, derived="the --L value"),
+    _Option("target_exponent", "--target-exponent", "target_exponent", _integer, 4,
+            "an integer >= 1", ("kernel-decay",), lambda v: v >= 1),
+    _Option("tau_list", "--tau-list", "tau_list", _list(_number), (1.0, 1.5, 2.0),
+            "a nonempty list of numbers", ("kernel-decay",), bool),
+    _Option("directions", "--directions", "directions", _integer, 8, "an integer >= 1",
+            ("kernel-decay",), lambda v: v >= 1),
+    _Option("levels", "--levels", "levels", _integer, 4, "an integer >= 1",
+            ("divergence",), lambda v: v >= 1),
+    _Option("band", "--band", "band", _integer, None, "a band index of the grid",
+            ("slice-support",), derived="the middle of the grid's band range"),
+    _Option("axis", "--axis", "axis", _integer, 1, "an axis of the grid", ("slice-support",)),
+)
+
+_CONFIG_KEYS = {row.config: row.name for row in _OPTIONS if row.config}
+_SECTIONS = {key.split(".")[0] for key in _CONFIG_KEYS if "." in key}
+
+
+def _read_config(path: str) -> dict:
+    """The option values a JSON config file gives, by option name."""
     try:
-        return GridSpec(
-            _option(opts, "grid_dim", None, _integer, "an integer"),
-            _option(opts, "grid_n", None, _integer, "an integer"),
-            _option(opts, "grid_box", None, _number, "a number"),
-        )
-    except (LplabError, TypeError, ValueError) as exc:
-        raise ConfigParseError(f"invalid grid: {exc}") from exc
-
-
-def _build_space(opts: dict) -> SpaceParams:
-    try:
-        return SpaceParams(
-            s=_option(opts, "s", None, _number, "a number"),
-            p=_option(opts, "p", None, _exponent, "a number or inf"),
-            q=_option(opts, "q", None, _exponent, "a number or inf"),
-            L=_option(opts, "L", None, _integer, "an integer"),
-            r=_option(opts, "r", None, _number, "a number"),
-            scale=str(opts["space"]),
-            homogeneous=_option(opts, "homogeneous", True, _boolean, "true or false"),
-        )
-    except (LplabError, TypeError, ValueError) as exc:
-        raise ConfigParseError(f"invalid space parameters: {exc}") from exc
-
-
-def _build_quad(opts: dict, grid: GridSpec) -> QuadratureSpec | None:
-    overrides = {}
-    for key, opt in _QUAD_KEYS.items():
-        if key in ("h_min", "h_max"):
-            val = _option(opts, opt, None, _number, "a number")
-        elif key == "allow_subgrid":
-            val = _option(opts, opt, None, _boolean, "true or false")
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise IoError(f"cannot read config file {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ConfigParseError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigParseError("config root must be a JSON object")
+    # a misspelled key or a null would otherwise leave the default, or a
+    # flag's value, in place unsaid
+    values = {}
+    for key, body in cfg.items():
+        if key in _SECTIONS and body is not None:
+            if not isinstance(body, dict):
+                raise ConfigParseError(f"config section {key!r} must be an object")
+            entries = [(f"{key}.{inner}", value, f"key {inner!r} in config section {key!r}")
+                       for inner, value in body.items()]
         else:
-            val = _option(opts, opt, None, _integer, "an integer")
-        if val is not None:
-            overrides[key] = val
+            entries = [(key, body, f"config key {key!r}")]
+        for dotted, value, where in entries:
+            if value is None:
+                raise ConfigParseError(f"{where} is null")
+            if dotted not in _CONFIG_KEYS:
+                raise ConfigParseError(f"unknown {where}")
+            values[_CONFIG_KEYS[dotted]] = value
+    return values
+
+
+class _Options:
+    """The options one command reads, each converted and checked up front
+    from its config value, else its flag, else its default.  Handlers read
+    them by name; the summary echoes each one read with its source."""
+
+    def __init__(self, command: str, parsed: dict):
+        self.rows = {row.name: row for row in _OPTIONS if row.reads(command)}
+        given = {name: ("flag", _FlagText(raw) if isinstance(raw, str) else raw)
+                 for name in self.rows if (raw := parsed.get(name)) is not None}
+        if "config" in given:
+            path = self.rows["config"].resolve(given["config"][1])
+            given.update((name, ("config", raw)) for name, raw in _read_config(path).items())
+        self.values, self.sources, self.read = {}, {}, set()
+        for name, row in self.rows.items():
+            self.sources[name], raw = given.get(name, ("default", None))
+            self.values[name] = row.default if raw is None else row.resolve(raw)
+
+    def build(self) -> _Options:
+        """Build the grid and the space parameters, which every command
+        reads, so that their errors come before any other."""
+        self.grid = _built("grid", GridSpec, self["grid_dim"], self["grid_n"], self["grid_box"])
+        self.space = _built("space parameters", SpaceParams, s=self["s"], p=self["p"],
+                            q=self["q"], L=self["L"], r=self["r"], scale=self["space"],
+                            homogeneous=self["homogeneous"])
+        return self
+
+    def __getitem__(self, name: str):
+        self.read.add(name)
+        return self.values[name]
+
+    def get(self, name: str, derived=None, span: tuple[int, int] | None = None):
+        """The option's value, or derived when it is unset and derived is
+        given; with span = (low, high), a ConfigParseError naming the
+        option unless low <= value <= high, the values the grid allows."""
+        if derived is not None and self.sources[name] == "default":
+            self.values[name] = derived
+        value = self[name]
+        if span is not None and not span[0] <= value <= span[1]:
+            raise ConfigParseError(f"{name} must be {self.rows[name].requirement}, "
+                                   f"here in [{span[0]}, {span[1]}], got {value!r}")
+        return value
+
+    def echo(self) -> dict:
+        """Value and source of every option read but the output directory,
+        which differs between runs that must match byte for byte."""
+        return {name: {"source": self.sources[name], "value": self.values[name]}
+                for name in sorted(self.read - {"out_dir"})}
+
+
+def _built(what: str, build: Callable, *args, **kwargs):
+    """build(*args, **kwargs), its errors a ConfigParseError on an invalid what."""
+    try:
+        return build(*args, **kwargs)
+    except (LplabError, TypeError, ValueError) as exc:
+        raise ConfigParseError(f"invalid {what}: {exc}") from exc
+
+
+def _build_quad(opts: _Options) -> QuadratureSpec | None:
+    # the quad section's keys are default_quadrature's keywords
+    overrides = {row.config[len("quad."):]: opts[row.name]
+                 for row in _OPTIONS if row.config and row.config.startswith("quad.")}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
     if not overrides:
         return None
-    try:
-        quad = default_quadrature(grid, **overrides)
-        quad.validate_for(grid)
-        return quad
-    except (LplabError, TypeError, ValueError) as exc:
-        raise ConfigParseError(f"invalid quadrature: {exc}") from exc
+    quad = _built("quadrature", default_quadrature, opts.grid, **overrides)
+    _built("quadrature", quad.validate_for, opts.grid)
+    return quad
 
 
-def _build_corpus(opts: dict, grid: GridSpec) -> tuple[TestFunctionSpec, ...]:
-    raw = opts.get("corpus")
+def _spec(entry: dict) -> TestFunctionSpec:
+    """The test function of a corpus entry, its center and modulation as tuples."""
+    vectors = {key: tuple(entry[key]) for key in ("center", "modulation")
+               if entry.get(key) is not None}
+    return TestFunctionSpec(**{**entry, **vectors})
+
+
+def _build_corpus(opts: _Options) -> tuple[TestFunctionSpec, ...]:
+    raw = opts["corpus"]
     if raw is None:
-        return default_corpus(grid)
-    try:
-        specs = []
-        for entry in raw:
-            entry = dict(entry)
-            for key in ("center", "modulation"):
-                if entry.get(key) is not None:
-                    entry[key] = tuple(entry[key])
-            specs.append(TestFunctionSpec(**entry))
-        return tuple(specs)
-    except (LplabError, TypeError, ValueError) as exc:
-        raise ConfigParseError(f"invalid corpus entry: {exc}") from exc
+        return default_corpus(opts.grid)
+    return tuple(_built("corpus entry", _spec, entry) for entry in raw)
 
 
-def _nonblank(value: str) -> bool:
-    return value.strip() != ""
-
-
-def _in_path(opts: dict) -> str | None:
-    """The --in file path, or None when it is unset; a blank one is an error."""
-    return _option(opts, "in_path", None, str, "a field file path", _nonblank)
-
-
-def _input_field(opts: dict, grid: GridSpec) -> tuple[str, SampledField]:
-    """The field named by --in, else the named corpus member (band_mid when
-    unnamed), with the function id of its rows."""
-    path = _in_path(opts)
+def _input_field(opts: _Options) -> tuple[str, SampledField]:
+    """The field named by --in, else the named corpus member, with the
+    function id of its rows ("field" for the default member)."""
+    path = opts["in_path"]
     if path is not None:
-        return os.path.basename(path), load_field(path, grid)
-    label = _option(opts, "function", None, str, "a corpus member label", _nonblank)
-    wanted = label or "band_mid"
-    for spec in _build_corpus(opts, grid):
-        if spec.function_id() == wanted:
-            return label or "field", sample_family(spec, grid)
-    raise ConfigParseError(
-        f"no --in file and no corpus member labeled {wanted!r}"
-    )
-
-
-def _characterization(opts: dict) -> str:
-    cid = _option(opts, "characterization", "lp", str, "a characterization id", _nonblank)
-    return _CHARACTERIZATION_ALIASES.get(cid, cid)
+        return os.path.basename(path), load_field(path, opts.grid)
+    label = opts["function"]
+    for spec in _build_corpus(opts):
+        if spec.function_id() == label:
+            fid = "field" if opts.sources["function"] == "default" else label
+            return fid, sample_family(spec, opts.grid)
+    raise ConfigParseError(f"no --in file and no corpus member labeled {label!r}")
 
 
 # ---------------------------------------------------------------------------
 # artifact emission
 
 
-class _Artifacts:
-    """Collects CSV rows and the summary dict, then writes both files."""
+def _write(opts: _Options, name: str, rows: list[tuple], summary: dict,
+           verdict: str | None = None) -> int:
+    """Write name.csv, one line per (function_id, characterization, value,
+    flag) row under the run's s, p, q and L, and name_summary.json:
+    summary plus the command, the space parameters, the verdict if any and
+    the inputs echo.  Returns the exit status, 1 on a FAIL verdict and 0
+    otherwise."""
+    out_dir = opts["out_dir"]
+    space = opts.space
+    exponents = ["inf" if x == math.inf else _fmt(x) for x in (space.p, space.q)]
+    lines = [CSV_HEADER] + [
+        ",".join((fid, cid, _fmt(space.s), *exponents, str(space.L), _fmt(value), flag))
+        for fid, cid, value, flag in rows
+    ]
+    summary = {**summary, "command": name, "params": asdict(space), "inputs": opts.echo()}
+    if verdict is not None:
+        summary["verdict"] = verdict
+    texts = {f"{name}.csv": "".join(line + "\n" for line in lines),
+             f"{name}_summary.json": _dump_json(summary)}
+    _make_dirs(out_dir)
+    try:
+        for file_name, text in texts.items():
+            with open(os.path.join(out_dir, file_name), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write artifacts to {out_dir}: {exc}") from exc
+    return 1 if verdict == "FAIL" else 0
 
-    def __init__(self, opts: dict, name: str):
-        self.out_dir = str(opts.get("out_dir") or "lplab-artifacts")
-        self.name = name
-        self.rows: list[str] = []
-        self.summary: dict = {"command": name}
 
-    def add_row(self, function_id: str, characterization: str,
-                params: SpaceParams, value: float, flag: str) -> None:
-        self.rows.append(
-            ",".join(
-                (
-                    function_id,
-                    characterization,
-                    _fmt(params.s),
-                    "inf" if params.p == math.inf else _fmt(params.p),
-                    "inf" if params.q == math.inf else _fmt(params.q),
-                    str(params.L),
-                    _fmt(value),
-                    flag,
-                )
-            )
-        )
-
-    def write(self) -> None:
-        _make_dirs(self.out_dir)
-        csv_path = os.path.join(self.out_dir, f"{self.name}.csv")
-        json_path = os.path.join(self.out_dir, f"{self.name}_summary.json")
-        try:
-            with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(CSV_HEADER + "\n")
-                for row in self.rows:
-                    fh.write(row + "\n")
-            with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(_dump_json(self.summary))
-        except OSError as exc:
-            raise IoError(f"cannot write artifacts to {self.out_dir}: {exc}") from exc
+def _fields(report, *names: str) -> dict:
+    """The named fields of a report, as summary entries of the same names."""
+    return {name: getattr(report, name) for name in names}
 
 
 def _result_payload(result: QuasinormResult) -> dict:
-    return {
-        "value": result.value,
-        "per_scale": [[k, c] for k, c in result.per_scale],
-        "truncation_report": result.truncation_report,
-        "flag": result.flag,
-    }
-
-
-def _params_payload(params: SpaceParams) -> dict:
-    return {
-        "s": params.s, "p": params.p, "q": params.q, "L": params.L,
-        "r": params.r, "scale": params.scale,
-        "homogeneous": params.homogeneous,
-    }
-
-
-def _worst_flag(*flags: str) -> str:
-    for level in ("DIVERGENT", "TRUNCATION-WARN"):
-        if level in flags:
-            return level
-    return "OK"
+    return _fields(result, "value", "per_scale", "truncation_report", "flag")
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers (each returns the exit status)
 
 
-def _cmd_bands(opts: dict) -> int:
-    grid = _build_grid(opts)
-    space = _build_space(opts)
-    fid, field = _input_field(opts, grid)
-    art = _Artifacts(opts, "bands")
-    system = build_band_system(grid)
-    decomp = decompose(field, system, homogeneous=space.homogeneous)
-    for j, part in decomp.bands:
-        art.add_row(fid, f"band:{j}", space, lp_norm(part, 2.0), "OK")
+def _cmd_bands(opts: _Options) -> int:
+    fid, field = _input_field(opts)
+    system = build_band_system(opts.grid)
+    decomp = decompose(field, system, homogeneous=opts.space.homogeneous)
+    rows = [(fid, f"band:{j}", lp_norm(part, 2.0), "OK") for j, part in decomp.bands]
     if decomp.lowpass is not None:
-        art.add_row(fid, "lowpass", space, lp_norm(decomp.lowpass, 2.0), "OK")
-    art.summary.update(
-        {
-            "j_min": system.j_min,
-            "j_max": system.j_max,
-            "bands": len(decomp.bands),
-            "homogeneous": decomp.homogeneous,
-        }
-    )
-    art.write()
-    return 0
+        rows.append((fid, "lowpass", lp_norm(decomp.lowpass, 2.0), "OK"))
+    summary = _fields(system, "j_min", "j_max")
+    summary.update(bands=len(decomp.bands), homogeneous=decomp.homogeneous)
+    return _write(opts, "bands", rows, summary)
 
 
-def _norm_like(opts: dict, name: str, cid: str) -> int:
-    grid = _build_grid(opts)
-    space = _build_space(opts)
-    quad = _build_quad(opts, grid)
-    fid, field = _input_field(opts, grid)
-    result = quasinorm(field, cid, space, quad)
+def _cmd_norm(opts: _Options, name: str, cid: str) -> int:
+    quad = _build_quad(opts)
+    fid, field = _input_field(opts)
+    result = quasinorm(field, cid, opts.space, quad)
     payload = _result_payload(result)
     print(_dump_json(payload), end="")
-    art = _Artifacts(opts, name)
-    art.add_row(fid, cid, space, result.value, result.flag)
-    art.summary.update(payload)
-    art.summary["params"] = _params_payload(space)
-    art.write()
-    return 0
+    return _write(opts, name, [(fid, cid, result.value, result.flag)], payload)
 
 
-def _cmd_norm(opts: dict) -> int:
-    return _norm_like(opts, "norm", _characterization(opts))
-
-
-def _cmd_diff(opts: dict) -> int:
-    return _norm_like(opts, "diff", "diff")
-
-
-def _cmd_maximal(opts: dict) -> int:
-    grid = _build_grid(opts)
-    space = _build_space(opts)
-    quad = _build_quad(opts, grid)
-    fid, field = _input_field(opts, grid)
-    variants = tuple(_names(opts, "variants", "S,V"))
+def _cmd_maximal(opts: _Options) -> int:
+    quad = _build_quad(opts)
+    fid, field = _input_field(opts)
+    variants = opts["variants"]
     for i, variant in enumerate(variants):
         if variant in variants[:i]:
             raise ConfigParseError(f"variants names {variant!r} twice")
-    results = maximal_quasinorm_set(field, space, variants, quad or default_quadrature(grid))
-    art = _Artifacts(opts, "maximal")
-    for variant in variants:
-        res = results[variant]
-        art.add_row(fid, f"max:{variant}", space, res.value, res.flag)
-    art.summary["results"] = {
-        variant: _result_payload(results[variant]) for variant in variants
-    }
-    art.summary["params"] = _params_payload(space)
-    art.write()
-    return 0
+    results = maximal_quasinorm_set(field, opts.space, variants,
+                                    quad or default_quadrature(opts.grid))
+    rows = [(fid, f"max:{v}", results[v].value, results[v].flag) for v in variants]
+    return _write(opts, "maximal", rows, {
+        "results": {variant: _result_payload(results[variant]) for variant in variants},
+    })
 
 
-def _cmd_corpus(opts: dict) -> int:
-    grid = _build_grid(opts)
-    space = _build_space(opts)
-    art = _Artifacts(opts, "corpus")
-    _make_dirs(art.out_dir)
-    manifest = []
-    for spec in _build_corpus(opts, grid):
+def _cmd_corpus(opts: _Options) -> int:
+    grid = opts.grid
+    out_dir = opts["out_dir"]
+    _make_dirs(out_dir)
+    rows, manifest = [], []
+    for spec in _build_corpus(opts):
         field = sample_family(spec, grid)
         fid = spec.function_id()
-        path = os.path.join(art.out_dir, f"{fid}.bin")
-        save_field(path, field)
-        art.add_row(fid, "sample", space, lp_norm(field, 2.0), "OK")
+        save_field(os.path.join(out_dir, f"{fid}.bin"), field)
+        rows.append((fid, "sample", lp_norm(field, 2.0), "OK"))
         manifest.append({"function_id": fid, "file": f"{fid}.bin"})
-    art.summary.update(
-        {"grid": {"dim": grid.dim, "n": grid.n, "box": grid.box},
-         "members": manifest}
-    )
-    art.write()
-    return 0
+    return _write(opts, "corpus", rows, {
+        "grid": {"dim": grid.dim, "n": grid.n, "box": grid.box},
+        "members": manifest,
+    })
 
 
-def _floats(raw) -> tuple[float, ...]:
-    """A comma list or a JSON list of numbers as floats, else ValueError or TypeError."""
-    if isinstance(raw, str):
-        raw = [piece for piece in raw.split(",") if piece.strip()]
-    return tuple(float(v) for v in raw)
+def _cmd_verify_scaling(opts: _Options) -> int:
+    quad = _build_quad(opts)
+    fid, field = _input_field(opts)
+    cid = opts["characterization"]
+    rep = scaling_experiment(field, cid, opts.space, opts["m_values"], quad)
+    rows = [(fid, f"{cid}@m={m}", ratio, "OK") for m, ratio in zip(rep.m_values, rep.ratios)]
+    summary = _fields(rep, "characterization", "expected_exponent", "measured_exponents",
+                      "max_deviation", "tolerance")
+    return _write(opts, "verify_scaling", rows, summary, "PASS" if rep.passed else "FAIL")
 
 
-def _integers(raw) -> tuple[int, ...]:
-    """A comma list or a JSON list of integers, else ValueError or TypeError."""
-    return tuple(_integer(v) for v in _floats(raw))
-
-
-def _cmd_verify_scaling(opts: dict) -> int:
-    grid = _build_grid(opts)
-    space = _build_space(opts)
-    quad = _build_quad(opts, grid)
-    fid, field = _input_field(opts, grid)
-    cid = _characterization(opts)
-    m_values = _option(opts, "m_values", (-1, 0, 1), _integers,
-                       "a list of integers with a nonzero entry", any)
-    rep = scaling_experiment(field, cid, space, m_values, quad)
-    art = _Artifacts(opts, "verify_scaling")
-    for m, ratio in zip(rep.m_values, rep.ratios):
-        art.add_row(fid, f"{cid}@m={m}", space, ratio, "OK")
-    art.summary.update(
-        {
-            "characterization": cid,
-            "expected_exponent": rep.expected_exponent,
-            "measured_exponents": list(rep.measured_exponents),
-            "max_deviation": rep.max_deviation,
-            "tolerance": rep.tolerance,
-            "verdict": "PASS" if rep.passed else "FAIL",
-            "params": _params_payload(space),
-        }
-    )
-    art.write()
-    return 0 if rep.passed else 1
-
-
-def _cmd_verify_equivalence(opts: dict) -> int:
-    grid = _build_grid(opts)
-    space = _build_space(opts)
-    quad = _build_quad(opts, grid)
-    corpus = _build_corpus(opts, grid)
-    parts = _names(opts, "pair", "lp,diff")
-    if len(parts) != 2:
-        raise ConfigParseError(f"pair needs exactly two characterizations, got {parts}")
-    pair = (
-        _CHARACTERIZATION_ALIASES.get(parts[0], parts[0]),
-        _CHARACTERIZATION_ALIASES.get(parts[1], parts[1]),
-    )
-    theorem = _option(opts, "theorem", "T2i", str.strip, "a theorem id", bool)
-    # a spread is max/min of the ratios, never below 1
-    spread_limit = _option(opts, "spread_limit", 50.0, _number, "a number >= 1",
-                           lambda v: v >= 1.0)
-    drift_limit = _option(opts, "drift_limit", 0.05, _number, "a number >= 0",
-                          lambda v: v >= 0.0)
+def _cmd_verify_equivalence(opts: _Options) -> int:
+    quad = _build_quad(opts)
+    corpus = _build_corpus(opts)
+    pair = opts["pair"]
     rep = equivalence_experiment(
-        corpus, pair, space, grid, theorem, quad,
-        spread_limit=spread_limit, drift_limit=drift_limit,
+        corpus, pair, opts.space, opts.grid, opts["theorem"], quad,
+        spread_limit=opts["spread_limit"], drift_limit=opts["drift_limit"],
     )
-    art = _Artifacts(opts, "verify_equivalence")
-    for entry in rep.per_function:
-        art.add_row(
-            entry.label, f"{pair[0]}/{pair[1]}", space, entry.ratio,
-            _worst_flag(*entry.flags),
-        )
-    art.summary.update(
-        {
-            "pair": list(pair),
-            "theorem": theorem,
-            "hypothesis": {
-                "satisfied": rep.hypothesis.satisfied,
-                "window": rep.hypothesis.window,
-            },
-            "spread": rep.spread,
-            "dilation_drift": rep.dilation_drift,
-            "spread_limit": rep.spread_limit,
-            "drift_limit": rep.drift_limit,
-            "verdict": rep.verdict,
-            "params": _params_payload(space),
-        }
-    )
-    art.write()
-    return 1 if rep.verdict == "FAIL" else 0
+    rows = [(entry.label, f"{pair[0]}/{pair[1]}", entry.ratio, max(entry.flags, key=_FLAGS.index))
+            for entry in rep.per_function]
+    summary = _fields(rep, "pair", "theorem", "spread", "dilation_drift", "spread_limit",
+                      "drift_limit")
+    summary["hypothesis"] = _fields(rep.hypothesis, "satisfied", "window")
+    return _write(opts, "verify_equivalence", rows, summary, rep.verdict)
 
 
-def _cmd_verify_ppn(opts: dict) -> int:
-    grid = _build_grid(opts)
-    space = _build_space(opts)
-    t_list = _option(opts, "t_list", (8.0, 16.0, 32.0), _floats,
-                     "a list of at least two numbers", lambda v: len(v) >= 2)
-    alpha = _option(opts, "alpha", 1,
-                    lambda raw: _integers(raw) if isinstance(raw, list) else _integer(raw),
-                    "an integer or a list of integers")
+def _cmd_verify_ppn(opts: _Options) -> int:
+    t_list = opts["t_list"]
+    alpha = opts["alpha"]
     label = alpha if isinstance(alpha, int) else list(alpha)  # as a JSON list prints
-    u = band_limited_profile(grid, t_list[0])
-    rep = ppn_probe(u, alpha, space.p, space.q, t_list)
-    art = _Artifacts(opts, "verify_ppn")
-    for t, ratio in zip(rep.t_values, rep.ratios):
-        art.add_row("profile", f"ppn:alpha={label}@t={t:g}", space, ratio, "OK")
-    art.summary.update(
-        {
-            "alpha": list(rep.alpha),
-            "ratios": list(rep.ratios),
-            "max_over_min": rep.max_over_min,
-            "limit": rep.limit,
-            "verdict": "PASS" if rep.passed else "FAIL",
-            "params": _params_payload(space),
-        }
-    )
-    art.write()
-    return 0 if rep.passed else 1
+    u = band_limited_profile(opts.grid, t_list[0])
+    rep = ppn_probe(u, alpha, opts.space.p, opts.space.q, t_list)
+    rows = [("profile", f"ppn:alpha={label}@t={t:g}", ratio, "OK")
+            for t, ratio in zip(rep.t_values, rep.ratios)]
+    summary = _fields(rep, "alpha", "ratios", "max_over_min", "limit")
+    return _write(opts, "verify_ppn", rows, summary, "PASS" if rep.passed else "FAIL")
 
 
-def _cmd_verify_kernel_decay(opts: dict) -> int:
-    grid = _build_grid(opts)
-    space = _build_space(opts)
-    order = _option(opts, "order", space.L, _integer, "an integer >= 1", lambda v: v >= 1)
-    target = _option(opts, "target_exponent", 4, _integer, "an integer >= 1",
-                     lambda v: v >= 1)
-    tau_list = _option(opts, "tau_list", (1.0, 1.5, 2.0), _floats,
-                       "a nonempty list of numbers", bool)
-    directions = _option(opts, "directions", 8, _integer, "an integer >= 1",
-                         lambda v: v >= 1)
+def _cmd_verify_kernel_decay(opts: _Options) -> int:
+    grid = opts.grid
+    order = opts.get("order", opts.space.L)
+    target = opts["target_exponent"]
+    directions = opts["directions"]
     if grid.dim < 2:
         raise ConfigParseError("kernel decay probe needs a grid of dimension >= 2")
-    art = _Artifacts(opts, "verify_kernel_decay")
-    slopes: list[float] = []
-    amplitudes: list[float] = []
-    passed = True
+    reps = []
     for k in range(directions):
         angle = math.pi * k / directions
         theta = [math.cos(angle), math.sin(angle)] + [0.0] * (grid.dim - 2)
-        rep = kernel_decay_probe(
+        reps.append(kernel_decay_probe(
             directional_window(theta, smoothness=target), order, target,
-            tau_list, theta, grid,
-        )
-        passed = passed and rep.passed
-        slopes.extend(rep.slopes)
-        amplitudes.extend(rep.amplitudes)
-        for tau, slope in zip(rep.tau_values, rep.slopes):
-            art.add_row(
-                f"theta{k}", f"kernel:N={target},L={order}@tau={tau:g}",
-                space, slope, "OK",
-            )
+            opts["tau_list"], theta, grid,
+        ))
+    rows = [(f"theta{k}", f"kernel:N={target},L={order}@tau={tau:g}", slope, "OK")
+            for k, rep in enumerate(reps) for tau, slope in zip(rep.tau_values, rep.slopes)]
+    slopes = [slope for rep in reps for slope in rep.slopes]
+    amplitudes = [amplitude for rep in reps for amplitude in rep.amplitudes]
     amp_spread = max(amplitudes) / min(amplitudes)
-    passed = passed and amp_spread <= 2.0
-    art.summary.update(
-        {
-            "order": order,
-            "target_exponent": target,
-            "slope_limit": -(target - 0.5),
-            "slope_range": [min(slopes), max(slopes)],
-            "amplitude_spread": amp_spread,
-            "amplitude_limit": 2.0,
-            "verdict": "PASS" if passed else "FAIL",
-        }
-    )
-    art.write()
-    return 0 if passed else 1
+    passed = all(rep.passed for rep in reps) and amp_spread <= 2.0
+    return _write(opts, "verify_kernel_decay", rows, {
+        "order": order,
+        "target_exponent": target,
+        "slope_limit": -(target - 0.5),
+        "slope_range": [min(slopes), max(slopes)],
+        "amplitude_spread": amp_spread,
+        "amplitude_limit": 2.0,
+    }, "PASS" if passed else "FAIL")
 
 
-def _cmd_verify_divergence(opts: dict) -> int:
-    grid = _build_grid(opts)
-    space = _build_space(opts)
-    quad = _build_quad(opts, grid)
-    fid, field = _input_field(opts, grid)
-    levels = _option(opts, "levels", 4, _integer, "an integer >= 1", lambda v: v >= 1)
-    rep = divergence_probe(field, space, refinement_levels=levels, quad=quad)
-    art = _Artifacts(opts, "verify_divergence")
-    for level, value in enumerate(rep.values):
-        art.add_row(fid, f"diff@level={level}", space, value, "OK")
-    art.summary.update(
-        {
-            "growth_factors": list(rep.growth_factors),
-            "classification": rep.classification,
-            "params": _params_payload(space),
-        }
-    )
-    art.write()
-    return 0
+def _cmd_verify_divergence(opts: _Options) -> int:
+    quad = _build_quad(opts)
+    fid, field = _input_field(opts)
+    rep = divergence_probe(field, opts.space, refinement_levels=opts["levels"], quad=quad)
+    rows = [(fid, f"diff@level={level}", value, "OK") for level, value in enumerate(rep.values)]
+    summary = _fields(rep, "growth_factors", "classification")
+    return _write(opts, "verify_divergence", rows, summary)
 
 
-def _cmd_verify_slice_support(opts: dict) -> int:
-    grid = _build_grid(opts)
-    space = _build_space(opts)
-    system = build_band_system(grid)
-    j = _option(opts, "band", (system.j_min + system.j_max) // 2, _integer,
-                f"a band index in [{system.j_min}, {system.j_max}]",
-                lambda v: system.j_min <= v <= system.j_max)
-    axis = _option(opts, "axis", 1, _integer, f"an axis in 1..{grid.dim}",
-                   lambda v: 1 <= v <= grid.dim)
-    path = _in_path(opts)
+def _cmd_verify_slice_support(opts: _Options) -> int:
+    system = build_band_system(opts.grid)
+    span = (system.j_min, system.j_max)
+    j = opts.get("band", sum(span) // 2, span)
+    axis = opts.get("axis", span=(1, opts.grid.dim))
+    path = opts["in_path"]
     if path is not None:
-        field = load_field(path, grid)
+        field = load_field(path, opts.grid)
     else:
         raw = sample_family(
-            TestFunctionSpec(family="random_band", band_index=j, seed=5), grid
+            TestFunctionSpec(family="random_band", band_index=j, seed=5), opts.grid
         )
         field = band_project(raw, system, j)
     rep = slice_support_check(field, system, j, axis)
-    art = _Artifacts(opts, "verify_slice_support")
     fid = os.path.basename(path or f"band{j}")
-    art.add_row(fid, f"slice:j={j},axis={axis}", space, rep.max_violation,
-                "OK" if rep.passed else "DIVERGENT")
-    art.summary.update(
-        {
-            "band": j,
-            "axis": axis,
-            "max_violation": rep.max_violation,
-            "verdict": "PASS" if rep.passed else "FAIL",
-        }
-    )
-    art.write()
-    return 0 if rep.passed else 1
+    rows = [(fid, f"slice:j={j},axis={axis}", rep.max_violation,
+             "OK" if rep.passed else "DIVERGENT")]
+    summary = _fields(rep, "band", "axis", "max_violation")
+    return _write(opts, "verify_slice_support", rows, summary, "PASS" if rep.passed else "FAIL")
 
 
 _VERIFY_HANDLERS = {
@@ -734,48 +654,15 @@ _VERIFY_HANDLERS = {
 
 _HANDLERS = {
     "bands": _cmd_bands,
-    "diff": _cmd_diff,
+    "diff": lambda opts: _cmd_norm(opts, "diff", "diff"),
     "maximal": _cmd_maximal,
-    "norm": _cmd_norm,
+    "norm": lambda opts: _cmd_norm(opts, "norm", opts["characterization"]),
     "corpus": _cmd_corpus,
 }
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-
-def _common_options() -> argparse.ArgumentParser:
-    """The options every command and experiment takes, built once and
-    handed to each subparser as a parent."""
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--config", help="JSON config overriding every flag")
-    parser.add_argument("--grid-dim", type=int, default=1)
-    parser.add_argument("--grid-n", type=int, default=256)
-    parser.add_argument("--grid-box", type=float, default=1.0)
-    parser.add_argument("--space", choices=("F", "B"), default="F")
-    parser.add_argument("--s", type=float, default=0.5)
-    parser.add_argument("--p", default=2.0)
-    parser.add_argument("--q", default=2.0)
-    parser.add_argument("--L", type=int, default=1)
-    parser.add_argument("--r", type=float, default=1.0)
-    parser.add_argument("--inhomogeneous", dest="homogeneous",
-                        action="store_false")
-    parser.add_argument("--h-min", type=float, default=None)
-    parser.add_argument("--h-max", type=float, default=None)
-    parser.add_argument("--radial-per-octave", type=int, default=None)
-    parser.add_argument("--sphere-nodes", type=int, default=None)
-    parser.add_argument("--t-per-octave", type=int, default=None)
-    parser.add_argument("--tau-per-octave", type=int, default=None)
-    parser.add_argument("--tau-octaves", type=int, default=None)
-    parser.add_argument("--allow-subgrid", action="store_true", default=None)
-    parser.add_argument("--in", dest="in_path", default=None,
-                        help="raw float64 field file")
-    parser.add_argument("--out", dest="out_dir", default=None,
-                        help="artifact directory (default lplab-artifacts)")
-    parser.add_argument("--function", default=None,
-                        help="corpus member label used when --in is absent")
-    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -785,88 +672,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "their verification experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = [_common_options()]
-
-    for name, text in (
+    commands = [(sub.add_parser(name, help=text), name) for name, text in (
         ("bands", "decompose a field into dyadic frequency bands"),
         ("diff", "difference-quasinorm of a field"),
         ("norm", "any quasinorm characterization of a field"),
         ("maximal", "maximal-function quasinorms of a field"),
         ("corpus", "materialize the standard test functions"),
-    ):
-        p = sub.add_parser(name, help=text, parents=common)
-        if name == "norm":
-            p.add_argument(
-                "--characterization", default="lp",
-                help=" | ".join((*CHARACTERIZATION_IDS, "axis:J", *_CHARACTERIZATION_ALIASES)),
-            )
-        if name == "maximal":
-            p.add_argument("--variants", default="S,V",
-                           help="comma list from " + ",".join(MAXIMAL_VARIANTS))
-
+    )]
     pv = sub.add_parser("verify", help="run a verification experiment")
     vsub = pv.add_subparsers(dest="experiment", required=True)
-    for name in _VERIFY_HANDLERS:
-        p = vsub.add_parser(name, parents=common)
-        if name == "scaling":
-            p.add_argument("--characterization", default="lp")
-            p.add_argument("--m-values", default=None, help="comma list, e.g. -1,0,1")
-        if name == "equivalence":
-            p.add_argument("--pair", default="lp,diff")
-            p.add_argument("--theorem", default="T2i")
-            p.add_argument("--spread-limit", type=float, default=None)
-            p.add_argument("--drift-limit", type=float, default=None)
-        if name == "ppn":
-            p.add_argument("--alpha", type=int, default=1)
-            p.add_argument("--t-list", default=None, help="comma list, e.g. 8,16,32")
-        if name == "kernel-decay":
-            p.add_argument("--order", type=int, default=None,
-                           help="difference order L (defaults to --L)")
-            p.add_argument("--target-exponent", type=int, default=4)
-            p.add_argument("--tau-list", default=None)
-            p.add_argument("--directions", type=int, default=8)
-        if name == "divergence":
-            p.add_argument("--levels", type=int, default=4)
-        if name == "slice-support":
-            p.add_argument("--band", type=int, default=None)
-            p.add_argument("--axis", type=int, default=1)
+    commands += [(vsub.add_parser(name), name) for name in _VERIFY_HANDLERS]
+    # every flag parses to None unless it is given
+    for p, name in commands:
+        for row in _OPTIONS:
+            if row.flag is None or not row.reads(name):
+                continue
+            p.add_argument(row.flag, dest=row.name, help=row.help(), const=row.const,
+                           action="store" if row.const is None else "store_const")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    opts = vars(args).copy()
+    args = vars(build_parser().parse_args(argv))
+    command = args["command"]
+    experiment = args.get("experiment")
     try:
-        if opts.get("config"):
-            _apply_config(opts, opts["config"])
-        if args.command == "verify":
-            handler = _VERIFY_HANDLERS[opts["experiment"]]
-        else:
-            handler = _HANDLERS[args.command]
-    except _CONFIG_ERRORS as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        opts = _Options(experiment or command, args).build()
+        handler = _VERIFY_HANDLERS[experiment] if experiment else _HANDLERS[command]
         return handler(opts)
     except _CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except LplabError as exc:
-        return _report_failure(args.command, opts, "computation error", exc)
+        return _report_failure(command, opts["out_dir"], "computation error", exc)
     except Exception as exc:  # any other failure, MemoryError included; KeyboardInterrupt ends the run
-        return _report_failure(args.command, opts, "internal error", exc,
+        return _report_failure(command, opts["out_dir"], "internal error", exc,
                                traceback.format_exception(exc))
 
 
-def _report_failure(command: str, opts: dict, kind: str, exc: Exception,
+def _report_failure(command: str, out_dir: str, kind: str, exc: Exception,
                     trace: list[str] | None = None) -> int:
     """Print one `kind: Type: message` line, write error_summary.json into
-    the output directory (with the traceback lines, if given), and return
-    exit code 1."""
+    out_dir (with the traceback lines, if given), and return exit code 1."""
     print(f"{kind}: {type(exc).__name__}: {exc}", file=sys.stderr)
-    out_dir = str(opts.get("out_dir") or "lplab-artifacts")
     summary = {
         "command": command,
         "error": {"type": type(exc).__name__, "message": str(exc)},

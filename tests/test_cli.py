@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -47,6 +48,12 @@ def assert_one_config_error(code, capsys):
     assert code == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("configuration error: "), lines
+
+
+def without_sources(summary):
+    """summary with each inputs entry's value alone, for runs that give
+    the same options in different places."""
+    return {**summary, "inputs": {k: v["value"] for k, v in summary["inputs"].items()}}
 
 
 def read_rows(out_dir, name):
@@ -499,6 +506,8 @@ class TestConfigOverride:
         ("space", "smoothness", 2, "unknown key 'smoothness' in config section 'space'"),
         ("spacee", "s", 2, "unknown config key 'spacee'"),
         ("io", "output", None, "key 'output' in config section 'io' is null"),
+        ("io", "output", "", "out_dir must be"),
+        ("io", "output", 5, "out_dir must be"),
         ("quad", "h_min", None, "key 'h_min' in config section 'quad' is null"),
         ("space", "q", None, "key 'q' in config section 'space' is null"),
         (None, "space", None, "config key 'space' is null"),
@@ -507,14 +516,16 @@ class TestConfigOverride:
         (None, "spread_limit", 2, "unknown config key 'spread_limit'"),
         (None, "drift_limit", 0.1, "unknown config key 'drift_limit'"),
     ])
-    def test_non_integral_or_non_numeric_config_rejected(self, tmp_path, capsys, section,
-                                                         key, value, named):
+    def test_non_integral_or_non_numeric_config_rejected(self, tmp_path, capsys, monkeypatch,
+                                                         section, key, value, named):
         # these ran truncated (n = 64, L = 1, 8 sphere nodes), were accepted
         # as given (true as 1.0), ran on defaults (unknown keys and nulls,
-        # the null output on ./lplab-artifacts), failed on a comparison of
-        # str and int or as a computation error (s = nan), or overrode
-        # their section's key (top-level homogeneous and limits); a section
-        # of None puts the key at the top level
+        # the null or blank output on ./lplab-artifacts, the output 5 in a
+        # directory ./5), failed on a comparison of str and int or as a
+        # computation error (s = nan), or overrode their section's key
+        # (top-level homogeneous and limits); a section of None puts the
+        # key at the top level
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value} if section is None else {section: {key: value}}))
         # only the equivalence experiment reads the thresholds
@@ -525,7 +536,7 @@ class TestConfigOverride:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("configuration error: ") and named in err, err
-        assert not out.exists()
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_non_finite_s_flag_rejected(self, tmp_path, capsys):
         code, out = run(tmp_path, "norm", "--grid-dim", "1", "--grid-n", "64", "--s", "nan",
@@ -545,7 +556,8 @@ class TestConfigOverride:
                           "--grid-dim", "2", "--grid-n", "32", "--L", "2", "--sphere-nodes", "8",
                           "--tau-octaves", "3", "--function", "gauss_mid")
         assert code == 0
-        assert read_summary(out, "norm") == read_summary(flags, "norm")
+        assert without_sources(read_summary(out, "norm")) == without_sources(
+            read_summary(flags, "norm"))
 
 
 class TestBandsCommand:
@@ -604,55 +616,218 @@ COMMON_DEFAULTS = {
     "p": 2.0, "q": 2.0, "L": 1, "r": 1.0, "homogeneous": True, "h_min": None, "h_max": None,
     "radial_per_octave": None, "sphere_nodes": None, "t_per_octave": None,
     "tau_per_octave": None, "tau_octaves": None, "allow_subgrid": None, "in_path": None,
-    "out_dir": None, "function": None,
+    "out_dir": "lplab-artifacts", "function": "band_mid", "corpus": None,
 }
 
 
-# argv lists covering every command and experiment, with what each parses
-# to besides COMMON_DEFAULTS
+# argv lists covering every command and experiment, with what each
+# resolves to besides COMMON_DEFAULTS, or the message that rejects it
 PARSED = [
-    (["bands"], {"command": "bands"}),
+    (["bands"], {}),
     (["diff", "--grid-dim", "2", "--L", "2", "--space", "B", "--inhomogeneous"],
-     {"command": "diff", "grid_dim": 2, "space": "B", "L": 2, "homogeneous": False}),
-    (["norm"], {"command": "norm", "characterization": "lp"}),
+     {"grid_dim": 2, "space": "B", "L": 2, "homogeneous": False}),
+    (["norm"], {"characterization": "lp"}),
     (["norm", "--characterization", "axis:1", "--p", "inf", "--allow-subgrid"],
-     {"command": "norm", "p": "inf", "allow_subgrid": True, "characterization": "axis:1"}),
-    (["maximal"], {"command": "maximal", "variants": "S,V"}),
+     {"p": math.inf, "allow_subgrid": True, "characterization": "axis:1"}),
+    (["maximal"], {"variants": ("S", "V")}),
     (["maximal", "--variants", "S,V_SUP", "--sphere-nodes", "8", "--tau-octaves", "3"],
-     {"command": "maximal", "sphere_nodes": 8, "tau_octaves": 3, "variants": "S,V_SUP"}),
-    (["corpus", "--out", "x", "--function", "gauss"],
-     {"command": "corpus", "out_dir": "x", "function": "gauss"}),
-    (["verify", "scaling", "--m-values=-1,0"],
-     {"command": "verify", "experiment": "scaling", "characterization": "lp",
-      "m_values": "-1,0"}),
+     {"sphere_nodes": 8, "tau_octaves": 3, "variants": ("S", "V_SUP")}),
+    (["corpus", "--out", "x", "--function", "gauss"], {"out_dir": "x", "function": "gauss"}),
+    (["verify", "scaling", "--m-values=-1,0"], {"characterization": "lp", "m_values": (-1, 0)}),
     (["verify", "equivalence", "--pair", "lp,max:V", "--spread-limit", "0.5"],
-     {"command": "verify", "experiment": "equivalence", "pair": "lp,max:V",
-      "theorem": "T2i", "spread_limit": 0.5, "drift_limit": None}),
-    (["verify", "ppn", "--alpha", "2"],
-     {"command": "verify", "experiment": "ppn", "alpha": 2, "t_list": None}),
+     "spread_limit must be a number >= 1, got '0.5'"),
+    (["verify", "ppn", "--alpha", "2"], {"alpha": 2, "t_list": (8.0, 16.0, 32.0)}),
     (["verify", "kernel-decay", "--order", "3", "--tau-list", "1,2"],
-     {"command": "verify", "experiment": "kernel-decay", "order": 3, "target_exponent": 4,
-      "tau_list": "1,2", "directions": 8}),
-    (["verify", "divergence", "--levels", "3", "--h-min", "0.01"],
-     {"command": "verify", "experiment": "divergence", "h_min": 0.01, "levels": 3}),
+     {"order": 3, "target_exponent": 4, "tau_list": (1.0, 2.0), "directions": 8}),
+    (["verify", "divergence", "--levels", "3", "--h-min", "0.01"], {"h_min": 0.01, "levels": 3}),
     (["verify", "slice-support", "--band", "2", "--axis", "2", "--in", "f.bin",
       "--config", "c.json"],
-     {"command": "verify", "experiment": "slice-support", "config": "c.json",
-      "in_path": "f.bin", "band": 2, "axis": 2}),
+     {"config": "c.json", "in_path": "f.bin", "band": 2, "axis": 2}),
 ]
 
 
 class TestParser:
-    """Every command and experiment parses the shared options and its own
-    into the same namespace, defaults included."""
+    """Every command and experiment resolves the shared options and its own,
+    each flag to its converted value and each unset option to its
+    default."""
 
     @pytest.mark.parametrize("argv, parsed", PARSED, ids=[" ".join(a) for a, _ in PARSED])
-    def test_parsed_namespace(self, argv, parsed):
-        assert vars(cli.build_parser().parse_args(argv)) == {**COMMON_DEFAULTS, **parsed}
+    def test_parsed_namespace(self, tmp_path, monkeypatch, argv, parsed):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text("{}")
+        args = vars(cli.build_parser().parse_args(argv))
+        command = args.get("experiment") or args["command"]
+        if isinstance(parsed, str):
+            with pytest.raises(cli.ConfigParseError, match=re.escape(parsed)):
+                cli._Options(command, args)
+            return
+        opts = cli._Options(command, args)
+        assert opts.values == {**COMMON_DEFAULTS, **parsed}
+        flagged = {row.name for row in cli._OPTIONS
+                   if any(arg.split("=")[0] == row.flag for arg in argv)}
+        assert {name for name, source in opts.sources.items() if source == "flag"} == flagged
 
     def test_every_command_and_experiment_covered(self):
         covered = {" ".join(argv[:2]) if argv[0] == "verify" else argv[0] for argv, _ in PARSED}
         assert covered == set(cli._HANDLERS) | {f"verify {name}" for name in cli._VERIFY_HANDLERS}
+
+
+NORM = ("norm", "--grid-n", "64", "--function", "gauss_mid")
+DIFF = ("diff", "--grid-n", "64", "--function", "gauss_mid")
+EQUIVALENCE = ("verify", "equivalence", "--grid-n", "64")
+KERNEL = ("verify", "kernel-decay", "--grid-dim", "2", "--grid-n", "64", "--grid-box", "16",
+          "--directions", "1")
+SLICE = ("verify", "slice-support", "--grid-dim", "2", "--grid-n", "32")
+
+# per option: a command line that reads it, a valid flag text and the same
+# value as a config's JSON value, where "{dir}" stands for a scratch
+# directory; None where the option has no such spelling (the config path
+# has no config key, the corpus no flag) or its flag takes no value
+EXAMPLES = {
+    "config": (NORM, None, None),
+    "grid_dim": (("norm", "--grid-n", "32", "--function", "gauss_mid"), "2", 2),
+    "grid_n": (("norm", "--function", "gauss_mid"), "64.0", 64.0),
+    "grid_box": (NORM, "2", 2),
+    "space": (NORM, "B", "B"),
+    "s": (NORM, "0.75", 0.75),
+    "p": (NORM, "1.5", 1.5),
+    "q": (NORM, "inf", "inf"),
+    "L": ((*NORM, "--characterization", "diff"), "2", 2),
+    "r": (NORM, "1.5", 1.5),
+    "homogeneous": (NORM, None, False),
+    "h_min": (DIFF, "0.02", 0.02),
+    "h_max": (DIFF, "0.2", 0.2),
+    "radial_per_octave": (DIFF, "3", 3),
+    "sphere_nodes": (("diff", "--grid-dim", "2", "--grid-n", "32", "--function", "gauss_mid"),
+                     "8", 8),
+    "t_per_octave": (DIFF, "3", 3),
+    "tau_per_octave": (DIFF, "8", 8),
+    "tau_octaves": (DIFF, "3", 3),
+    "allow_subgrid": ((*DIFF, "--h-min", "0.01"), None, True),
+    "in_path": (("norm", "--grid-n", "64", "--characterization", "diff"), "{dir}/field.bin",
+                "{dir}/field.bin"),
+    "out_dir": (NORM, "{dir}/elsewhere", "{dir}/elsewhere"),
+    "function": (("norm", "--grid-n", "64"), "gauss_mid", "gauss_mid"),
+    "corpus": (EQUIVALENCE, None, None),
+    "characterization": (NORM, "diff", "diff"),
+    "variants": (("maximal", "--grid-dim", "2", "--grid-n", "32", "--function", "gauss_mid",
+                  "--sphere-nodes", "8", "--tau-octaves", "3"), "S", ["S"]),
+    "m_values": (("verify", "scaling", "--grid-n", "64", "--function", "gauss_mid"), "-1,1",
+                 [-1, 1]),
+    "pair": (EQUIVALENCE, "diff,lp", ["diff", "lp"]),
+    "theorem": (EQUIVALENCE, "T2i", "T2i"),
+    "spread_limit": (EQUIVALENCE, "40", 40),
+    "drift_limit": (EQUIVALENCE, "0.1", 0.1),
+    "alpha": (("verify", "ppn", "--grid-dim", "2", "--grid-n", "32"), "1,2", [1, 2]),
+    "t_list": (("verify", "ppn", "--grid-n", "64"), "8,16", [8, 16]),
+    "order": (KERNEL, "2", 2),
+    "target_exponent": (KERNEL, "5", 5),
+    "tau_list": (KERNEL, "1,2", [1, 2]),
+    "directions": (KERNEL, "2", 2),
+    "levels": (("verify", "divergence", "--grid-n", "64", "--function", "gauss_mid"), "1", 1),
+    "band": (SLICE, "2", 2),
+    "axis": (SLICE, "2", 2),
+}
+ROWS = {row.name: row for row in cli._OPTIONS}
+
+
+def config_body(row, value):
+    """A config holding value at the option's key, in its section if it has one."""
+    section, _, key = row.config.rpartition(".")
+    return {section: {key: value}} if section else {key: value}
+
+
+class TestOptionTable:
+    """Generated from cli._OPTIONS: every option rejects a null, a boolean
+    where a number is due and a value of the wrong type, as a flag and as a
+    config key, and a flag and a config key give the same run."""
+
+    def test_examples_cover_the_table(self):
+        assert list(EXAMPLES) == list(ROWS)
+
+    def run_with(self, tmp_path, row, argv, spelling, value):
+        """The exit code of argv with value given to the option by its flag
+        (as text, which a flag without a value ignores) or by its config
+        key; artifacts land in tmp_path / "out" unless the option names
+        another directory."""
+        tail = ["--out", str(tmp_path / "out")]
+        if spelling == "flag":
+            text = (value or "").replace("{dir}", str(tmp_path))
+            tail += [row.flag] if row.const is not None else [f"{row.flag}={text}"]
+        else:
+            body = json.dumps(config_body(row, value)).replace("{dir}", str(tmp_path))
+            (tmp_path / "cfg.json").write_text(body)
+            tail += ["--config", str(tmp_path / "cfg.json")]
+        return main([*argv, *tail])
+
+    @pytest.mark.parametrize("name", list(EXAMPLES))
+    def test_bad_values_named(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        row = ROWS[name]
+        argv, flag_text, json_value = EXAMPLES[name]
+        # a blank flag stands for a null; a number's flag also refuses true and x
+        bad_flags = []
+        if row.flag is not None and row.const is None:
+            numeric = re.fullmatch(r"(-?[\d.]+|inf)(,-?[\d.]+)*", flag_text or "")
+            bad_flags = ["", "true", "x"] if numeric else [""]
+        bad_configs = []
+        if row.config is not None:
+            bad_configs = [None, {}] + ([] if isinstance(json_value, bool) else [True])
+        for text in bad_flags:
+            code = self.run_with(tmp_path, row, argv, "flag", text)
+            err = capsys.readouterr().err
+            assert code == 2 and err.startswith("configuration error: "), (text, err)
+            assert f"{name} must be" in err, (text, err)
+        for value in bad_configs:
+            code = self.run_with(tmp_path, row, argv, "config", value)
+            err = capsys.readouterr().err
+            assert code == 2 and err.startswith("configuration error: "), (value, err)
+            key = row.config.rpartition(".")[2]
+            assert (f"key {key!r}" in err) if value is None else (f"{name} must be" in err), err
+        assert sorted(os.listdir(tmp_path)) == (["cfg.json"] if bad_configs else [])
+
+    @pytest.mark.parametrize("name", [n for n in EXAMPLES if ROWS[n].flag and ROWS[n].config])
+    def test_flag_and_config_agree(self, tmp_path, name):
+        row = ROWS[name]
+        argv, flag_text, json_value = EXAMPLES[name]
+        np.random.default_rng(2).standard_normal(64).tofile(tmp_path / "field.bin")
+        artifact = argv[0] if argv[0] != "verify" else "verify_" + argv[1].replace("-", "_")
+        out = tmp_path / ("elsewhere" if name == "out_dir" else "out")
+        runs = []
+        for spelling in ("flag", "config"):
+            value = flag_text if spelling == "flag" else json_value
+            code = self.run_with(tmp_path, row, argv, spelling, value)
+            summary = read_summary(out, artifact)
+            runs.append((code, read_rows(out, artifact), without_sources(summary)))
+            if name != "out_dir":
+                assert summary["inputs"][name]["source"] == spelling
+        assert runs[0][0] in (0, 1)
+        assert runs[0] == runs[1]
+
+
+class TestHelp:
+    """Each command's --help lists exactly the options the table declares
+    for it, each with its requirement and its default."""
+
+    @pytest.mark.parametrize("command", [*cli._HANDLERS, *(f"verify {n}" for n in
+                                                           cli._VERIFY_HANDLERS)])
+    def test_help_matches_the_table(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "400")  # no line breaks inside a help text
+        with pytest.raises(SystemExit) as done:
+            main([*command.split(), "--help"])
+        assert done.value.code == 0
+        text = capsys.readouterr().out
+        rows = [row for row in cli._OPTIONS if row.flag and row.reads(command.split()[-1])]
+        listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", text, re.M)
+        assert sorted(listed) == sorted([row.flag for row in rows] + ["--help"])
+        flat = " ".join(text.split())
+        for row in rows:
+            default = row.derived or json.dumps(cli._jsonable(row.default))
+            if row.const is None:
+                want = f"{row.flag} {row.name.upper()} {row.requirement} (default: {default})"
+            else:
+                want = f"{row.flag} sets {row.name} to {json.dumps(row.const)} (default: {default})"
+            assert want in flat, want
 
 
 class TestNameLists:
@@ -690,15 +865,26 @@ class TestNameLists:
              {"tau_list": "a,b"}),
             (("norm", "--grid-dim", "1", "--grid-n", "64"), {"function": ""}),
             (("norm", "--grid-dim", "1", "--grid-n", "64"), {"io": {"input": ""}}),
+            (("norm", "--grid-dim", "1", "--grid-n", "64", "--out", ""), None),
+            (("norm", "--grid-dim", "1", "--grid-n", "64"), {"io": {"output": ""}}),
+            (("norm", "--grid-dim", "1", "--grid-n", "64"), {"io": {"output": 5}}),
+            (("norm", "--grid-dim", "1", "--grid-n", "64", "--config", ""), None),
+            (("verify", "equivalence", "--grid-dim", "1", "--grid-n", "256"), {"corpus": []}),
         ],
-        ids=["t_list", "alpha", "m_values", "tau_list", "empty-function", "empty-input"],
+        ids=["t_list", "alpha", "m_values", "tau_list", "empty-function", "empty-input",
+             "blank-out-flag", "blank-output", "numeric-output", "blank-config-flag",
+             "empty-corpus"],
     )
-    def test_bad_value_rejected(self, tmp_path, capsys, argv, config):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        code, out = run(tmp_path, *argv, "--config", str(cfg))
-        assert_one_config_error(code, capsys)
-        assert not out.exists()
+    def test_bad_value_rejected(self, tmp_path, capsys, monkeypatch, argv, config):
+        # a blank or numeric output once wrote into ./lplab-artifacts or ./5,
+        # a blank --config was skipped, and an empty corpus was a
+        # computation error with an error_summary.json
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = (*argv, "--config", "cfg.json")
+        assert_one_config_error(main(list(argv)), capsys)
+        assert os.listdir(tmp_path) == ([] if config is None else ["cfg.json"])
 
     @pytest.mark.parametrize("argv", [
         ("verify", "scaling", "--grid-dim", "1", "--grid-n", "256", "--characterization",
