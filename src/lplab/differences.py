@@ -314,60 +314,68 @@ class StepEngine:
         cancellation at small steps, as expanding (phi - 1)^L in powers of
         phi would.
         """
+        means, nodes = steps.shape[:2]
+        # a node's lead, lead_j and cols of an L = 2 mean: 4 complex values
+        # per plane point
+        chunk = per_chunk(64 * self.grid.num_points // self.grid.n)
+        group = max(1, chunk // nodes)  # means per chunk, when a mean fits
+        for first in range(0, means, group):
+            # the group's chunk arrays are freed before its means are yielded
+            yield from self._mean_group(steps[first : first + group],
+                                        weights[first : first + group], order, chunk)
+
+    def _mean_group(self, steps: np.ndarray, weights: np.ndarray, order: int,
+                    chunk: int) -> np.ndarray:
+        """sum_m w_m S_m of each mean of steps, (means,) + grid shape, as
+        `_mean_symbols` splits it, from node chunks of chunk steps."""
         grid = self.grid
         last = grid.n
         plane = grid.num_points // grid.n
-        means, nodes = steps.shape[:2]
+        size, nodes = steps.shape[:2]
         binomials = [math.comb(order, j) for j in range(order + 1)]
         negative = slice((last + 1) // 2, None)  # the k < 0 in `fftn` order
-        # a node's lead, lead_j and cols of an L = 2 mean: 4 complex values
-        # per plane point
-        chunk = per_chunk(64 * plane)
-        group = max(1, chunk // nodes)  # means per chunk, when a mean fits
-        for first in range(0, means, group):
-            size = min(group, means - first)
-            row = np.zeros((size, last), dtype=complex)  # the j = 0 terms
-            total = np.zeros((size, plane, last), dtype=complex)
-            for lo in range(0, nodes, chunk):
-                part = steps[first : first + group, lo : lo + chunk]
-                w = weights[first : first + group, lo : lo + chunk]
-                count = part.shape[1]
-                # pi |k| h_a / B, indexed (axis, |k|, mean, node); phi_a - 1
-                # at -k is the conjugate of its value at k, so the sines, the
-                # largest cost of a mean, are taken for k >= 0 only
-                half = np.pi * (np.arange(last // 2 + 1.0)[:, None, None]
-                                * (part.transpose(2, 0, 1)[:, None] / grid.box))
-                sine = np.sin(half)
-                minus = (-2.0 * sine * sine + 1j * np.sin(2.0 * half)).take(self._fold, axis=1)
-                np.conjugate(minus[:, negative], out=minus[:, negative])  # phi_a - 1
-                phase = minus + 1.0
-                # (phi_d - 1)^i for i = 0 .. L on the last axis, indexed
-                # (mean, node, k)
-                minus_d = [1.0, minus[-1].transpose(1, 2, 0)]
-                for _ in range(order - 1):
-                    minus_d.append(minus_d[-1] * minus_d[1])
-                for i in range(size):  # no BLAS: zgemv threads
-                    row[i] += np.einsum("m,mk->k", w[i], minus_d[order][i])
-                if grid.dim == 1:
-                    continue
-                lead = minus[0]  # phi' - 1, indexed (flattened plane, mean, node)
-                for a in range(1, grid.dim - 1):
-                    lead = (lead[:, None] * phase[a] + minus[a]).reshape(-1, size, count)
-                phase_d = phase[-1].transpose(1, 2, 0)
-                cols = np.empty((size, plane, order, count), dtype=complex)
-                rows = np.empty((size, order, count, last), dtype=complex)
-                lead_j, phase_j = lead, phase_d
-                for j in range(1, order + 1):
-                    if j > 1:
-                        lead_j = lead_j * lead
-                        phase_j = phase_j * phase_d
-                    np.multiply(lead_j.transpose(1, 0, 2), (binomials[j] * w)[:, None],
-                                out=cols[:, :, j - 1])
-                    np.multiply(phase_j, minus_d[order - j], out=rows[:, j - 1])
-                for i in range(size):
-                    _add_product(total[i], cols[i].reshape(plane, -1), rows[i].reshape(-1, last))
-            total += row[:, None]
-            yield from total.reshape((size,) + grid.shape)
+        row = np.zeros((size, last), dtype=complex)  # the j = 0 terms
+        total = np.zeros((size, plane, last), dtype=complex)
+        for lo in range(0, nodes, chunk):
+            part = steps[:, lo : lo + chunk]
+            w = weights[:, lo : lo + chunk]
+            count = part.shape[1]
+            # pi |k| h_a / B, indexed (axis, |k|, mean, node); phi_a - 1
+            # at -k is the conjugate of its value at k, so the sines, the
+            # largest cost of a mean, are taken for k >= 0 only
+            half = np.pi * (np.arange(last // 2 + 1.0)[:, None, None]
+                            * (part.transpose(2, 0, 1)[:, None] / grid.box))
+            sine = np.sin(half)
+            minus = (-2.0 * sine * sine + 1j * np.sin(2.0 * half)).take(self._fold, axis=1)
+            np.conjugate(minus[:, negative], out=minus[:, negative])  # phi_a - 1
+            phase = minus + 1.0
+            # (phi_d - 1)^i for i = 0 .. L on the last axis, indexed
+            # (mean, node, k)
+            minus_d = [1.0, minus[-1].transpose(1, 2, 0)]
+            for _ in range(order - 1):
+                minus_d.append(minus_d[-1] * minus_d[1])
+            for i in range(size):  # no BLAS: zgemv threads
+                row[i] += np.einsum("m,mk->k", w[i], minus_d[order][i])
+            if grid.dim == 1:
+                continue
+            lead = minus[0]  # phi' - 1, indexed (flattened plane, mean, node)
+            for a in range(1, grid.dim - 1):
+                lead = (lead[:, None] * phase[a] + minus[a]).reshape(-1, size, count)
+            phase_d = phase[-1].transpose(1, 2, 0)
+            cols = np.empty((size, plane, order, count), dtype=complex)
+            rows = np.empty((size, order, count, last), dtype=complex)
+            lead_j, phase_j = lead, phase_d
+            for j in range(1, order + 1):
+                if j > 1:
+                    lead_j = lead_j * lead
+                    phase_j = phase_j * phase_d
+                np.multiply(lead_j.transpose(1, 0, 2), (binomials[j] * w)[:, None],
+                            out=cols[:, :, j - 1])
+                np.multiply(phase_j, minus_d[order - j], out=rows[:, j - 1])
+            for i in range(size):
+                _add_product(total[i], cols[i].reshape(plane, -1), rows[i].reshape(-1, last))
+        total += row[:, None]
+        return total.reshape((size,) + grid.shape)
 
 
 def iterated_difference(

@@ -40,6 +40,7 @@ over all its fields, each field's pieces its own.
 
 from __future__ import annotations
 
+import collections
 import math
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -61,8 +62,8 @@ _ANNULUS_RADII = 8  # shell radii of an annulus mean
 
 
 class _BlockScan:
-    """The pruned supremum on one grid with one exponent, for stacks of
-    fields whose weighted sups are maximized into pieces.
+    """The pruned supremum on one grid with one exponent, fed one field at a
+    time, whose weighted sups are maximized into pieces.
 
     Target block T meets source block S = T - delta through the patch
     P[delta][c_s, c_t] = w((delta b + c_t - c_s) mod n) of a field's weight
@@ -72,24 +73,26 @@ class _BlockScan:
     of the pair; a pair is evaluated only while that bound exceeds the
     floor of its piece on T, the minimum of the piece's maximum there.
 
-    All fields of a stack visit delta in rings: runs of offsets with the
-    same least offset radius of the patch, in increasing order of it.  A
-    ring reads its floors from the blocked maxima as it starts and keeps
-    them to its end, and a field has no pair left once max(u) times the
-    largest patch max still to come cannot beat the minimum of its piece's
-    floor; the stack ends when no field has one.  A ring runs in batches
-    of offsets whose patches, for every field, fit the working-set budget;
-    a batch's live pairs form their products in chunks, each maxed into
-    the blocked maxima by one scatter, which also merges pairs that share a
-    target row.  Every skipped product is at most a value already reached,
-    so each piece is the max over the same products as full scans of its
-    fields.  The output belongs to the whole call, so a piece's fields in
-    a later stack start from the values its earlier ones reached.  Each
-    piece's blocked maximum fills the memory its grid field takes, which
-    `unblock` reorders in place.
+    `feed` holds fields, each with its weight scale and piece, and `add`
+    scans them whenever they fill a scan stack.  All fields of a stack
+    visit delta in rings: runs of offsets with the same least offset radius
+    of the patch, in increasing order of it.  A ring reads its floors from
+    the blocked maxima as it starts and keeps them to its end, and a field
+    has no pair left once max(u) times the largest patch max still to come
+    cannot beat the minimum of its piece's floor; the stack ends when no
+    field has one.  A ring runs in batches of offsets whose patches, for
+    every field, fit the working-set budget; a batch's live pairs form
+    their products in chunks, each maxed into the blocked maxima by one
+    scatter, which also merges pairs that share a target row.  Every
+    skipped product is at most a value already reached, so each piece is
+    the max over the same products as full scans of its fields, in any
+    order of feeding.  The maxima belong to the whole scan, so a piece's
+    fields in a later stack start from the values its earlier ones
+    reached.  Each piece's blocked maximum fills the memory its grid field
+    takes, which `maxima` reorders in place.
     """
 
-    def __init__(self, grid: GridSpec, exponent: float):
+    def __init__(self, grid: GridSpec, exponent: float, pieces: int, stack: tuple = ()):
         dim, n = grid.dim, grid.n
         b = min(_BLOCK, n)
         nb = n // b
@@ -130,22 +133,43 @@ class _BlockScan:
             shape = [nb] + [1] * dim
             shape[1 + a] = nb
             self.sources.append((shifted * nb ** (dim - 1 - a)).reshape(shape))
-        # blocked layout of C-ordered fields: one row per (field, block)
-        self.to_blocks = (0,) + tuple(range(1, 2 * dim, 2)) + tuple(range(2, 2 * dim + 1, 2))
-        # (block, in-block position) axes of one piece's blocked maximum ->
-        # grid order, (block axis, in-block axis) per axis
+        # a field's (block, in-block position) axes per axis -> its blocked
+        # layout, block axes then in-block axes, and back
+        self.to_blocks = tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2))
         self.from_blocks = tuple(a for axis in range(dim) for a in (axis, dim + axis))
+        # out[p F + f, T, c]: the maximum of piece p of the stack's field f,
+        # F fields in all, at in-block position c of block T
+        self.stack = stack
+        self.out = np.zeros((pieces * math.prod(stack), self.count, self.size))
+        # the held fields, blocked, with their scales and rows of out; a
+        # scan stack holds a weight table and a blocked copy per field
+        depth = per_chunk(16 * grid.num_points)
+        self.blocks = np.empty((depth, self.count, self.size))
+        self.scales = np.empty(depth)
+        self.rows = np.empty(depth, dtype=np.intp)
+        self.held = 0
 
-    def add(self, u: np.ndarray, scales: np.ndarray, rows: np.ndarray, out: np.ndarray) -> int:
-        """Maximize the sups of the stacked fields u[i], field i with weight
-        scale scales[i], into pieces rows[i]; return the block pairs
-        evaluated.
+    def feed(self, u: np.ndarray, scale: float, piece: int) -> None:
+        """Hold each field of u, stack + grid shape, with weight scale
+        `scale`, to be maximized into its piece `piece`; `add` runs on each
+        full scan stack."""
+        fields = math.prod(self.stack)
+        dim, nb, b = self.grid.dim, self.nb, self.b
+        for f, field in enumerate(u.reshape((fields,) + self.grid.shape)):
+            blocked = self.blocks[self.held].reshape((nb,) * dim + (b,) * dim)
+            blocked[...] = field.reshape((nb, b) * dim).transpose(self.to_blocks)
+            self.scales[self.held] = scale
+            self.rows[self.held] = piece * fields + f
+            self.held += 1
+            if self.held == len(self.scales):
+                self.add()
 
-        out[p, T, c] is the maximum of piece p at in-block position c of
-        block T, updated in place.
-        """
+    def add(self) -> int:
+        """Maximize the sups of the held fields into their rows of out, and
+        return the block pairs evaluated; the rows may come in any order."""
         dim, b, nb, count, size = self.grid.dim, self.b, self.nb, self.count, self.size
-        depth = len(scales)
+        depth, self.held = self.held, 0
+        scales, rows = self.scales[:depth], self.rows[:depth]
         # one weight table per field, each one array power, as a full scan
         # builds it
         tables = np.empty((depth,) + self.grid.shape)
@@ -156,8 +180,7 @@ class _BlockScan:
             patch_max = np.take(patch_max, self.window, axis=a + 1).max(axis=a + 2)
         patch_max = patch_max.reshape(depth, count)[:, self.order]
         # blocks[i count + T, c]: in-block position c of field i's block T
-        blocks = u.reshape((depth,) + (nb, b) * dim).transpose(self.to_blocks)
-        blocks = blocks.reshape(depth * count, size)
+        blocks = self.blocks[:depth].reshape(depth * count, size)
         block_max = blocks.max(axis=1)
         # reach[i, step]: the most a product of field i can reach from that
         # step of the order on, max(u) times the largest patch max to come
@@ -165,16 +188,17 @@ class _BlockScan:
         reach *= block_max.reshape(depth, count).max(axis=1)[:, None]
         first_block = np.arange(depth).reshape((depth, 1) + (1,) * dim) * count
         tables = tables.reshape(depth, -1)
-        maxima = out.reshape(-1)
+        maxima = self.out.reshape(-1)
         cells = np.arange(size)
-        fed = out[rows[0] : rows[-1] + 1]  # the pieces of this stack
+        first = rows.min()
+        fed = self.out[first : rows.max() + 1]  # the pieces of this stack
         # offsets per batch of a ring: their patches for every field
         batch = per_chunk(8 * depth * size * size)
         chunk = per_chunk(8 * size * size)  # pairs per product chunk
         gathered = np.empty((chunk, size, size))  # one chunk's patches
         pairs = 0
         for start, stop in self.rings:
-            floors = fed.min(axis=2).take(rows - rows[0], axis=0)
+            floors = fed.min(axis=2).take(rows - first, axis=0)
             if (reach[:, start] <= floors.min(axis=1)).all():
                 break
             for lo in range(start, stop, batch):
@@ -208,16 +232,19 @@ class _BlockScan:
                 pairs += live.size
         return pairs
 
-    def unblock(self, out: np.ndarray) -> np.ndarray:
-        """The pieces of the blocked maximum out as grid fields, shape
-        (pieces,) + grid shape, in out's memory: one piece at a time is
-        copied aside and written back in grid order."""
+    def maxima(self) -> np.ndarray:
+        """Scan the fields still held, then return the pieces' maxima as
+        grid fields, stack + (pieces,) + grid shape, in out's memory: one
+        piece at a time is copied aside and written back in grid order."""
+        if self.held:
+            self.add()
         dim, b, nb = self.grid.dim, self.b, self.nb
-        fields = out.reshape((len(out),) + (nb, b) * dim)
-        for piece, field in zip(out, fields):
+        fields = self.out.reshape((len(self.out),) + (nb, b) * dim)
+        for piece, field in zip(self.out, fields):
             blocked = piece.reshape((nb,) * dim + (b,) * dim).copy()
             field[...] = blocked.transpose(self.from_blocks)
-        return out.reshape((len(out),) + self.grid.shape)
+        out = self.out.reshape((-1,) + self.stack + self.grid.shape)
+        return np.moveaxis(out, 0, len(self.stack))
 
 
 def weighted_offset_sup(
@@ -225,16 +252,11 @@ def weighted_offset_sup(
     grid: GridSpec,
     scale: float | np.ndarray,
     exponent: float,
-    pieces: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Exact sup over lattice offsets z of u(x-z) (1 + scale |z|)^(-exponent).
 
     Leading axes of field_magnitudes stack fields, each with its own weight
     scale: scale has the shape of those axes, a scalar for one field.
-    pieces, if given, splits the last stack axis into runs of consecutive
-    fields, labelled 0, 1, ... in order, the same runs for every index of
-    the axes before it; the result then has one row per run along that
-    axis, the max of its fields' sups.
     """
     scales = np.asarray(scale, dtype=np.float64)
     if np.shape(field_magnitudes) != scales.shape + grid.shape:
@@ -242,28 +264,10 @@ def weighted_offset_sup(
     if (scales < 0).any() or exponent < 0:
         raise InvalidExponent("weight scale and exponent must be nonnegative")
     u = np.asarray(field_magnitudes, dtype=np.float64).reshape((-1,) + grid.shape)
-    stack = scales.shape
-    scales = scales.reshape(-1)
-    if pieces is None:
-        labels = np.arange(len(scales))
-    else:
-        runs = np.asarray(pieces, dtype=np.intp)
-        if (runs.shape != stack[-1:] or (runs.size and runs[0] != 0)
-                or not np.isin(np.diff(runs), (0, 1)).all()):
-            raise ShapeMismatch("pieces must number runs of consecutive fields 0, 1, ...")
-        per_row = runs[-1] + 1 if runs.size else 0
-        # the runs of each index of the leading axes, numbered on from the last
-        labels = (runs + per_row * np.arange(math.prod(stack[:-1]))[:, None]).reshape(-1)
-    scan = _BlockScan(grid, exponent)
-    out = np.zeros((labels[-1] + 1 if labels.size else 0, scan.count, scan.size))
-    # fields per scan: a weight table and a blocked copy per field
-    depth = per_chunk(16 * grid.num_points)
-    for lo in range(0, len(scales), depth):
-        scan.add(u[lo : lo + depth], scales[lo : lo + depth], labels[lo : lo + depth], out)
-    result = scan.unblock(out)
-    if pieces is None:
-        return result.reshape(np.shape(field_magnitudes))
-    return result.reshape(stack[:-1] + (per_row,) + grid.shape)
+    scan = _BlockScan(grid, exponent, len(u))
+    for i, (field, t) in enumerate(zip(u, scales.reshape(-1))):
+        scan.feed(field, t, i)
+    return scan.maxima().reshape(np.shape(field_magnitudes))
 
 
 def peetre_max(field: SampledField, t: float, r: float) -> SampledField:
@@ -358,22 +362,20 @@ def sphere_mean_max(
     sphere_count: int,
     *,
     engine: StepEngine | None = None,
-    pieces: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Weighted sups of the spherical means of the t-scaled differences.
 
     At each scale t of the ladder the base field is |average over the
     sphere_count unit directions z of diff(f, t z, L)| and the sup weight is
     (1 + |y|/t)^(-dim/r).  Returns the real stack of maximal fields, one
-    row per scale, from one stacked scan, or with pieces one row per
-    piece, as in :func:`weighted_offset_sup`.  engine, built from field,
-    lets several calls share one forward transform.
+    row per scale, from one stacked scan.  engine, built from field, lets
+    several calls share one forward transform.
 
     field may be a sequence of fields on one grid: the result then has a
     leading axis of one such stack per field, each mean symbol is built
     once for all of them, and one scan covers them all.
     """
-    return _mean_max(field, [], ladder, r, order, sphere_count, engine, pieces)
+    return _mean_max(field, [], ladder, r, order, sphere_count, engine, None)[1]
 
 
 def annulus_mean_max(
@@ -385,40 +387,55 @@ def annulus_mean_max(
     *,
     spheres: Sequence[float | Scale] = (),
     engine: StepEngine | None = None,
-    pieces: Sequence[int] | None = None,
-) -> np.ndarray:
+    pieces: tuple[Sequence[int], Sequence[int]] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Weighted sups of the shell-volume means of the t-scaled differences,
-    one row per scale of the ladder, then one per scale of spheres with
-    the sphere means of :func:`sphere_mean_max` (or one row per piece of
-    the two ladders in that order), as in :func:`sphere_mean_max`.
+    one row per scale of the ladder, and of the sphere means of
+    :func:`sphere_mean_max`, one row per scale of spheres: the two stacks,
+    as in :func:`sphere_mean_max`, from one scan per family.
+
+    pieces, if given, labels the scales of the ladder, then those of
+    spheres, each with a piece 0, 1, ... of its own family; each stack then
+    has one row per piece, the max of its scales' maximal fields.
 
     The shell mean at t is sum_j w_j M(t r_j): M(rho) the sphere mean at
     radius rho, r_j = 2^((j + 1/2) / 8) the radii of :func:`annulus_radii`
     and w_j = r_j^dim / sum r^dim their volume weights.  The shell and
     sphere means are formed in one walk over their radii, so a radius that
-    several of them use gets one sphere-mean symbol.  A sequence of fields gives one stack of rows
-    per field, as in :func:`sphere_mean_max`, from one scan per family.
+    several of them use gets one sphere-mean symbol.  A sequence of fields
+    gives one pair of stacks with a leading axis of one row per field.
     """
     return _mean_max(field, ladder, spheres, r, order, sphere_count, engine, pieces)
 
 
 def _mean_max(field, shells, spheres, r, order, sphere_count, engine, pieces):
     """Weighted sups of |sum_j w_j M(t r_j)| over the scales t of shells,
-    then of |M(t)| over the scales of spheres, M(rho) the sphere mean at
-    radius rho.
+    and of |M(t)| over the scales of spheres, M(rho) the sphere mean at
+    radius rho, maximized into each family's pieces: the two stacks.
 
     Each distinct radius gets one sphere-mean symbol, added into the mean
     of every field of the engine's stack that uses it.  The symbols are
     built in increasing order of radius, and a mean's field is formed as
     soon as its last symbol is in, so only the shells whose radii straddle
-    the current one are held, never a table of symbols.  An engine built
-    here is dropped before the sups run, so its spectra are not held
-    beside their scan.
+    the current one are held, never a table of symbols.  A finished field
+    waits only for the rest of its piece: the means finish smallest scale
+    first, and each piece goes to its family's scan in ladder order, which
+    on the ladders of `maximal_quasinorm_set` is largest scale, widest
+    weight, first.
     """
     engine = engine or StepEngine(field)
     grid, stack = engine.grid, engine.stack
     if spheres and grid.dim < 2:
         raise DimensionTooLow("sphere means need dim >= 2")
+    families = [np.asarray(labels, dtype=np.intp) for labels in (
+        pieces or (range(len(shells)), range(len(spheres))))]
+    for labels, scales in zip(families, (shells, spheres)):
+        if labels.shape != (len(scales),) or labels.size and (
+                labels[0] != 0 or not np.isin(np.diff(labels), (0, 1)).all()):
+            raise ShapeMismatch("pieces must number runs of consecutive scales 0, 1, ... "
+                                "in each family")
+    scans = [_BlockScan(grid, grid.dim / r, labels.max() + 1, stack) if labels.size else None
+             for labels in families]
     nodes = unit_sphere_nodes(grid.dim, sphere_count)
     node_w = np.full(nodes.shape[0], 1.0 / nodes.shape[0])
     radial_w = annulus_radii() ** grid.dim
@@ -434,9 +451,10 @@ def _mean_max(field, shells, spheres, r, order, sphere_count, engine, pieces):
             users.setdefault(radius, []).append((row, w))
     missing = [len(mean) for mean in means]
     sums: dict[int, np.ndarray] = {}
-    axis = len(stack)  # the rows axis of each field's ladder
-    mags = np.empty(stack + (len(means),) + grid.shape)
-    by_row = np.moveaxis(mags, axis, 0)
+    # the (family, piece) of each row, its size, and its rows formed so far
+    piece_of = [(0, p) for p in families[0].tolist()] + [(1, p) for p in families[1].tolist()]
+    sizes = collections.Counter(piece_of)
+    formed: dict[tuple[int, int], dict[int, np.ndarray]] = {}
     radii = sorted(users, key=float)
     scaled = np.array([float(radius) for radius in radii])[:, None, None] * nodes
     for radius, symbol in zip(radii, engine.mean_symbols(scaled, node_w, order)):
@@ -450,19 +468,11 @@ def _mean_max(field, shells, spheres, r, order, sphere_count, engine, pieces):
             if missing[row] == 0:
                 done.append(row)
         for row in done:
-            by_row[row] = engine.symbol_magnitude(sums.pop(row))
-    del engine
-    weight_scales = 1.0 / np.array([float(t) for t in ladder])
-    labels = np.arange(len(ladder)) if pieces is None else np.asarray(pieces, dtype=np.intp)
-    cut = len(shells)
-    if labels.shape != (len(ladder),) or 0 < cut < len(ladder) and labels[cut - 1] == labels[cut]:
-        raise ShapeMismatch("pieces must number runs of shell scales, then of sphere scales")
-    # one scan per family, over all fields of the stack: a scan stack that
-    # pairs the smallest shell scales with the largest sphere scales keeps
-    # visiting offsets for its wide weights while its narrow ones are done
-    # (7 % more sup time in S,V calls at 2-D n = 64)
-    return np.concatenate([np.empty(stack + (0,) + grid.shape)] + [
-        weighted_offset_sup(np.moveaxis(by_row[lo:hi], 0, axis), grid,
-                            np.broadcast_to(weight_scales[lo:hi], stack + (hi - lo,)),
-                            grid.dim / r, labels[lo:hi] - labels[lo])
-        for lo, hi in ((0, cut), (cut, len(ladder))) if hi > lo], axis=axis)
+            family, piece = key = piece_of[row]
+            rows = formed.setdefault(key, {})
+            rows[row] = engine.symbol_magnitude(sums.pop(row))
+            if len(rows) == sizes[key]:
+                for member in sorted(formed.pop(key)):
+                    scans[family].feed(rows[member], 1.0 / float(ladder[member]), piece)
+    return tuple(np.empty(stack + (0,) + grid.shape) if scan is None else scan.maxima()
+                 for scan in scans)

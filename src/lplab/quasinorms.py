@@ -52,13 +52,7 @@ from .fields import (
     per_chunk,
     resolvable_band_range,
 )
-from .maximal import (
-    Scale,
-    annulus_mean_max,
-    annulus_radii,
-    unit_sphere_nodes,
-    weighted_offset_sup,
-)
+from .maximal import Scale, _BlockScan, annulus_mean_max, annulus_radii, unit_sphere_nodes
 
 QUADRATURE_SPHERE_COUNT = {1: 2, 2: 32, 3: 64}
 
@@ -754,22 +748,23 @@ def _point_sup_field(
     directions: np.ndarray,
     pieces: list[int],
 ) -> np.ndarray:
-    """Largest single-step weighted sup over directions at each step length.
+    """Largest single-step weighted sup over directions at each step length,
+    maximized into pieces.
 
     The sup weight depends only on |h|, so the direction maximum commutes
-    with the offset sup and one weighted sup covers all directions.
-    Returns one row per piece for each field of the engine's stack,
-    (fields, pieces) + grid shape, from one stacked scan.
+    with the offset sup and one weighted sup covers all directions.  Each
+    length's direction maximum goes to one scan as it is formed, in the
+    order of lengths.  Returns one row per piece for each field of the
+    engine's stack, (fields, pieces) + grid shape.
     """
-    lengths = np.asarray(lengths, dtype=np.float64)
     grid = engine.grid
-    direction_max = np.zeros(engine.stack + (lengths.size,) + grid.shape)
-    for row, h_len in zip(np.moveaxis(direction_max, 1, 0), lengths):
+    scan = _BlockScan(grid, grid.dim / r, max(pieces) + 1, engine.stack)
+    for h_len, piece in zip(lengths, pieces):
+        direction_max = np.zeros(engine.stack + grid.shape)
         for chunk in engine.magnitudes(h_len * directions, order):
-            np.maximum(row, chunk.max(axis=1), out=row)
-    return weighted_offset_sup(direction_max, grid,
-                               np.broadcast_to(1.0 / lengths, direction_max.shape[:2]),
-                               grid.dim / r, pieces)
+            np.maximum(direction_max, chunk.max(axis=1), out=direction_max)
+        scan.feed(direction_max, 1.0 / h_len, piece)
+    return scan.maxima()
 
 
 def _band_pieces(keys: list, group, bands: range):
@@ -857,12 +852,6 @@ def maximal_quasinorm_set(
             pieces[family] = _band_pieces(indices, lambda i: (
                 i if i in exact else None, frozenset(k for k, sup in sups.items() if i in sup)),
                 bands)
-    # the shell radii t r_j lie on the lattice of the sphere scales, so one
-    # walk over the radii of both families serves them
-    labels = pieces["shell"][0] if "shell" in ladders else []
-    split = labels[-1] + 1 if labels else 0
-    if "sphere" in ladders:
-        labels = labels + [split + p for p in pieces["sphere"][0]]
     if "D_SUP" in variants:
         radii = annulus_radii()
         keys = [(m, ridx) for m in range(k_lo, j_max + quad.tau_octaves)
@@ -872,14 +861,16 @@ def maximal_quasinorm_set(
     results: list[dict[str, QuasinormResult]] = []
     for group in _groups(fields):
         # D_SUP shares the means' forward transform; without it the mean
-        # call builds its own engine and drops it before its scan
+        # call builds its own engine
         engine = StepEngine(group) if "D_SUP" in variants else None
         rows = {}  # family -> maximal field of each piece, (fields, pieces) + grid shape
         if ladders:
-            out = annulus_mean_max(group, ladders.get("shell", []), r, L, len(directions),
-                                   spheres=ladders.get("sphere", []), engine=engine,
-                                   pieces=labels)
-            rows["shell"], rows["sphere"] = out[:, :split], out[:, split:]
+            # the shell radii t r_j lie on the lattice of the sphere scales,
+            # so one walk over the radii of both families serves them
+            rows["shell"], rows["sphere"] = annulus_mean_max(
+                group, ladders.get("shell", []), r, L, len(directions),
+                spheres=ladders.get("sphere", []), engine=engine,
+                pieces=[pieces[f][0] if f in ladders else [] for f in ("shell", "sphere")])
         if "D_SUP" in variants:
             rows["point"] = _point_sup_field(
                 engine, [radii[ridx] * 2.0**-m for m, ridx in keys], r, L,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,16 @@ def grid1d_big() -> GridSpec:
 @pytest.fixture
 def grid2d() -> GridSpec:
     return GridSpec(dim=2, n=64, box=1.0)
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_complex_field(grid: GridSpec, seed: int = 0) -> SampledField:

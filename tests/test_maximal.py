@@ -1,7 +1,5 @@
 """Tests for maximal fields against brute-force oracles and frozen values."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -34,7 +32,13 @@ from lplab.quasinorms import (
 )
 from lplab.verify import default_corpus, equivalence_experiment
 
-from conftest import annulus_nodes, mean_magnitude, random_complex_field, step_magnitude
+from conftest import (
+    annulus_nodes,
+    mean_magnitude,
+    random_complex_field,
+    step_magnitude,
+    traced_peak,
+)
 
 
 def brute_weighted_sup(mag, grid, scale, exponent):
@@ -184,28 +188,32 @@ class TestWeightedSup:
     def test_corpus_scale_ladders_match_array_oracle(self, monkeypatch, dim, n, members,
                                                      per_ladder):
         # every sup of the S and V ladders on corpus members, as the
-        # pipeline calls it on stacks of sphere and shell mean fields, one
-        # ladder per field of the (here one-field) stack
+        # pipeline feeds the sphere and shell mean fields of a (here
+        # one-field) stack into one scan per family
         grid = GridSpec(dim, n, 1.0)
-        rows = []
+        fed, maxima = [], {}
+        feed, finish = maximal._BlockScan.feed, maximal._BlockScan.maxima
 
-        def recording(mag, grid, scale, exponent, pieces=None):
-            out = weighted_offset_sup(mag, grid, scale, exponent, pieces)
-            assert list(pieces) == list(range(np.shape(scale)[-1]))  # S, V: one each
-            flat = (-1,) + grid.shape
-            rows.extend(zip(mag.reshape(flat), np.ravel(scale), [exponent] * np.size(scale),
-                            out.reshape(flat)))
+        def recording_feed(scan, u, scale, piece):
+            fed.append((scan, u.copy(), scale, piece))
+            feed(scan, u, scale, piece)
+
+        def recording_maxima(scan):
+            maxima[scan] = out = finish(scan)
             return out
 
-        monkeypatch.setattr(maximal, "weighted_offset_sup", recording)
+        monkeypatch.setattr(maximal._BlockScan, "feed", recording_feed)
+        monkeypatch.setattr(maximal._BlockScan, "maxima", recording_maxima)
         corpus = default_corpus(grid)
         for i in members:
             field = sample_family(corpus[i], grid)
             maximal_quasinorm_set(field, SpaceParams(s=0.5, p=2.0, q=2.0), ("S", "V"),
                                   default_quadrature(grid))
-        assert len(rows) == len(members) * 2 * per_ladder
-        for mag, scale, exponent, out in rows:
-            assert np.array_equal(out, brute_weighted_sup(mag, grid, scale, exponent))
+        assert len(fed) == len(members) * 2 * per_ladder
+        for scan, u, scale, piece in fed:
+            assert [p for other, _, _, p in fed if other is scan].count(piece) == 1  # S, V
+            assert np.array_equal(maxima[scan][0, piece],
+                                  brute_weighted_sup(u[0], grid, scale, scan.exponent))
 
     def test_pruned_scan_counts_block_pairs(self, block_pairs):
         # The field decays away from the origin, so the sup stays small
@@ -250,7 +258,9 @@ class TestWeightedSup:
     )
     def test_pieces_match_member_oracle(self, monkeypatch, dim, n, sizes, work_bytes):
         # each piece is the max of its members' sups, bit for bit, also when
-        # its maxima carry over from one scan of the stack to the next
+        # its maxima carry over from one scan stack to the next; the pieces
+        # are fed last first, as the mean walk feeds them, so a stack's
+        # piece rows may descend
         if work_bytes is not None:
             monkeypatch.setattr("lplab.fields.WORK_BYTES", work_bytes)
         grid = GridSpec(dim, n, 1.0)
@@ -261,7 +271,11 @@ class TestWeightedSup:
         mags = np.abs(rng.standard_normal((total,) + grid.shape)) * (
             rng.random((total,) + grid.shape) < density)
         labels = np.repeat(np.arange(len(sizes)), sizes)
-        out = weighted_offset_sup(mags, grid, scales, 1.5, labels)
+        scan = maximal._BlockScan(grid, 1.5, len(sizes))
+        for p in reversed(range(len(sizes))):
+            for i in np.flatnonzero(labels == p):
+                scan.feed(mags[i], scales[i], p)
+        out = scan.maxima()
         assert out.shape == (len(sizes),) + grid.shape
         rows = weighted_offset_sup(mags, grid, scales, 1.5)
         for p, row in enumerate(out):
@@ -281,20 +295,18 @@ class TestWeightedSup:
         mags = np.abs(np.random.default_rng(316).standard_normal((6,) + grid.shape))
         scales = np.array([0.5, 3.0, 40.0, 1.0, 0.0, 8.0])
         weighted_offset_sup(mags, grid, scales, 1.5)  # lazily loaded modules
-        tracemalloc.start()
-        try:
-            weighted_offset_sup(mags, grid, scales, 1.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * 2**20
+        assert traced_peak(lambda: weighted_offset_sup(mags, grid, scales, 1.5)) <= 1.1 * 2**20
 
     @pytest.mark.parametrize("labels", [[0, 1, 0], [1, 1, 1], [-1, 0, 0], [0, 2, 2], [0, 0]])
     def test_pieces_must_be_consecutive_runs(self, labels):
+        # the mean walk holds a finished field until its piece is complete,
+        # so a piece is a run of consecutive scales of one family
         grid = GridSpec(2, 8, 1.0)
-        mags = np.ones((3,) + grid.shape)
+        f = random_complex_field(grid, seed=27)
         with pytest.raises(ShapeMismatch):
-            weighted_offset_sup(mags, grid, np.ones(3), 1.0, labels)
+            annulus_mean_max(f, [0.3, 0.2, 0.1], 1.0, 1, 8, pieces=(labels, []))
+        with pytest.raises(ShapeMismatch):
+            annulus_mean_max(f, [], 1.0, 1, 8, spheres=[0.3, 0.2, 0.1], pieces=([], labels))
 
     def test_five_variant_pieces_halve_block_pairs(self, monkeypatch, block_pairs):
         # the band pieces of the 2-D n=32 five-variant call change no value
@@ -305,7 +317,7 @@ class TestWeightedSup:
         params = SpaceParams(s=1.5, p=2, q=2, L=2, r=1.5)
         pieced = maximal_quasinorm_set(f, params, MAXIMAL_VARIANTS, default_quadrature(grid))
         pieced_pairs, block_pairs[0] = block_pairs[0], 0
-        assert pieced_pairs == 51580
+        assert pieced_pairs == 50578
         # a group of its own for every scale: one output per scale
         band_pieces = quasinorms._band_pieces
         monkeypatch.setattr(quasinorms, "_band_pieces", lambda keys, group, bands: band_pieces(
@@ -534,7 +546,7 @@ class TestMeanDifferenceMax:
         f = SampledField(grid2d, np.full(grid2d.shape, 3.0, dtype=complex))
         for out in (
             sphere_mean_max(f, [0.1], 2.0, 1, sphere_count=8),
-            annulus_mean_max(f, [0.1], 2.0, 1, sphere_count=8),
+            annulus_mean_max(f, [0.1], 2.0, 1, sphere_count=8)[0],
         ):
             assert np.abs(out).max() <= 1e-12
         assert point_sup(f, (0.1, 0.0), 2.0, 1).max() <= 1e-12
@@ -544,11 +556,12 @@ class TestMeanDifferenceMax:
         f = random_complex_field(grid2d, seed=24)
         ladder = [0.3, 0.07, 0.011, 0.05]
         engine = StepEngine(f)
-        for mean_max in (sphere_mean_max, annulus_mean_max):
-            stack = mean_max(f, ladder, 1.5, 2, 8, engine=engine)
-            assert stack.shape == (len(ladder),) + grid2d.shape
-            for t, row in zip(ladder, stack):
-                assert np.array_equal(row, mean_max(f, [t], 1.5, 2, 8)[0])
+        spheres = sphere_mean_max(f, ladder, 1.5, 2, 8, engine=engine)
+        shells = annulus_mean_max(f, ladder, 1.5, 2, 8, engine=engine)[0]
+        assert spheres.shape == shells.shape == (len(ladder),) + grid2d.shape
+        for t, sphere, shell in zip(ladder, spheres, shells):
+            assert np.array_equal(sphere, sphere_mean_max(f, [t], 1.5, 2, 8)[0])
+            assert np.array_equal(shell, annulus_mean_max(f, [t], 1.5, 2, 8)[0][0])
 
     def test_scale_ladders_match_per_scale_means(self):
         # sphere rows are one engine mean per scale then one stacked sup, bit
@@ -570,17 +583,17 @@ class TestMeanDifferenceMax:
             assert np.array_equal(sphere_mean_max(f, ladder, 1.5, order, 32), want)
             shells = np.stack([mean_magnitude(engine, t * points[0], points[1], order)
                                for t in scales])
-            got = annulus_mean_max(f, ladder, 1e-9, order, 32)
+            got, none = annulus_mean_max(f, ladder, 1e-9, order, 32)
+            assert none.shape == (0,) + grid.shape
             assert np.all(np.abs(got - shells).max(axis=(1, 2))
                           <= 1e-14 * shells.max(axis=(1, 2)))
             joint = annulus_mean_max(f, ladder, 1.5, order, 32, spheres=ladder)
-            assert np.array_equal(joint[len(ladder) :], want)
-            assert np.array_equal(joint[: len(ladder)], annulus_mean_max(f, ladder, 1.5, order, 32))
-        # a piece may not hold both a shell and a sphere scale
-        with pytest.raises(ShapeMismatch):
-            annulus_mean_max(f, ladder[:2], 1.5, 1, 32, spheres=ladder[:1], pieces=[0, 1, 1])
-        assert annulus_mean_max(f, ladder[:2], 1.5, 1, 32, spheres=ladder[:1],
-                                pieces=[0, 0, 1]).shape == (2,) + grid.shape
+            assert np.array_equal(joint[1], want)
+            assert np.array_equal(joint[0], annulus_mean_max(f, ladder, 1.5, order, 32)[0])
+        # each family's pieces are its own
+        shell, sphere = annulus_mean_max(f, ladder[:2], 1.5, 1, 32, spheres=ladder[:1],
+                                         pieces=([0, 0], [0]))
+        assert shell.shape == sphere.shape == (1,) + grid.shape
 
     def test_shell_ladder_builds_each_radius_once(self):
         # shells 3 lattice steps apart on the 2^(1/16) lattice share most of
@@ -627,7 +640,7 @@ class TestMeanDifferenceMax:
         f = random_complex_field(grid2d, seed=23)
         t, r, order = 0.05, 2.0, 1
         points, _ = annulus_nodes(2, 4)
-        v = annulus_mean_max(f, [t], r, order, sphere_count=4)[0]
+        v = annulus_mean_max(f, [t], r, order, sphere_count=4)[0][0]
         worst = np.zeros(grid2d.shape)
         for z in points:
             d = point_sup(f, (t * z[0], t * z[1]), r, order)

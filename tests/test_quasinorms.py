@@ -7,7 +7,6 @@ constants here.
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +60,7 @@ from conftest import (
     assert_replaced,
     field_of_kind,
     random_complex_field,
+    traced_peak,
     translate,
     unusual_quadrature,
 )
@@ -651,13 +651,8 @@ class TestStepEngineSweep:
         grid = GridSpec(2, n)
         f = SampledField(grid, np.random.default_rng(n).standard_normal(grid.shape))
         params, quad = SpaceParams(s=0.5, p=2, q=2), default_quadrature(grid)
-        tracemalloc.start()
-        try:
-            maximal_quasinorm_set(f, params, variants, quad)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound_mb * 2**20
+        assert traced_peak(lambda: maximal_quasinorm_set(f, params, variants, quad)) <= (
+            bound_mb * 2**20)
 
     def test_variants_match_full_grid_means(self, monkeypatch):
         # the low-rank mean symbols against one full-grid symbol per node, on

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from lplab.verify import (
     slice_support_check,
 )
 
-from conftest import assert_replaced, unusual_quadrature
+from conftest import assert_replaced, traced_peak, unusual_quadrature
 
 
 @pytest.fixture(scope="module")
@@ -560,31 +559,30 @@ def per_member_loop(corpus, pair, params, grid, quad=None):
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Engine steps, weighted_offset_sup calls and band multipliers built."""
-    from lplab import maximal, quasinorms
+    """Engine steps, supremum scans and band multipliers built."""
+    from lplab import maximal
     from lplab.bands import DyadicBandSystem
     from lplab.differences import StepEngine
 
     counts = {"steps": 0, "sups": 0, "multipliers": 0}
-    count, sup, multiplier = (StepEngine._count, maximal.weighted_offset_sup,
-                              DyadicBandSystem.band_multiplier)
+    count, scan, multiplier = (StepEngine._count, maximal._BlockScan.__init__,
+                               DyadicBandSystem.band_multiplier)
 
     def counted_steps(self, steps, order):
         out = count(self, steps, order)
         counts["steps"] += len(out)
         return out
 
-    def counted_sup(*args, **kwargs):
+    def counted_scan(self, *args):
         counts["sups"] += 1
-        return sup(*args, **kwargs)
+        scan(self, *args)
 
     def counted_multiplier(self, j):
         counts["multipliers"] += 1
         return multiplier(self, j)
 
     monkeypatch.setattr(StepEngine, "_count", counted_steps)
-    monkeypatch.setattr(maximal, "weighted_offset_sup", counted_sup)
-    monkeypatch.setattr(quasinorms, "weighted_offset_sup", counted_sup)
+    monkeypatch.setattr(maximal._BlockScan, "__init__", counted_scan)
     monkeypatch.setattr(DyadicBandSystem, "band_multiplier", counted_multiplier)
     return counts
 
@@ -650,10 +648,5 @@ class TestCorpusStacks:
         # an untraced first call: in a fresh interpreter it imports lazily
         # loaded modules, about 0.8 MB of allocations that are not the call's
         equivalence_experiment(corpus, pair, params, grid, theorem)
-        tracemalloc.start()
-        try:
-            equivalence_experiment(corpus, pair, params, grid, theorem)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * 2**20
+        assert traced_peak(lambda: equivalence_experiment(corpus, pair, params, grid,
+                                                          theorem)) <= 1.5 * 2**20
