@@ -212,7 +212,7 @@ class _Option:
     convert: Callable
     default: object
     requirement: str  # what a valid value is, in messages and --help
-    commands: tuple[str, ...] | None = None  # the commands that read it; None: all
+    commands: tuple[str, ...] | None = None  # the handlers that read it; None: all
     valid: Callable | None = None  # a check of the converted value
     const: bool | None = None  # the value its flag sets, when the flag takes none
     derived: str | None = None  # how a handler derives the default from other inputs
@@ -238,6 +238,11 @@ class _Option:
         return f"{self.requirement} (default: {default})"
 
 
+# the handlers that read a field (--in, else a corpus member), and those
+# that take steps on a quadrature
+_FIELD = ("bands", "diff", "norm", "maximal", "scaling", "divergence")
+_QUAD = ("diff", "norm", "maximal", "scaling", "equivalence", "divergence")
+
 _OPTIONS = (
     _Option("config", "--config", None, _text, None,
             "a JSON config file path; its values override every flag"),
@@ -254,26 +259,29 @@ _OPTIONS = (
     _Option("homogeneous", "--inhomogeneous", "space.homogeneous", _boolean, True,
             "true or false", const=False),
     # the quadrature: an unset value keeps the grid's default quadrature's
-    _Option("h_min", "--h-min", "quad.h_min", _number, None, "a number"),
-    _Option("h_max", "--h-max", "quad.h_max", _number, None, "a number"),
+    _Option("h_min", "--h-min", "quad.h_min", _number, None, "a number", _QUAD),
+    _Option("h_max", "--h-max", "quad.h_max", _number, None, "a number", _QUAD),
     _Option("radial_per_octave", "--radial-per-octave", "quad.radial_nodes_per_octave",
-            _integer, None, "an integer"),
+            _integer, None, "an integer", _QUAD),
     _Option("sphere_nodes", "--sphere-nodes", "quad.sphere_nodes", _integer, None,
-            "an integer"),
+            "an integer", _QUAD),
     _Option("t_per_octave", "--t-per-octave", "quad.t_nodes_per_octave", _integer, None,
-            "an integer"),
+            "an integer", _QUAD),
     _Option("tau_per_octave", "--tau-per-octave", "quad.tau_nodes_per_octave", _integer,
-            None, "an integer"),
-    _Option("tau_octaves", "--tau-octaves", "quad.tau_octaves", _integer, None, "an integer"),
+            None, "an integer", _QUAD),
+    _Option("tau_octaves", "--tau-octaves", "quad.tau_octaves", _integer, None,
+            "an integer", _QUAD),
     _Option("allow_subgrid", "--allow-subgrid", "quad.allow_subgrid", _boolean, None,
-            "true or false", const=True),
-    _Option("in_path", "--in", "io.input", _text, None, "a raw float64 field file path"),
+            "true or false", _QUAD, const=True),
+    _Option("in_path", "--in", "io.input", _text, None, "a raw float64 field file path",
+            (*_FIELD, "slice-support")),
     _Option("out_dir", "--out", "io.output", _text, "lplab-artifacts",
             "an artifact directory path"),
     _Option("function", "--function", "function", _text, "band_mid",
-            "the corpus member label used when --in is absent"),
+            "the corpus member label used when --in is absent", _FIELD),
     _Option("corpus", None, "corpus", _list(_object), None,
-            "a nonempty list of test-function objects", valid=bool),
+            "a nonempty list of test-function objects", (*_FIELD, "equivalence", "corpus"),
+            bool),
     _Option("characterization", "--characterization", "characterization", _cid, "lp",
             "a characterization id: " + " | ".join(
                 (*CHARACTERIZATION_IDS, "axis:J", *_CHARACTERIZATION_ALIASES)),
@@ -312,12 +320,14 @@ _OPTIONS = (
     _Option("axis", "--axis", "axis", _integer, 1, "an axis of the grid", ("slice-support",)),
 )
 
+_ROWS = {row.name: row for row in _OPTIONS}
 _CONFIG_KEYS = {row.config: row.name for row in _OPTIONS if row.config}
 _SECTIONS = {key.split(".")[0] for key in _CONFIG_KEYS if "." in key}
 
 
-def _read_config(path: str) -> dict:
-    """The option values a JSON config file gives, by option name."""
+def _read_config(path: str, command: str) -> dict:
+    """The option values a JSON config file gives, by option name; a key
+    the command does not read is an error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -343,6 +353,8 @@ def _read_config(path: str) -> dict:
                 raise ConfigParseError(f"{where} is null")
             if dotted not in _CONFIG_KEYS:
                 raise ConfigParseError(f"unknown {where}")
+            if not _ROWS[_CONFIG_KEYS[dotted]].reads(command):
+                raise ConfigParseError(f"{where} is not read by {command}")
             values[_CONFIG_KEYS[dotted]] = value
     return values
 
@@ -353,12 +365,13 @@ class _Options:
     them by name; the summary echoes each one read with its source."""
 
     def __init__(self, command: str, parsed: dict):
-        self.rows = {row.name: row for row in _OPTIONS if row.reads(command)}
+        self.rows = {name: row for name, row in _ROWS.items() if row.reads(command)}
         given = {name: ("flag", _FlagText(raw) if isinstance(raw, str) else raw)
                  for name in self.rows if (raw := parsed.get(name)) is not None}
         if "config" in given:
             path = self.rows["config"].resolve(given["config"][1])
-            given.update((name, ("config", raw)) for name, raw in _read_config(path).items())
+            given.update((name, ("config", raw))
+                         for name, raw in _read_config(path, command).items())
         self.values, self.sources, self.read = {}, {}, set()
         for name, row in self.rows.items():
             self.sources[name], raw = given.get(name, ("default", None))
@@ -573,7 +586,8 @@ def _cmd_verify_equivalence(opts: _Options) -> int:
 def _cmd_verify_ppn(opts: _Options) -> int:
     t_list = opts["t_list"]
     alpha = opts["alpha"]
-    label = alpha if isinstance(alpha, int) else list(alpha)  # as a JSON list prints
+    # a multi-index as a list without commas, which would split the CSV cell
+    label = alpha if isinstance(alpha, int) else "[" + ";".join(map(str, alpha)) + "]"
     u = band_limited_profile(opts.grid, t_list[0])
     rep = ppn_probe(u, alpha, opts.space.p, opts.space.q, t_list)
     rows = [("profile", f"ppn:alpha={label}@t={t:g}", ratio, "OK")
@@ -672,7 +686,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "their verification experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = [(sub.add_parser(name, help=text), name) for name, text in (
+    # no abbreviated flags: a command that reads no --in would take it for
+    # --inhomogeneous
+    commands = [(sub.add_parser(name, help=text, allow_abbrev=False), name) for name, text in (
         ("bands", "decompose a field into dyadic frequency bands"),
         ("diff", "difference-quasinorm of a field"),
         ("norm", "any quasinorm characterization of a field"),
@@ -681,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     )]
     pv = sub.add_parser("verify", help="run a verification experiment")
     vsub = pv.add_subparsers(dest="experiment", required=True)
-    commands += [(vsub.add_parser(name), name) for name in _VERIFY_HANDLERS]
+    commands += [(vsub.add_parser(name, allow_abbrev=False), name) for name in _VERIFY_HANDLERS]
     # every flag parses to None unless it is given
     for p, name in commands:
         for row in _OPTIONS:

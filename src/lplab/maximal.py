@@ -17,25 +17,28 @@ largest weight between the two blocks can beat that value, and the scan
 ends once no pair can.  Its work grows with the surviving pairs, not with
 the square of the point count.
 
-Suprema on one grid with one exponent run as a stacked scan, each field
-with its own weight scale: all fields visit the rings together, so the
-numpy calls that pick a ring's live pairs, form their products and
-scatter them into the maxima serve the whole stack.  Where only the max
-over runs of fields is read, the runs ("pieces") each keep one maximum
-for the whole call, whatever stacks their fields fall in: a piece's later
-fields skip every pair its earlier fields have already beaten.
+Suprema on one grid with one exponent run as one scan, fed one field at a
+time, each field with its own weight scale.  The held fields are scanned
+in stacks: all fields of a stack visit the rings together, so the numpy
+calls that pick a ring's live pairs, form their products and scatter them
+into the maxima serve the whole stack.  Where only the max over runs of
+fields is read, the runs ("pieces") each keep one maximum for the whole
+scan, whatever stacks their fields fall in: a piece's later fields skip
+every pair its earlier fields have already beaten.
 
 The mean-difference forms take a ladder of scales and return the maximal
-fields of its scales, or of its pieces, from one such call.  A shell mean
-is a radial sum of sphere means, sum_j w_j M(t r_j), so its symbol is the
-same sum of sphere-mean symbols.  One walk over the radii of a call's
-shell and sphere means builds each distinct radius's symbol once, keyed by
-the exact radius when the ladders give exact scales (`Scale`, top times a
-rational power of 2), in increasing order of radius, and forms a mean's
-field as soon as its last radius is in, so only the shells straddling the
-current radius are held.  Given a stack of fields on one grid, a call
-builds each symbol once for the whole stack and runs one scan per family
-over all its fields, each field's pieces its own.
+fields of its scales, or of its pieces, one stack per family of means.  A
+shell mean is a radial sum of sphere means, sum_j w_j M(t r_j), so its
+symbol is the same sum of sphere-mean symbols.  One walk over the radii
+of a call's shell and sphere means builds each distinct radius's symbol
+once, keyed by the exact radius when the ladders give exact scales
+(`Scale`, top times a rational power of 2), in increasing order of
+radius, and forms a mean's field as soon as its last radius is in, so
+only the shells straddling the current radius are held.  Each field goes
+to its family's scan as soon as its piece is complete, so the walk never
+holds a ladder of fields.  Given a stack of fields on one grid, a call
+builds each symbol once for the whole stack and feeds one scan per family
+with all its fields, each field's pieces its own.
 """
 
 from __future__ import annotations

@@ -417,17 +417,22 @@ class TestVerifyCommands:
         assert summary["max_over_min"] <= 1.5
         assert len(read_rows(out, "verify_ppn")) == 3
 
-    @pytest.mark.parametrize("alpha,label", [(2, "2"), ([1], "[1]")], ids=["int", "list"])
-    def test_ppn_rows_name_the_alpha_run(self, tmp_path, alpha, label):
+    @pytest.mark.parametrize("alpha,label,grid", [
+        (2, "2", ("1", "256")), ([1], "[1]", ("1", "256")), ([1, 2], "[1;2]", ("2", "32")),
+    ], ids=["int", "list", "multi-index"])
+    def test_ppn_rows_name_the_alpha_run(self, tmp_path, alpha, label, grid):
+        # a multi-index label holds no comma, so each row keeps the header's
+        # 8 cells
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": alpha}))
-        code, out = run(tmp_path, "verify", "ppn", "--grid-dim", "1", "--grid-n", "256",
+        code, out = run(tmp_path, "verify", "ppn", "--grid-dim", grid[0], "--grid-n", grid[1],
                         "--config", str(cfg))
         summary = read_summary(out, "verify_ppn")
         assert code == (0 if summary["verdict"] == "PASS" else 1)
-        assert summary["alpha"] == [int(label.strip("[]"))]
-        assert [r.split(",")[1] for r in read_rows(out, "verify_ppn")] == [
-            f"ppn:alpha={label}@t={t}" for t in (8, 16, 32)]
+        assert summary["alpha"] == ([alpha] if isinstance(alpha, int) else alpha)
+        rows = [r.split(",") for r in read_rows(out, "verify_ppn")]
+        assert [r[1] for r in rows] == [f"ppn:alpha={label}@t={t}" for t in (8, 16, 32)]
+        assert all(len(r) == len(CSV_HEADER.split(",")) == 8 for r in rows)
 
     def test_divergence_classification(self, tmp_path):
         code, out = run(
@@ -528,11 +533,12 @@ class TestConfigOverride:
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value} if section is None else {section: {key: value}}))
-        # only the equivalence experiment reads the thresholds
+        # only the equivalence experiment reads the thresholds, and it reads
+        # no --function
         command = (("verify", "equivalence") if section == "thresholds"
-                   else ("norm", "--characterization", "diff"))
+                   else ("norm", "--characterization", "diff", "--function", "gauss_mid"))
         code, out = run(tmp_path, *command, "--grid-dim", "2", "--grid-n", "32",
-                        "--function", "gauss_mid", "--config", str(cfg))
+                        "--config", str(cfg))
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("configuration error: ") and named in err, err
@@ -621,7 +627,8 @@ COMMON_DEFAULTS = {
 
 
 # argv lists covering every command and experiment, with what each
-# resolves to besides COMMON_DEFAULTS, or the message that rejects it
+# resolves to besides the COMMON_DEFAULTS of the options it reads, or the
+# message that rejects it: argparse's for a flag the command does not read
 PARSED = [
     (["bands"], {}),
     (["diff", "--grid-dim", "2", "--L", "2", "--space", "B", "--inhomogeneous"],
@@ -632,7 +639,8 @@ PARSED = [
     (["maximal"], {"variants": ("S", "V")}),
     (["maximal", "--variants", "S,V_SUP", "--sphere-nodes", "8", "--tau-octaves", "3"],
      {"sphere_nodes": 8, "tau_octaves": 3, "variants": ("S", "V_SUP")}),
-    (["corpus", "--out", "x", "--function", "gauss"], {"out_dir": "x", "function": "gauss"}),
+    (["corpus", "--out", "x", "--function", "gauss"], "unrecognized arguments: --function gauss"),
+    (["corpus", "--out", "x"], {"out_dir": "x"}),
     (["verify", "scaling", "--m-values=-1,0"], {"characterization": "lp", "m_values": (-1, 0)}),
     (["verify", "equivalence", "--pair", "lp,max:V", "--spread-limit", "0.5"],
      "spread_limit must be a number >= 1, got '0.5'"),
@@ -652,9 +660,14 @@ class TestParser:
     default."""
 
     @pytest.mark.parametrize("argv, parsed", PARSED, ids=[" ".join(a) for a, _ in PARSED])
-    def test_parsed_namespace(self, tmp_path, monkeypatch, argv, parsed):
+    def test_parsed_namespace(self, tmp_path, monkeypatch, capsys, argv, parsed):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c.json").write_text("{}")
+        if isinstance(parsed, str) and parsed.startswith("unrecognized arguments"):
+            with pytest.raises(SystemExit) as done:
+                cli.build_parser().parse_args(argv)
+            assert done.value.code == 2 and parsed in capsys.readouterr().err
+            return
         args = vars(cli.build_parser().parse_args(argv))
         command = args.get("experiment") or args["command"]
         if isinstance(parsed, str):
@@ -662,7 +675,8 @@ class TestParser:
                 cli._Options(command, args)
             return
         opts = cli._Options(command, args)
-        assert opts.values == {**COMMON_DEFAULTS, **parsed}
+        assert opts.values == {**{name: value for name, value in COMMON_DEFAULTS.items()
+                                  if ROWS[name].reads(command)}, **parsed}
         flagged = {row.name for row in cli._OPTIONS
                    if any(arg.split("=")[0] == row.flag for arg in argv)}
         assert {name for name, source in opts.sources.items() if source == "flag"} == flagged
@@ -729,6 +743,9 @@ EXAMPLES = {
     "axis": (SLICE, "2", 2),
 }
 ROWS = {row.name: row for row in cli._OPTIONS}
+# each handler's command line
+COMMANDS = {**{name: (name,) for name in cli._HANDLERS},
+            **{name: ("verify", name) for name in cli._VERIFY_HANDLERS}}
 
 
 def config_body(row, value):
@@ -804,6 +821,25 @@ class TestOptionTable:
         assert runs[0][0] in (0, 1)
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("name", [n for n in EXAMPLES if ROWS[n].commands])
+    def test_unread_option_rejected(self, tmp_path, capsys, monkeypatch, name):
+        # a command that does not read the option refuses its flag, as
+        # argparse does any unknown flag, and its config key by name; both
+        # exit 2 and write nothing
+        monkeypatch.chdir(tmp_path)
+        row = ROWS[name]
+        _, flag_text, json_value = EXAMPLES[name]
+        command = next(c for c in COMMANDS if not row.reads(c))
+        if row.flag is not None:
+            with pytest.raises(SystemExit) as done:
+                main([*COMMANDS[command], row.flag, *([] if row.const else [flag_text])])
+            assert done.value.code == 2
+            assert f"unrecognized arguments: {row.flag}" in capsys.readouterr().err
+        (tmp_path / "cfg.json").write_text(json.dumps(config_body(
+            row, [{}] if json_value is None else json_value)))
+        assert_one_config_error(main([*COMMANDS[command], "--config", "cfg.json"]), capsys)
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
 
 class TestHelp:
     """Each command's --help lists exactly the options the table declares
@@ -838,11 +874,14 @@ class TestNameLists:
     @pytest.mark.parametrize(
         "argv, config",
         [
-            (("maximal", "--grid-dim", "2", "--grid-n", "32"), {"variants": ""}),
-            (("maximal", "--grid-dim", "2", "--grid-n", "32"), {"variants": []}),
+            (("maximal", "--grid-dim", "2", "--grid-n", "32", "--function", "gauss_mid"),
+             {"variants": ""}),
+            (("maximal", "--grid-dim", "2", "--grid-n", "32", "--function", "gauss_mid"),
+             {"variants": []}),
             (("verify", "equivalence", "--grid-dim", "1", "--grid-n", "256"), {"pair": ""}),
             (("verify", "equivalence", "--grid-dim", "1", "--grid-n", "256"), {"theorem": ""}),
-            (("norm", "--grid-dim", "1", "--grid-n", "64"), {"characterization": ""}),
+            (("norm", "--grid-dim", "1", "--grid-n", "64", "--function", "gauss_mid"),
+             {"characterization": ""}),
         ],
         ids=["empty-variants", "empty-variants-list", "empty-pair", "empty-theorem",
              "empty-characterization"],
@@ -850,7 +889,7 @@ class TestNameLists:
     def test_empty_value_rejected(self, tmp_path, capsys, argv, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        code, out = run(tmp_path, *argv, "--function", "gauss_mid", "--config", str(cfg))
+        code, out = run(tmp_path, *argv, "--config", str(cfg))
         assert code == 2
         assert next(iter(config)) in capsys.readouterr().err
         assert not out.exists()
