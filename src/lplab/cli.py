@@ -238,11 +238,9 @@ class _Option:
         return f"{self.requirement} (default: {default})"
 
 
-# the handlers that read a field (--in, else a corpus member), and those
-# that take steps on a quadrature
+# the handlers that read a field (--in, else a corpus member) or a quadrature
 _FIELD = ("bands", "diff", "norm", "maximal", "scaling", "divergence")
 _QUAD = ("diff", "norm", "maximal", "scaling", "equivalence", "divergence")
-
 _OPTIONS = (
     _Option("config", "--config", None, _text, None,
             "a JSON config file path; its values override every flag"),
@@ -320,14 +318,12 @@ _OPTIONS = (
     _Option("axis", "--axis", "axis", _integer, 1, "an axis of the grid", ("slice-support",)),
 )
 
-_ROWS = {row.name: row for row in _OPTIONS}
-_CONFIG_KEYS = {row.config: row.name for row in _OPTIONS if row.config}
+_CONFIG_KEYS = {row.config: row for row in _OPTIONS if row.config}
 _SECTIONS = {key.split(".")[0] for key in _CONFIG_KEYS if "." in key}
 
 
 def _read_config(path: str, command: str) -> dict:
-    """The option values a JSON config file gives, by option name; a key
-    the command does not read is an error."""
+    """("config", value) of each option a JSON config file gives, by name."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -353,9 +349,9 @@ def _read_config(path: str, command: str) -> dict:
                 raise ConfigParseError(f"{where} is null")
             if dotted not in _CONFIG_KEYS:
                 raise ConfigParseError(f"unknown {where}")
-            if not _ROWS[_CONFIG_KEYS[dotted]].reads(command):
+            if not _CONFIG_KEYS[dotted].reads(command):
                 raise ConfigParseError(f"{where} is not read by {command}")
-            values[_CONFIG_KEYS[dotted]] = value
+            values[_CONFIG_KEYS[dotted].name] = ("config", value)
     return values
 
 
@@ -365,13 +361,12 @@ class _Options:
     them by name; the summary echoes each one read with its source."""
 
     def __init__(self, command: str, parsed: dict):
-        self.rows = {name: row for name, row in _ROWS.items() if row.reads(command)}
+        self.rows = {row.name: row for row in _OPTIONS if row.reads(command)}
         given = {name: ("flag", _FlagText(raw) if isinstance(raw, str) else raw)
                  for name in self.rows if (raw := parsed.get(name)) is not None}
         if "config" in given:
             path = self.rows["config"].resolve(given["config"][1])
-            given.update((name, ("config", raw))
-                         for name, raw in _read_config(path, command).items())
+            given.update(_read_config(path, command))
         self.values, self.sources, self.read = {}, {}, set()
         for name, row in self.rows.items():
             self.sources[name], raw = given.get(name, ("default", None))
@@ -686,8 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "their verification experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # no abbreviated flags: a command that reads no --in would take it for
-    # --inhomogeneous
+    # no abbreviations: --in would pass for --inhomogeneous where no --in is read
     commands = [(sub.add_parser(name, help=text, allow_abbrev=False), name) for name, text in (
         ("bands", "decompose a field into dyadic frequency bands"),
         ("diff", "difference-quasinorm of a field"),

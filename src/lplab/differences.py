@@ -153,12 +153,18 @@ class StepEngine:
         `fftn` order.
 
         Means of few nodes are built together, so they share each node
-        chunk's array operations; the steps count when called.
+        chunk's array operations, and each group's chunk arrays are freed
+        before its means are yielded; the steps count when called.
         """
         steps = np.asarray(steps, dtype=np.float64)
         weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), steps.shape[:2])
         self._count(steps.reshape(-1, steps.shape[-1]), order)
-        return self._mean_symbols(steps, weights, order)
+        # nodes per chunk: a node's lead, lead_j and cols of an L = 2 mean
+        # take 4 complex values per point of the leading plane
+        chunk = per_chunk(64 * self.grid.num_points // self.grid.n)
+        group = max(1, chunk // steps.shape[1])  # means per chunk, when a mean fits
+        return (symbol for lo in range(0, len(steps), group) for symbol in self._mean_symbols(
+            steps[lo : lo + group], weights[lo : lo + group], order, chunk))
 
     @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
     def symbol_magnitude(self, symbols: np.ndarray) -> np.ndarray:
@@ -294,10 +300,11 @@ class StepEngine:
             phase = phase * factors[:, a].reshape(shape)
         return _power(phase - 1.0, order)
 
-    def _mean_symbols(self, steps: np.ndarray, weights: np.ndarray,
-                      order: int) -> Iterator[np.ndarray]:
-        """Yield sum_m w_m S_m on the grid, in `fftn` order, for each mean of
-        steps (means, nodes, dim) with weights (means, nodes).
+    def _mean_symbols(self, steps: np.ndarray, weights: np.ndarray, order: int,
+                      chunk: int) -> np.ndarray:
+        """sum_m w_m S_m on the grid, in `fftn` order, for each mean of steps
+        (means, nodes, dim) with weights (means, nodes), from node chunks of
+        chunk steps: shape (means,) + grid shape.
 
         Split the phase as phi = phi' phi_d, phi' the product over the axes
         before the last.  Then phi - 1 = (phi' - 1) phi_d + (phi_d - 1), so
@@ -314,20 +321,6 @@ class StepEngine:
         cancellation at small steps, as expanding (phi - 1)^L in powers of
         phi would.
         """
-        means, nodes = steps.shape[:2]
-        # a node's lead, lead_j and cols of an L = 2 mean: 4 complex values
-        # per plane point
-        chunk = per_chunk(64 * self.grid.num_points // self.grid.n)
-        group = max(1, chunk // nodes)  # means per chunk, when a mean fits
-        for first in range(0, means, group):
-            # the group's chunk arrays are freed before its means are yielded
-            yield from self._mean_group(steps[first : first + group],
-                                        weights[first : first + group], order, chunk)
-
-    def _mean_group(self, steps: np.ndarray, weights: np.ndarray, order: int,
-                    chunk: int) -> np.ndarray:
-        """sum_m w_m S_m of each mean of steps, (means,) + grid shape, as
-        `_mean_symbols` splits it, from node chunks of chunk steps."""
         grid = self.grid
         last = grid.n
         plane = grid.num_points // grid.n

@@ -18,27 +18,25 @@ ends once no pair can.  Its work grows with the surviving pairs, not with
 the square of the point count.
 
 Suprema on one grid with one exponent run as one scan, fed one field at a
-time, each field with its own weight scale.  The held fields are scanned
-in stacks: all fields of a stack visit the rings together, so the numpy
-calls that pick a ring's live pairs, form their products and scatter them
-into the maxima serve the whole stack.  Where only the max over runs of
-fields is read, the runs ("pieces") each keep one maximum for the whole
-scan, whatever stacks their fields fall in: a piece's later fields skip
-every pair its earlier fields have already beaten.
+time, each with its own weight scale, in stacks: all fields of a stack
+visit the rings together, so the numpy calls that pick a ring's live
+pairs, form their products and scatter them into the maxima serve the
+whole stack.  Where only the max over runs of fields is read, the runs
+("pieces") each keep one maximum for the whole scan, whatever stacks their
+fields fall in: a piece's later fields skip every pair its earlier fields
+have already beaten.
 
 The mean-difference forms take a ladder of scales and return the maximal
-fields of its scales, or of its pieces, one stack per family of means.  A
-shell mean is a radial sum of sphere means, sum_j w_j M(t r_j), so its
-symbol is the same sum of sphere-mean symbols.  One walk over the radii
-of a call's shell and sphere means builds each distinct radius's symbol
-once, keyed by the exact radius when the ladders give exact scales
-(`Scale`, top times a rational power of 2), in increasing order of
-radius, and forms a mean's field as soon as its last radius is in, so
-only the shells straddling the current radius are held.  Each field goes
-to its family's scan as soon as its piece is complete, so the walk never
-holds a ladder of fields.  Given a stack of fields on one grid, a call
-builds each symbol once for the whole stack and feeds one scan per family
-with all its fields, each field's pieces its own.
+fields of its scales, or of its pieces, one stack per family.  A shell
+mean is a radial sum of sphere means, sum_j w_j M(t r_j), so its symbol is
+the same sum of sphere-mean symbols.  One walk over the radii of a call's
+shell and sphere means builds each distinct radius's symbol once, keyed
+by the exact radius when the ladders give exact scales (`Scale`, top
+times a rational power of 2), in increasing order of radius, and forms a
+mean's field as soon as its last radius is in, to feed its family's scan
+once its piece is complete: no ladder of fields is held.  Given a stack
+of fields on one grid, a call builds each symbol once for the whole stack
+and feeds one scan per family, each field's pieces its own.
 """
 
 from __future__ import annotations
@@ -65,8 +63,8 @@ _ANNULUS_RADII = 8  # shell radii of an annulus mean
 
 
 class _BlockScan:
-    """The pruned supremum on one grid with one exponent, fed one field at a
-    time, whose weighted sups are maximized into pieces.
+    """The pruned supremum on one grid with one exponent, fed fields whose
+    weighted sups are maximized into pieces.
 
     Target block T meets source block S = T - delta through the patch
     P[delta][c_s, c_t] = w((delta b + c_t - c_s) mod n) of a field's weight
@@ -76,21 +74,20 @@ class _BlockScan:
     of the pair; a pair is evaluated only while that bound exceeds the
     floor of its piece on T, the minimum of the piece's maximum there.
 
-    `feed` holds fields, each with its weight scale and piece, and `add`
-    scans them whenever they fill a scan stack.  All fields of a stack
-    visit delta in rings: runs of offsets with the same least offset radius
-    of the patch, in increasing order of it.  A ring reads its floors from
-    the blocked maxima as it starts and keeps them to its end, and a field
-    has no pair left once max(u) times the largest patch max still to come
-    cannot beat the minimum of its piece's floor; the stack ends when no
-    field has one.  A ring runs in batches of offsets whose patches, for
-    every field, fit the working-set budget; a batch's live pairs form
-    their products in chunks, each maxed into the blocked maxima by one
-    scatter, which also merges pairs that share a target row.  Every
-    skipped product is at most a value already reached, so each piece is
-    the max over the same products as full scans of its fields, in any
-    order of feeding.  The maxima belong to the whole scan, so a piece's
-    fields in a later stack start from the values its earlier ones
+    `add` scans the fields `feed` holds once they fill a stack.  All
+    fields of a stack visit delta in rings: runs of offsets with the same
+    least offset radius of the patch, in increasing order of it.  A ring
+    reads its floors from the blocked maxima as it starts and keeps them to
+    its end, and a field has no pair left once max(u) times the largest
+    patch max still to come cannot beat the minimum of its piece's floor;
+    the stack ends when no field has one.  A ring runs in batches of
+    offsets whose patches, for every field, fit the working-set budget; a
+    batch's live pairs form their products in chunks, each maxed into the
+    blocked maxima by one scatter, which also merges pairs that share a
+    target row.  Every skipped product is at most a value already reached,
+    so each piece is the max over the same products as full scans of its
+    fields, fed in any order.  The maxima belong to the whole scan, so a
+    piece's fields in a later stack start from the values its earlier ones
     reached.  Each piece's blocked maximum fills the memory its grid field
     takes, which `maxima` reorders in place.
     """
@@ -140,10 +137,9 @@ class _BlockScan:
         # layout, block axes then in-block axes, and back
         self.to_blocks = tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2))
         self.from_blocks = tuple(a for axis in range(dim) for a in (axis, dim + axis))
-        # out[p F + f, T, c]: the maximum of piece p of the stack's field f,
-        # F fields in all, at in-block position c of block T
-        self.stack = stack
-        self.out = np.zeros((pieces * math.prod(stack), self.count, self.size))
+        # out[p F + f, T, c]: piece p of field f of F at position c of block T
+        self.stack, self.fields = stack, math.prod(stack)
+        self.out = np.zeros((pieces * self.fields, self.count, self.size))
         # the held fields, blocked, with their scales and rows of out; a
         # scan stack holds a weight table and a blocked copy per field
         depth = per_chunk(16 * grid.num_points)
@@ -156,13 +152,12 @@ class _BlockScan:
         """Hold each field of u, stack + grid shape, with weight scale
         `scale`, to be maximized into its piece `piece`; `add` runs on each
         full scan stack."""
-        fields = math.prod(self.stack)
         dim, nb, b = self.grid.dim, self.nb, self.b
-        for f, field in enumerate(u.reshape((fields,) + self.grid.shape)):
+        for f, field in enumerate(u.reshape((self.fields,) + self.grid.shape)):
             blocked = self.blocks[self.held].reshape((nb,) * dim + (b,) * dim)
             blocked[...] = field.reshape((nb, b) * dim).transpose(self.to_blocks)
             self.scales[self.held] = scale
-            self.rows[self.held] = piece * fields + f
+            self.rows[self.held] = piece * self.fields + f
             self.held += 1
             if self.held == len(self.scales):
                 self.add()
@@ -378,7 +373,7 @@ def sphere_mean_max(
     leading axis of one such stack per field, each mean symbol is built
     once for all of them, and one scan covers them all.
     """
-    return _mean_max(field, [], ladder, r, order, sphere_count, engine, None)[1]
+    return annulus_mean_max(field, [], r, order, sphere_count, spheres=ladder, engine=engine)[1]
 
 
 def annulus_mean_max(
@@ -395,69 +390,57 @@ def annulus_mean_max(
     """Weighted sups of the shell-volume means of the t-scaled differences,
     one row per scale of the ladder, and of the sphere means of
     :func:`sphere_mean_max`, one row per scale of spheres: the two stacks,
-    as in :func:`sphere_mean_max`, from one scan per family.
-
-    pieces, if given, labels the scales of the ladder, then those of
-    spheres, each with a piece 0, 1, ... of its own family; each stack then
-    has one row per piece, the max of its scales' maximal fields.
+    as in :func:`sphere_mean_max`, from one scan per family.  pieces, if
+    given, numbers runs of consecutive scales of the ladder, then of
+    spheres, 0, 1, ... in each family; each stack then has one row per
+    piece, the max of its scales' maximal fields.
 
     The shell mean at t is sum_j w_j M(t r_j): M(rho) the sphere mean at
     radius rho, r_j = 2^((j + 1/2) / 8) the radii of :func:`annulus_radii`
-    and w_j = r_j^dim / sum r^dim their volume weights.  The shell and
-    sphere means are formed in one walk over their radii, so a radius that
-    several of them use gets one sphere-mean symbol.  A sequence of fields
-    gives one pair of stacks with a leading axis of one row per field.
-    """
-    return _mean_max(field, ladder, spheres, r, order, sphere_count, engine, pieces)
-
-
-def _mean_max(field, shells, spheres, r, order, sphere_count, engine, pieces):
-    """Weighted sups of |sum_j w_j M(t r_j)| over the scales t of shells,
-    and of |M(t)| over the scales of spheres, M(rho) the sphere mean at
-    radius rho, maximized into each family's pieces: the two stacks.
-
-    Each distinct radius gets one sphere-mean symbol, added into the mean
-    of every field of the engine's stack that uses it.  The symbols are
-    built in increasing order of radius, and a mean's field is formed as
+    and w_j = r_j^dim / sum r^dim their volume weights.  One walk over the
+    radii of both families builds each distinct radius's sphere-mean symbol
+    once, in increasing order of radius, and adds it into the mean of every
+    field of the engine's stack that uses it.  A mean's field is formed as
     soon as its last symbol is in, so only the shells whose radii straddle
-    the current one are held, never a table of symbols.  A finished field
+    the current one are held, never a table of symbols.  A formed field
     waits only for the rest of its piece: the means finish smallest scale
     first, and each piece goes to its family's scan in ladder order, which
     on the ladders of `maximal_quasinorm_set` is largest scale, widest
-    weight, first.
+    weight, first.  A sequence of fields gives one pair of stacks with a
+    leading axis of one row per field.
     """
     engine = engine or StepEngine(field)
     grid, stack = engine.grid, engine.stack
     if spheres and grid.dim < 2:
         raise DimensionTooLow("sphere means need dim >= 2")
     families = [np.asarray(labels, dtype=np.intp) for labels in (
-        pieces or (range(len(shells)), range(len(spheres))))]
-    for labels, scales in zip(families, (shells, spheres)):
-        if labels.shape != (len(scales),) or labels.size and (
+        pieces or (range(len(ladder)), range(len(spheres))))]
+    for labels, given in zip(families, (ladder, spheres)):
+        if labels.shape != (len(given),) or labels.size and (
                 labels[0] != 0 or not np.isin(np.diff(labels), (0, 1)).all()):
-            raise ShapeMismatch("pieces must number runs of consecutive scales 0, 1, ... "
-                                "in each family")
+            raise ShapeMismatch("pieces must number runs of each family's scales 0, 1, ...")
     scans = [_BlockScan(grid, grid.dim / r, labels.max() + 1, stack) if labels.size else None
              for labels in families]
     nodes = unit_sphere_nodes(grid.dim, sphere_count)
     node_w = np.full(nodes.shape[0], 1.0 / nodes.shape[0])
     radial_w = annulus_radii() ** grid.dim
     radial_w = (radial_w / radial_w.sum()).tolist()
-    ladder = [t if isinstance(t, Scale) else Scale(float(t)) for t in (*shells, *spheres)]
+    # the scale of each row: the ladder's shells, then the spheres
+    scales = [t if isinstance(t, Scale) else Scale(float(t)) for t in (*ladder, *spheres)]
     # the (radius, weight) terms of each row's mean
     means = [[(t.times_power(2 * j + 1, 2 * _ANNULUS_RADII), w) for j, w in enumerate(radial_w)]
-             for t in ladder[: len(shells)]]
-    means += [[(t, 1.0)] for t in ladder[len(shells) :]]
+             for t in scales[: len(ladder)]]
+    means += [[(t, 1.0)] for t in scales[len(ladder) :]]
     users: dict[Scale, list[tuple[int, float]]] = {}
     for row, mean in enumerate(means):
         for radius, w in mean:
             users.setdefault(radius, []).append((row, w))
     missing = [len(mean) for mean in means]
     sums: dict[int, np.ndarray] = {}
-    # the (family, piece) of each row, its size, and its rows formed so far
+    # each row's (family, piece); a piece's formed fields wait for its last
     piece_of = [(0, p) for p in families[0].tolist()] + [(1, p) for p in families[1].tolist()]
-    sizes = collections.Counter(piece_of)
-    formed: dict[tuple[int, int], dict[int, np.ndarray]] = {}
+    left = collections.Counter(piece_of)
+    formed: dict[int, np.ndarray] = {}
     radii = sorted(users, key=float)
     scaled = np.array([float(radius) for radius in radii])[:, None, None] * nodes
     for radius, symbol in zip(radii, engine.mean_symbols(scaled, node_w, order)):
@@ -471,11 +454,11 @@ def _mean_max(field, shells, spheres, r, order, sphere_count, engine, pieces):
             if missing[row] == 0:
                 done.append(row)
         for row in done:
-            family, piece = key = piece_of[row]
-            rows = formed.setdefault(key, {})
-            rows[row] = engine.symbol_magnitude(sums.pop(row))
-            if len(rows) == sizes[key]:
-                for member in sorted(formed.pop(key)):
-                    scans[family].feed(rows[member], 1.0 / float(ladder[member]), piece)
+            formed[row] = engine.symbol_magnitude(sums.pop(row))
+            left[piece_of[row]] -= 1
+            if not left[piece_of[row]]:
+                family, piece = piece_of[row]
+                for member in sorted(m for m in formed if piece_of[m] == piece_of[row]):
+                    scans[family].feed(formed.pop(member), 1.0 / float(scales[member]), piece)
     return tuple(np.empty(stack + (0,) + grid.shape) if scan is None else scan.maxima()
                  for scan in scans)

@@ -52,7 +52,13 @@ from .fields import (
     per_chunk,
     resolvable_band_range,
 )
-from .maximal import Scale, _BlockScan, annulus_mean_max, annulus_radii, unit_sphere_nodes
+from .maximal import (
+    Scale,
+    _BlockScan,
+    annulus_mean_max,
+    annulus_radii,
+    unit_sphere_nodes,
+)
 
 QUADRATURE_SPHERE_COUNT = {1: 2, 2: 32, 3: 64}
 
@@ -748,14 +754,13 @@ def _point_sup_field(
     directions: np.ndarray,
     pieces: list[int],
 ) -> np.ndarray:
-    """Largest single-step weighted sup over directions at each step length,
-    maximized into pieces.
+    """Largest single-step weighted sup over directions at each step length.
 
     The sup weight depends only on |h|, so the direction maximum commutes
     with the offset sup and one weighted sup covers all directions.  Each
-    length's direction maximum goes to one scan as it is formed, in the
-    order of lengths.  Returns one row per piece for each field of the
-    engine's stack, (fields, pieces) + grid shape.
+    length's direction maximum is fed to one scan as it is formed.  Returns
+    one row per piece for each field of the engine's stack, (fields,
+    pieces) + grid shape.
     """
     grid = engine.grid
     scan = _BlockScan(grid, grid.dim / r, max(pieces) + 1, engine.stack)
@@ -801,9 +806,9 @@ def maximal_quasinorm_set(
     Each family's ladder holds every scale a band and variant reads, once,
     and is split into pieces: an exact scale 2^(-k) that S or V reads on
     its own, then runs of scales that lie in the same bands' sup ladders.
-    One call for the two mean families, and one for D_SUP, returns the
-    maximal field of each piece, the max over its scales, so a sup variant
-    of band k is the max over the pieces in its ladder.  The plain scales
+    One call for the two mean families, and one scan for D_SUP, return
+    the maximal field of each piece, the max over its scales, so a sup
+    variant of band k is the max over the pieces in its ladder.  The plain scales
     sit on the sup ladders, so S <= S_SUP and V <= V_SUP hold pointwise by
     construction.
 
@@ -860,9 +865,7 @@ def maximal_quasinorm_set(
             k for k in bands if k <= key[0] < k + quad.tau_octaves)), bands)
     results: list[dict[str, QuasinormResult]] = []
     for group in _groups(fields):
-        # D_SUP shares the means' forward transform; without it the mean
-        # call builds its own engine
-        engine = StepEngine(group) if "D_SUP" in variants else None
+        engine = StepEngine(group)
         rows = {}  # family -> maximal field of each piece, (fields, pieces) + grid shape
         if ladders:
             # the shell radii t r_j lie on the lattice of the sphere scales,
@@ -885,10 +888,8 @@ def maximal_quasinorm_set(
                 for k in bands:
                     if variant in ("S", "V"):
                         x_k = rows[family][i, alone[exact_index(k)]]
-                    else:
-                        x_k = np.zeros(grid.shape)
-                        for p in sups[k]:
-                            np.maximum(x_k, rows[family][i, p], out=x_k)
+                    else:  # the pieces of band k's sup ladder
+                        x_k = rows[family][i, sups[k]].max(axis=0)
                     agg.add(k, 2.0 ** (k * params.s) * x_k)
                 value, masses = agg.finish()
                 results[-1][variant] = _result(value, masses, params,

@@ -158,7 +158,7 @@ class FullGridMeans(StepEngine):
     """A StepEngine whose weighted-mean symbols add one full-grid symbol per
     node: the oracle of the low-rank mean symbols."""
 
-    def _mean_symbols(self, steps, weights, order):
+    def _mean_symbols(self, steps, weights, order, chunk):
         for mean, mean_w in zip(steps, weights):
             symbol = np.zeros(self.grid.shape, dtype=complex)
             for step, w in zip(mean, mean_w):

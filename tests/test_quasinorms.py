@@ -606,9 +606,9 @@ class TestStepEngineSweep:
         radii = []
 
         class Recording(StepEngine):
-            def _mean_symbols(self, steps, weights, order):
+            def _mean_symbols(self, steps, weights, order, chunk):
                 radii.extend(np.linalg.norm(steps[:, 0], axis=1).tolist())
-                return super()._mean_symbols(steps, weights, order)
+                return super()._mean_symbols(steps, weights, order, chunk)
 
         monkeypatch.setattr(quasinorms, "StepEngine", Recording)
         grid = GridSpec(2, 32)
