@@ -376,6 +376,80 @@ class TestWeightedSup:
             weighted_offset_sup(np.zeros(grid.shape), grid, 1.0, -1.0)
 
 
+def reflect(u, axes):
+    """u(-x) on the lattice, x -> -x mod n along each of axes."""
+    return np.roll(np.flip(u, axes), (1,) * len(axes), axes)
+
+
+# moves of 3-D fields, also with leading stack axes: a shift that is not a
+# multiple of the block edge (4) moves every block boundary, and so does
+# the reflection
+MOVES_3D = {"shift": lambda u: np.roll(u, (1, 2, 3), axis=(-3, -2, -1)),
+            "reflect": lambda u: reflect(u, (-3,))}
+
+
+class TestSymmetry:
+    """A lattice translation or reflection maps every weighted product of
+    the supremum to the same float, so the pruned scan commutes with it
+    bit for bit, on grids the array oracle cannot reach; the quasinorm
+    values are invariant to rounding."""
+
+    @staticmethod
+    def fields_3d(grid):
+        """White noise, where near pairs decide, and a noisy bump, whose far
+        points take their sup from the bump across the farthest ring."""
+        rng = np.random.default_rng(332)
+        noise = np.abs(rng.standard_normal((2,) + grid.shape))
+        envelope = np.exp(-(grid.minimal_image_radii((0.3, 0.6, 0.2)) / 0.1) ** 2)
+        return np.stack([noise[0], noise[1] * (0.05 + envelope)])
+
+    @pytest.mark.parametrize("move", MOVES_3D)
+    def test_sup_commutes_3d(self, move):
+        grid = GridSpec(3, 32, 1.0)
+        mags, scales = self.fields_3d(grid), np.array([3.0, 0.5])
+        moved = MOVES_3D[move]
+        assert np.array_equal(weighted_offset_sup(moved(mags), grid, scales, 1.5),
+                              moved(weighted_offset_sup(mags, grid, scales, 1.5)))
+
+    @pytest.mark.parametrize("move", MOVES_3D)
+    def test_streamed_pieces_commute_3d(self, monkeypatch, move):
+        # scan stacks of 2 fields; the pieces are fed last first, as the
+        # mean walk feeds them, so a stack's piece rows descend
+        monkeypatch.setattr("lplab.fields.WORK_BYTES", 2**20)
+        grid = GridSpec(3, 32, 1.0)
+        noise, bump = self.fields_3d(grid)
+        mags, scales = np.stack([noise, bump, np.roll(noise, 16, axis=0)]), [3.0, 0.5, 8.0]
+
+        def pieces(fields):
+            scan = maximal._BlockScan(grid, 1.5, 3)
+            for i, piece in ((2, 2), (0, 1), (1, 0)):
+                scan.feed(fields[i], scales[i], piece)
+            return scan.maxima()
+
+        moved = MOVES_3D[move]
+        assert np.array_equal(pieces(moved(mags)), moved(pieces(mags)))
+
+    def test_maximal_values_invariant_2d(self):
+        # the 32 uniform sphere nodes are invariant under the 8 symmetries of
+        # the square, so all five variants are, and under a translation.
+        # The field is white noise without its Nyquist lines: an off-lattice
+        # step takes the Nyquist frequency as -n/2 alone, which a reflection
+        # of one axis does not keep, and moves D_SUP of the full noise by 4e-4
+        grid = GridSpec(2, 64)
+        spectrum = np.fft.fftn(np.random.default_rng(64).standard_normal(grid.shape))
+        spectrum[grid.n // 2] = spectrum[:, grid.n // 2] = 0.0
+        data = np.fft.ifftn(spectrum).real
+        moved = [reflect(u, axes) for u in (data, data.T)
+                 for axes in ((), (0,), (1,), (0, 1))] + [np.roll(data, (5, 3), axis=(0, 1))]
+        results = maximal_quasinorm_set([SampledField(grid, np.ascontiguousarray(u)) for u in moved],
+                                        SpaceParams(s=0.5, p=2, q=2, L=2, r=1.5),
+                                        MAXIMAL_VARIANTS, default_quadrature(grid))
+        for result in results[1:]:
+            for variant in MAXIMAL_VARIANTS:
+                assert result[variant].value == pytest.approx(results[0][variant].value,
+                                                              rel=1e-12, abs=0)
+
+
 class TestPeetre:
     def test_dominates_field_pointwise(self, grid1d):
         f = random_complex_field(grid1d, seed=3)

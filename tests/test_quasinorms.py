@@ -654,6 +654,17 @@ class TestStepEngineSweep:
         assert traced_peak(lambda: maximal_quasinorm_set(f, params, variants, quad)) <= (
             bound_mb * 2**20)
 
+    def test_streamed_maximal_set_traced_peak(self):
+        # each mean field and step length goes to its family's scan as it is
+        # formed: the five-variant call holds no ladder of 256 mean fields
+        # (8 MiB at n=64, where the call traced 9.1 MiB with them) and peaks
+        # at 4.4 MiB
+        grid = GridSpec(2, 64)
+        f = sample_family(default_corpus(grid)[0], grid)
+        params, quad = SpaceParams(s=0.5, p=2, q=2, L=2, r=1.5), default_quadrature(grid)
+        assert traced_peak(lambda: maximal_quasinorm_set(f, params, MAXIMAL_VARIANTS, quad)) <= (
+            5 * 2**20)
+
     def test_variants_match_full_grid_means(self, monkeypatch):
         # the low-rank mean symbols against one full-grid symbol per node, on
         # the 2-D n=32 corpus; D_SUP shares only the engine
