@@ -22,8 +22,8 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -204,8 +204,7 @@ def _alpha(raw) -> int | tuple[int, ...]:
 # defaults, the checks and the summary's inputs echo
 
 
-@dataclass(frozen=True)
-class _Option:
+class _Option(NamedTuple):
     name: str  # the key of its value, in messages and in the inputs echo
     flag: str | None  # None: config only
     config: str | None  # "section.key", or a top-level key; None: flag only
@@ -674,7 +673,7 @@ _HANDLERS = {
 # argument parsing
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lplab",
         description="Smoothness-space quasinorms of sampled fields and "
@@ -682,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # no abbreviations: --in would pass for --inhomogeneous where no --in is read
-    commands = [(sub.add_parser(name, help=text, allow_abbrev=False), name) for name, text in (
+    commands = [(sub.add_parser(name, help=text, allow_abbrev=False), (name,)) for name, text in (
         ("bands", "decompose a field into dyadic frequency bands"),
         ("diff", "difference-quasinorm of a field"),
         ("norm", "any quasinorm characterization of a field"),
@@ -691,19 +690,19 @@ def build_parser() -> argparse.ArgumentParser:
     )]
     pv = sub.add_parser("verify", help="run a verification experiment")
     vsub = pv.add_subparsers(dest="experiment", required=True)
-    commands += [(vsub.add_parser(name, allow_abbrev=False), name) for name in _VERIFY_HANDLERS]
-    # every flag parses to None unless it is given
-    for p, name in commands:
-        for row in _OPTIONS:
-            if row.flag is None or not row.reads(name):
-                continue
-            p.add_argument(row.flag, dest=row.name, help=row.help(), const=row.const,
-                           action="store" if row.const is None else "store_const")
+    commands += [(vsub.add_parser(n, allow_abbrev=False), ("verify", n)) for n in _VERIFY_HANDLERS]
+    # flags only where argv names the command; each parses to None unless given
+    for p, path in commands:
+        for row in _OPTIONS if tuple(argv[:len(path)]) == path else ():
+            if row.flag is not None and row.reads(path[-1]):
+                p.add_argument(row.flag, dest=row.name, help=row.help(), const=row.const,
+                               action="store" if row.const is None else "store_const")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = vars(build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else argv
+    args = vars(build_parser(argv).parse_args(argv))
     command = args["command"]
     experiment = args.get("experiment")
     try:
@@ -741,5 +740,17 @@ def _report_failure(command: str, out_dir: str, kind: str, exc: Exception,
     return 1
 
 
+def entry() -> None:
+    """The `lplab` program: main(), a flush, and os._exit, skipping the teardown
+    and atexit handlers; a failed flush exits through sys.exit instead."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -135,12 +135,12 @@ class SampledField:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=COMPLEX)
+        arr = np.asarray(self.data, dtype=COMPLEX, order="C")
         if arr.shape != self.grid.shape:
             raise ShapeMismatch(
                 f"samples shape {arr.shape} does not match grid shape {self.grid.shape}"
             )
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        if not np.isfinite(arr).all():
             raise NonFiniteSample("samples contain NaN or infinity")
         object.__setattr__(self, "data", arr)
 

@@ -27,6 +27,7 @@ import dataclasses
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,8 +130,7 @@ def thresholds(p: float, q: float, n: int) -> Thresholds:
     )
 
 
-@dataclass(frozen=True)
-class WindowReport:
+class WindowReport(NamedTuple):
     """Outcome of a hypothesis-window check for one theorem id."""
 
     theorem: str
@@ -362,8 +362,7 @@ def shell_index(rho: float) -> int:
     return math.ceil(-math.log2(rho) - 1e-12)
 
 
-@dataclass(frozen=True)
-class QuasinormResult:
+class QuasinormResult(NamedTuple):
     """A quasinorm value with its per-scale and truncation diagnostics."""
 
     value: float

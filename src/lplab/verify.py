@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,8 +132,7 @@ def default_corpus(grid: GridSpec) -> tuple[TestFunctionSpec, ...]:
 # scaling experiment
 
 
-@dataclass(frozen=True)
-class ScalingReport:
+class ScalingReport(NamedTuple):
     """Measured dilation exponents of one quasinorm against s - n/p."""
 
     characterization: str
@@ -196,8 +194,7 @@ def scaling_experiment(
 # equivalence experiment
 
 
-@dataclass(frozen=True)
-class FunctionRatio:
+class FunctionRatio(NamedTuple):
     """Ratio of two characterizations on one corpus function."""
 
     label: str
@@ -216,8 +213,7 @@ class FunctionRatio:
         )
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Ratio stability of a characterization pair over a corpus."""
 
     pair: tuple[str, str]
@@ -354,8 +350,7 @@ def band_limited_profile(grid: GridSpec, radius: float) -> SampledField:
     return SampledField(grid, data / peak)
 
 
-@dataclass(frozen=True)
-class DerivativeRatioReport:
+class DerivativeRatioReport(NamedTuple):
     """Derivative-norm ratios across dyadic spectrum radii."""
 
     alpha: tuple[int, ...]
@@ -501,8 +496,7 @@ _KERNEL_SUPPORT = (0.25, 2.0)
 _KERNEL_STEP = 0.125
 
 
-@dataclass(frozen=True)
-class KernelDecayReport:
+class KernelDecayReport(NamedTuple):
     """Fitted spatial decay of windowed inverse step symbols."""
 
     order: int
@@ -610,8 +604,7 @@ def kernel_decay_probe(
 # divergence growth
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     """Quasinorm growth as the smallest quadrature step halves."""
 
     params: SpaceParams
@@ -655,8 +648,7 @@ def divergence_probe(
 # slice spectral support
 
 
-@dataclass(frozen=True)
-class SliceSupportReport:
+class SliceSupportReport(NamedTuple):
     """Out-of-range spectral energy of one-dimensional slices."""
 
     band: int
@@ -700,6 +692,4 @@ def slice_support_check(
     with np.errstate(invalid="ignore", divide="ignore"):
         frac = np.where(total > 0.0, out / np.maximum(total, 1e-300), 0.0)
     worst = float(frac.max(initial=0.0))
-    return SliceSupportReport(
-        band=j, axis=axis, max_violation=worst, passed=worst <= 1e-12
-    )
+    return SliceSupportReport(band=j, axis=axis, max_violation=worst, passed=worst <= 1e-12)

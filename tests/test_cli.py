@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, artifacts, and file formats."""
 
+import argparse
+import io
 import json
 import math
 import os
@@ -17,6 +19,7 @@ from lplab.cli import CSV_HEADER, load_field, main, save_field
 from lplab.errors import IoError
 from lplab.fields import GridSpec, SampledField, TestFunctionSpec, sample_family
 from lplab.quasinorms import SpaceParams, default_quadrature, quasinorm
+from lplab.verify import default_corpus
 
 
 def run(tmp_path, *argv):
@@ -333,6 +336,72 @@ class TestExitCodes:
         assert "RuntimeWarning" not in done.stderr
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("computation error: "), done.stderr
+
+
+class TestFastExit:
+    """`python -m lplab.cli` flushes stdout and stderr and ends with
+    os._exit once main returns: the output, the artifacts and the exit
+    code are those of main, and no atexit handler runs."""
+
+    def test_payload_reaches_a_pipe(self, tmp_path, monkeypatch):
+        # a block-buffered stdout holds the payload until the flush
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        done = run_fresh(tmp_path, *NORM)
+        assert (done.returncode, done.stderr) == (0, "")
+        payload = json.loads(done.stdout)
+        summary = read_summary(tmp_path / "out", "norm")
+        assert payload == {key: summary[key] for key in payload}
+
+    def test_verify_equivalence_artifacts_complete(self, tmp_path):
+        done = run_fresh(tmp_path, *EQUIVALENCE)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        summary = read_summary(tmp_path / "out", "verify_equivalence")
+        assert summary["verdict"] == "PASS"
+        rows = read_rows(tmp_path / "out", "verify_equivalence")
+        assert len(rows) == len(default_corpus(GridSpec(1, 64)))
+
+    def test_config_error_exits_2(self, tmp_path):
+        done = run_fresh(tmp_path, *NORM, "--s", "x")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "configuration error: s must be a number, got 'x'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_computation_error_exits_1(self, tmp_path):
+        done = run_fresh(tmp_path, "maximal", "--grid-dim", "1", "--grid-n", "64",
+                         "--function", "gauss_mid")
+        assert done.returncode == 1
+        assert done.stderr.startswith("computation error: DimensionTooLow: ")
+        assert len(done.stderr.splitlines()) == 1
+        with open(tmp_path / "out" / "error_summary.json", "r", encoding="utf-8") as fh:
+            assert json.load(fh)["error"]["type"] == "DimensionTooLow"
+
+    def test_no_teardown(self, tmp_path):
+        # the atexit handler would print after the payload on a normal exit
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        code = "import atexit; from lplab import cli; atexit.register(print, 'torn down'); cli.entry()"
+        done = subprocess.run(
+            [sys.executable, "-c", code, *NORM, "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0 and "torn down" not in done.stdout
+        assert json.loads(done.stdout)["flag"] == "OK"
+
+    def test_failed_flush_exits_through_sys_exit(self, monkeypatch):
+        # a closed pipe: the normal exit, which reports what it cannot flush
+        class ClosedPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def no_fast_exit(code):
+            raise AssertionError(f"os._exit({code})")
+
+        monkeypatch.setattr(cli, "main", lambda: 1)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(os, "_exit", no_fast_exit)
+        with pytest.raises(SystemExit) as done:
+            cli.entry()
+        assert done.value.code == 1
 
 
 class TestEquivalenceCommand:
@@ -654,6 +723,21 @@ PARSED = [
 ]
 
 
+COMMAND_NAMES = [*cli._HANDLERS, *(f"verify {name}" for name in cli._VERIFY_HANDLERS)]
+
+
+def command_flags(parser, path=()):
+    """{command path: the option flags of its parser, -h/--help aside} for
+    the parser and every command and experiment under it."""
+    flags = {path: {flag for action in parser._actions for flag in action.option_strings}
+             - {"-h", "--help"}}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                flags.update(command_flags(sub, (*path, name)))
+    return flags
+
+
 class TestParser:
     """Every command and experiment resolves the shared options and its own,
     each flag to its converted value and each unset option to its
@@ -665,10 +749,10 @@ class TestParser:
         (tmp_path / "c.json").write_text("{}")
         if isinstance(parsed, str) and parsed.startswith("unrecognized arguments"):
             with pytest.raises(SystemExit) as done:
-                cli.build_parser().parse_args(argv)
+                cli.build_parser(argv).parse_args(argv)
             assert done.value.code == 2 and parsed in capsys.readouterr().err
             return
-        args = vars(cli.build_parser().parse_args(argv))
+        args = vars(cli.build_parser(argv).parse_args(argv))
         command = args.get("experiment") or args["command"]
         if isinstance(parsed, str):
             with pytest.raises(cli.ConfigParseError, match=re.escape(parsed)):
@@ -684,6 +768,19 @@ class TestParser:
     def test_every_command_and_experiment_covered(self):
         covered = {" ".join(argv[:2]) if argv[0] == "verify" else argv[0] for argv, _ in PARSED}
         assert covered == set(cli._HANDLERS) | {f"verify {name}" for name in cli._VERIFY_HANDLERS}
+
+    @pytest.mark.parametrize("argv, named", [
+        *(([*name.split(), "--grid-n", "64"], name) for name in COMMAND_NAMES),
+        ([], None), (["--help"], None), (["verify"], None), (["verify", "--help"], None),
+    ], ids=[*COMMAND_NAMES, "empty", "help", "verify", "verify-help"])
+    def test_flags_only_on_the_named_command(self, argv, named):
+        # the other commands parse none of argv, so they carry no flags
+        flags = command_flags(cli.build_parser(argv))
+        assert set(flags) == {(), ("verify",)} | {tuple(name.split()) for name in COMMAND_NAMES}
+        want = {row.flag for row in cli._OPTIONS
+                if named and row.flag and row.reads(named.split()[-1])}
+        assert flags == {path: want if path == tuple((named or "").split()) else set()
+                         for path in flags}
 
 
 NORM = ("norm", "--grid-n", "64", "--function", "gauss_mid")

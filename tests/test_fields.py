@@ -74,6 +74,21 @@ class TestFieldValidation:
         with pytest.raises(NonFiniteSample):
             SampledField(grid1d, data)
 
+    def test_non_contiguous_real_input(self):
+        # a transposed field or a strided slice used to raise a raw
+        # ValueError from a float64 view of its complex copy
+        grid = GridSpec(2, 64)
+        rng = np.random.default_rng(143)
+        for data in (rng.standard_normal(grid.shape).T, rng.standard_normal((64, 128))[:, ::2]):
+            field = SampledField(grid, data)
+            assert field.data.flags.c_contiguous and np.array_equal(field.data, data)
+
+    def test_non_contiguous_nonfinite(self):
+        data = np.zeros((64, 64))
+        data[3, 5] = np.nan
+        with pytest.raises(NonFiniteSample):
+            SampledField(GridSpec(2, 64), data.T)
+
 
 class TestNorms:
     def test_gaussian_l2_closed_form(self):

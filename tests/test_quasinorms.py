@@ -960,6 +960,30 @@ class TestAxisQuasinorm:
         assert reconstructed_value(res) == pytest.approx(res.value, rel=1e-10)
 
 
+class TestSymmetry3D:
+    """lp and axis at 3-D n=32, where no oracle runs and the Fibonacci
+    sphere nodes of the other characterizations have no symmetry: a
+    band-limited field keeps both values under a lattice translation, the
+    reflection x -> -x mod n of axis 0 and a cyclic axis permutation.  When
+    written, lp was bit-equal under all three and axis one ulp off under
+    each; the check allows rounding."""
+
+    def test_lp_and_axis_invariant(self):
+        grid = GridSpec(3, 32)
+        rho = grid.frequency_radii()
+        spectrum = np.fft.fftn(np.random.default_rng(332).standard_normal(grid.shape))
+        # |k| < 12 keeps every Nyquist plane empty; the mean is no band's
+        spectrum[(rho == 0) | (rho >= 12)] = 0.0
+        data = np.fft.ifftn(spectrum).real
+        moved = [data, np.roll(data, (1, 2, 3), axis=(0, 1, 2)),
+                 np.roll(np.flip(data, 0), 1, axis=0), np.transpose(data, (1, 2, 0))]
+        fields = [SampledField(grid, u) for u in moved]
+        for cid in ("lp", "axis"):
+            base, *others = quasinorm(fields, cid, SpaceParams(s=0.5, p=2, q=2))
+            for result in others:
+                assert result.value == pytest.approx(base.value, rel=1e-12, abs=0), cid
+
+
 @pytest.fixture
 def grid2d_small() -> GridSpec:
     return GridSpec(dim=2, n=32, box=1.0)
